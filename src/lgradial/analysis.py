@@ -16,10 +16,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DiagnosticError, QuadratureConvergenceError
-from .lgmode import (FieldGrid, LGParams, PolarGrid, beam_geometry, inner,
-                     lg_field, norm, quadrature_polar_grid, sample)
+from .lgmode import (FieldGrid, LGParams, _radial_profiles, _require_weights,
+                     beam_geometry, inner, norm, quadrature_polar_grid)
 from .paraxops import Operator, apply_to_mode
-from .specfun import make_rule
+from .specfun import _converged, make_rule
 
 __all__ = [
     "ExpectationSeries",
@@ -62,16 +62,17 @@ def expectation(op, params: LGParams, z=0.0, *, nphi=32) -> float:
     """Expectation value of a transverse operator on a mode at plane z.
 
     Restricted to operators that are self-adjoint on LG inputs.  The radial
-    quadrature order is doubled once and the run aborts if the value moved
-    by more than 1e-7; the (tiny) imaginary residue of the hermitian
-    expectation is discarded after the same check.
+    order max(160, 16 (n+1)) is doubled once and the run aborts if the value
+    moved by more than 1e-7 max(1, |value|); the (tiny) imaginary residue of
+    the hermitian expectation is discarded after the same check.
     """
     kind = op.kind if isinstance(op, Operator) else op
     if kind not in _SELF_ADJOINT_KINDS:
         raise DiagnosticError(f"expectation is defined for {_SELF_ADJOINT_KINDS}, got {kind!r}")
-    v1 = raw_expectation(op, params, z, order=160, nphi=nphi)
-    v2 = raw_expectation(op, params, z, order=320, nphi=nphi)
-    if abs(v2 - v1) > 1e-7:
+    m = max(160, 16 * (params.n + 1))
+    v1 = raw_expectation(op, params, z, order=m, nphi=nphi)
+    v2 = raw_expectation(op, params, z, order=2 * m, nphi=nphi)
+    if not _converged(v1, v2, 1e-7, 1e-7):
         raise QuadratureConvergenceError(
             f"expectation not converged: {v1} vs {v2} at doubled order")
     if abs(v2.imag) > 1e-9 * max(1.0, abs(v2)):
@@ -149,47 +150,18 @@ def ph_vs_w0(params: LGParams, w0_list, z: float) -> ExpectationSeries:
 # ---------------------------------------------------------------------------
 # overlaps under propagation / waist mismatch
 
-def _radial_profile(n, l, k, w0, z, r):
-    """Mode value along phi = 0 (the azimuthal phase splits off exactly)."""
-    return lg_field(LGParams(n, l, k, w0), r, 0.0, z)
-
-
-def _overlap_extent(l, n_max, k, w0, z, w0p, zp):
-    e1 = beam_geometry(LGParams(n_max, l, k, w0), z).w_z
-    e2 = beam_geometry(LGParams(n_max, l, k, w0p), zp).w_z
-    return 1.5 * max(e1, e2) * math.sqrt(2.0 * (2 * n_max + abs(l) + 1))
-
-
-def overlap(params_a: LGParams, z_a: float, params_b: LGParams, z_b: float,
-            *, order=None) -> complex:
+def overlap(params_a: LGParams, z_a: float, params_b: LGParams, z_b: float) -> complex:
     """<LG_a(z_a) | LG_b(z_b)> under r dr dphi; exactly 0 unless l_a = l_b.
 
-    The azimuthal integral is analytic (2 pi delta_{l l'}); the radial
-    integral is Gauss-Legendre with an order-doubling convergence check.
+    One entry of `overlap_matrix` for the two families up to max(n_a, n_b).
     """
     if params_a.k != params_b.k:
         raise DiagnosticError("overlap requires a shared wavenumber k")
     if params_a.l != params_b.l:
         return 0.0
-    n_max = max(params_a.n, params_b.n)
-    rmax = _overlap_extent(params_a.l, n_max, params_a.k, params_a.w0, z_a,
-                           params_b.w0, z_b)
-
-    def value(m):
-        rule = make_rule("legendre", m, interval=(0.0, rmax))
-        fa = _radial_profile(params_a.n, params_a.l, params_a.k, params_a.w0, z_a, rule.nodes)
-        fb = _radial_profile(params_b.n, params_b.l, params_b.k, params_b.w0, z_b, rule.nodes)
-        return 2.0 * math.pi * complex(np.sum(rule.weights * rule.nodes * np.conj(fa) * fb))
-
-    m = order or max(160, 16 * (n_max + 1))
-    v1, v2 = value(m), value(2 * m)
-    if abs(v2 - v1) > 1e-10 * max(1.0, abs(v2)):
-        v3 = value(4 * m)
-        if abs(v3 - v2) > 1e-9 * max(1.0, abs(v3)):
-            raise QuadratureConvergenceError(
-                f"overlap integral not converged at order {4 * m}")
-        return v3
-    return v2
+    M = overlap_matrix(params_a.l, range(max(params_a.n, params_b.n) + 1), z_a, z_b,
+                       params_a.w0, params_b.w0, params_a.k)
+    return complex(M.entries[params_a.n, params_b.n])
 
 
 @dataclass(frozen=True)
@@ -223,26 +195,31 @@ class OverlapMatrix:
 def overlap_matrix(l, n_set, z, z_prime, w0, w0_prime, k) -> OverlapMatrix:
     """Full overlap matrix between two mode families of common l and k.
 
-    Rows index the (z, w0) family, columns the (z', w0') family.  Computed
-    from shared radial profile tables on one convergence-checked rule.
+    Rows index the (z, w0) family, columns the (z', w0') family.  The radial
+    integral is a real product A diag(c) B^T of the two radial tables on one
+    order-doubled Gauss-Legendre rule, with the curvature phases in the
+    weights c and the Gouy phases as an outer product.
     """
     n_set = tuple(int(n) for n in n_set)
     if list(n_set) != list(range(len(n_set))):
         raise DiagnosticError("n_set must be contiguous from 0")
     n_max = max(n_set)
-    rmax = _overlap_extent(l, n_max, k, w0, z, w0_prime, z_prime)
+    w_max = max(beam_geometry(LGParams(0, l, k, w0), z).w_z,
+                beam_geometry(LGParams(0, l, k, w0_prime), z_prime).w_z)
+    rmax = 1.5 * w_max * math.sqrt(2.0 * (2 * n_max + abs(l) + 1))
 
     def matrix(m):
         rule = make_rule("legendre", m, interval=(0.0, rmax))
-        A = np.array([_radial_profile(n, l, k, w0, z, rule.nodes) for n in n_set])
-        B = np.array([_radial_profile(n, l, k, w0_prime, z_prime, rule.nodes) for n in n_set])
-        wr = rule.weights * rule.nodes
-        return 2.0 * math.pi * (np.conj(A) * wr) @ B.T
+        A, curv_a, gouy_a = _radial_profiles(n_max, l, k, w0, z, rule.nodes)
+        B, curv_b, gouy_b = _radial_profiles(n_max, l, k, w0_prime, z_prime, rule.nodes)
+        c = 2.0 * math.pi * rule.weights * rule.nodes * np.conj(curv_a) * curv_b
+        radial = (A * c.real) @ B.T + 1j * ((A * c.imag) @ B.T)
+        return np.conj(gouy_a)[:, None] * radial * gouy_b[None, :]
 
     m = max(192, 16 * (n_max + 1))
     m1, m2 = matrix(m), matrix(2 * m)
-    if np.max(np.abs(m2 - m1)) > 1e-9:
-        raise QuadratureConvergenceError("overlap matrix not converged")
+    if not _converged(m1, m2, 0.0, 1e-9):
+        raise QuadratureConvergenceError(f"overlap matrix not converged at order {2 * m}")
     return OverlapMatrix(l=l, n_set=n_set, z=z, z_prime=z_prime, w0=w0,
                          w0_prime=w0_prime, k=k, entries=m2)
 
@@ -260,17 +237,21 @@ class Decomposition:
 def decompose(field_grid: FieldGrid, l, n_set, z, w0, k) -> Decomposition:
     """Project a sampled field onto the radial family of fixed l at (z, w0).
 
-    c_n = <LG_n | field> on the field's own quadrature grid; the
-    reconstruction residual ||field - sum c_n LG_n|| / ||field|| is attached.
+    c_n = <LG_n | field> on the field's own quadrature grid: exp(i l phi)
+    projection, then one radial table-vector product.  The reconstruction
+    residual ||field - sum c_n LG_n|| / ||field|| is attached.
     """
-    if not math.isclose(field_grid.grid.z, z, rel_tol=0, abs_tol=1e-12 * (1 + abs(z))):
+    grid = field_grid.grid
+    if not math.isclose(grid.z, z, rel_tol=0, abs_tol=1e-12 * (1 + abs(z))):
         raise DiagnosticError("field and basis must share the plane z")
+    weights = _require_weights(grid)
     n_set = tuple(int(n) for n in n_set)
-    basis = [sample(LGParams(n, l, k, w0), field_grid.grid) for n in n_set]
-    coeffs = np.array([inner(b, field_grid) for b in basis])
-    recon = np.zeros_like(field_grid.values)
-    for c, b in zip(coeffs, basis):
-        recon += c * b.values
+    table, curvature, gouy = _radial_profiles(max(n_set, default=0), l, k, w0, z, grid.r_nodes)
+    basis = (table * curvature * gouy[:, None])[list(n_set)]
+    azimuthal = np.exp(1j * l * grid.phi_nodes)
+    projected = field_grid.values @ np.conj(azimuthal) * grid.dphi
+    coeffs = np.conj(basis) @ (weights * grid.r_nodes * projected)
+    recon = (coeffs @ basis)[:, None] * azimuthal[None, :]
     nf = norm(field_grid)
-    resid = norm(FieldGrid(field_grid.grid, field_grid.values - recon)) / nf if nf > 0 else 0.0
+    resid = norm(FieldGrid(grid, field_grid.values - recon)) / nf if nf > 0 else 0.0
     return Decomposition(n_set=n_set, coefficients=coeffs, reconstruction_residual=float(resid))

@@ -28,7 +28,7 @@ import numpy as np
 from .constants import C_LIGHT
 from .errors import DiagnosticError, QuadratureConvergenceError
 from .momentum import ExactMomentumParams
-from .specfun import bessel_j, bessel_j_derivative, laguerre, make_rule
+from .specfun import _converged, bessel_j, bessel_j_derivative, laguerre, make_rule
 
 __all__ = [
     "BesselModeParams",
@@ -284,7 +284,7 @@ def synthesize_lg(params: ExactMomentumParams, p: SpacetimePoint,
         val2, mass = _synthesis_radial(params, p, 2 * quad_order)
         # in oscillatory tails the value can be many orders below the
         # integrand mass; convergence is judged against both
-        if abs(val2 - val) > max(1e-8 * abs(val2), 1e-11 * mass, 1e-300):
+        if not _converged(val, val2, 1e-8, max(1e-11 * mass, 1e-300)):
             raise QuadratureConvergenceError(
                 f"synthesis integral not converged at order {quad_order}: "
                 f"{val} vs {val2}")

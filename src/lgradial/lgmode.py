@@ -15,14 +15,13 @@ Sign conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DiagnosticError, GridError
-from .specfun import laguerre, laguerre_derivative, make_rule
+from .specfun import _converged, laguerre, laguerre_derivative, make_rule
 
 __all__ = [
     "LGParams",
@@ -37,7 +36,6 @@ __all__ = [
     "lg_partials",
     "quadrature_polar_grid",
     "uniform_polar_grid",
-    "thread_count",
 ]
 
 
@@ -51,6 +49,8 @@ class LGParams:
     w0: float    # waist at z = 0, m
 
     def __post_init__(self):
+        if not (isinstance(self.n, numbers.Integral) and isinstance(self.l, numbers.Integral)):
+            raise DiagnosticError(f"mode numbers must be integers, got n={self.n!r}, l={self.l!r}")
         if self.n < 0:
             raise DiagnosticError(f"radial index must be >= 0, got {self.n}")
         if self.k <= 0 or self.w0 <= 0:
@@ -166,56 +166,67 @@ class FieldGrid:
             raise GridError(f"values shape {v.shape} does not match grid {self.grid.shape}")
 
 
+_RESCALE = 2.0**600  # no recurrence step carries a mantissa below this past 1e308
+
+
+def _radial_profiles(n_max, l, k, w0, z, r):
+    """Radial profiles of the modes n = 0..n_max of fixed l at plane z, in one pass.
+
+    Returns (table, curvature, gouy); mode n along phi = 0 is
+    table[n] * curvature * gouy[n].  table[n] is real: sqrt(2/pi)/w_z times
+    phi_n(u) = sqrt(n!/(n+a)!) u^(a/2) e^(-u/2) L_n^a(u), a = |l|,
+    u = 2 r^2/w_z^2, by the recurrence phi_(n+1) = ((2n+1+a-u) phi_n -
+    sqrt(n(n+a)) phi_(n-1)) / sqrt((n+1)(n+1+a)) on a mantissa.  phi_0 is a
+    per-node log scale that takes over exact powers of two whenever a mantissa
+    passes _RESCALE: nothing overflows; values below ~1e-140 may come out 0.
+    """
+    geo = beam_geometry(LGParams(0, l, k, w0), z)
+    a, r = abs(l), np.asarray(r, dtype=float)
+    u = 2.0 * r**2 / geo.w_z**2
+    with np.errstate(divide="ignore"):  # u = 0, a > 0: log 0 = -inf, value 0
+        log_scale = (0.5 * math.log(2.0 / math.pi) - math.log(geo.w_z) - 0.5 * math.lgamma(a + 1)
+                     - 0.5 * u + (0.5 * a * np.log(u) if a else 0.0))
+    table = np.empty((n_max + 1,) + u.shape)
+    table[0] = 1.0
+    p_prev, p = np.zeros_like(u), table[0]
+    u_max = u.max(initial=0.0)
+    done, bound = 0, 1.0  # rows done.. hold mantissas, all below bound
+    for n in range(n_max):
+        c, b, s = 2 * n + 1 + a, math.sqrt(n * (n + a)), math.sqrt((n + 1) * (n + 1 + a))
+        row = np.divide((c - u) * p - b * p_prev, s, out=table[n + 1])
+        p_prev, p = p, row
+        bound *= max(1.0, (max(c, u_max - c) + b) / s)  # |c - u| <= max(c, u_max - c)
+        if bound > _RESCALE:  # only then look at the mantissas themselves
+            bound = max(np.abs(p).max(), np.abs(p_prev).max())
+        if bound > _RESCALE:
+            _, e = np.frexp(np.maximum(np.abs(p), np.abs(p_prev)))
+            p, p_prev = np.ldexp(p, -e), np.ldexp(p_prev, -e)
+            table[done:n + 2] *= np.exp(log_scale)
+            log_scale = log_scale + e * math.log(2.0)
+            done, bound = n + 2, 1.0
+    table[done:] *= np.exp(log_scale)
+    curvature = np.exp(0.5j * k * geo.inv_R_z * r**2)
+    gouy = np.exp(-1j * (2 * np.arange(n_max + 1) + a + 1) * geo.phi_g)
+    return table, curvature, gouy
+
+
 def lg_field(params: LGParams, r, phi, z):
     """Complex LG amplitude at (r, phi, z); r and phi broadcast as arrays.
 
     Includes the normalization prefactor, so the mode has unit L2 norm under
     the transverse measure r dr dphi at every z.
     """
-    geo = beam_geometry(params, z)
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    al = abs(params.l)
-    wz = geo.w_z
-    u = 2.0 * r**2 / wz**2
-    radial = (params.norm_constant / wz
-              * (math.sqrt(2.0) * r / wz) ** al
-              * laguerre(params.n, al, u))
-    envelope = np.exp(-(r**2) / wz**2
-                      + 1j * (params.l * phi
-                              + 0.5 * params.k * r**2 * geo.inv_R_z
-                              - (2 * params.n + al + 1) * geo.phi_g))
-    out = radial * envelope
-    return out[()] if out.ndim == 0 else out
-
-
-def thread_count():
-    """Worker count for grid sampling, capped by LG_RADIAL_THREADS (0 = auto)."""
-    raw = os.environ.get("LG_RADIAL_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 0:
-        cap = 0
-    auto = min(os.cpu_count() or 1, 8)
-    return auto if cap == 0 else min(cap, auto)
+    # 0-d inputs go 1-d: a point value takes `sample`'s array arithmetic, bit for bit
+    r, phi = np.asarray(r, dtype=float), np.asarray(phi, dtype=float)
+    table, curvature, gouy = _radial_profiles(params.n, params.l, params.k, params.w0, z,
+                                              np.atleast_1d(r))
+    out = table[-1] * curvature * gouy[-1] * np.exp(1j * params.l * np.atleast_1d(phi))
+    return out[0] if r.ndim == phi.ndim == 0 else out
 
 
 def sample(params: LGParams, grid: PolarGrid) -> FieldGrid:
-    """Sample a mode on a grid, parallelizing over radial blocks."""
-    r, phi = grid.mesh()
-    workers = thread_count()
-    nr = len(grid.r_nodes)
-    if workers <= 1 or nr < 4 * workers:
-        values = lg_field(params, r, phi, grid.z)
-    else:
-        values = np.empty(grid.shape, dtype=complex)
-        blocks = np.array_split(np.arange(nr), workers)
-        def fill(idx):
-            values[idx] = lg_field(params, r[idx], phi[idx], grid.z)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, blocks))
+    """Sample a mode on a grid: its radial profile times exp(i l phi)."""
+    values = lg_field(params, grid.r_nodes[:, None], grid.phi_nodes[None, :], grid.z)
     return FieldGrid(grid=grid, values=values)
 
 
@@ -310,16 +321,13 @@ def quadrature_polar_grid(params: LGParams, z=0.0, *, n_max=None, l_max=None,
 
     if order is not None:
         return build(order)
-    m = 64
-    grid = build(m)
-    prev = norm(sample(probe, grid))
-    while m < 4096:
-        m *= 2
-        grid_next = build(m)
-        cur = norm(sample(probe, grid_next))
-        if abs(cur - prev) < 1e-10:
-            return grid_next
-        grid, prev = grid_next, cur
+    prev = None
+    for m in (64, 128, 256, 512, 1024, 2048, 4096):
+        grid = build(m)
+        cur = norm(sample(probe, grid))
+        if prev is not None and _converged(prev, cur, 0.0, 1e-10):
+            return grid
+        prev = cur
     raise DiagnosticError(f"polar grid norm did not settle by order {m}")
 
 

@@ -20,6 +20,7 @@ every m.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .constants import C_LIGHT
 from .errors import DiagnosticError, QuadratureConvergenceError
 from .paraxops import diff_matrix, phi_derivative
-from .specfun import make_rule
+from .specfun import _converged, make_rule
 
 __all__ = [
     "ExactMomentumParams",
@@ -56,6 +57,8 @@ class ExactMomentumParams:
     w: float      # m; width parameter of the exponential factor
 
     def __post_init__(self):
+        if not (isinstance(self.n, numbers.Integral) and isinstance(self.m, numbers.Integral)):
+            raise DiagnosticError(f"mode numbers must be integers, got n={self.n!r}, m={self.m!r}")
         if self.n < 0:
             raise DiagnosticError("n must be >= 0")
         if self.sigma not in (1, -1):
@@ -252,7 +255,7 @@ def hermiticity_defect(psi, operator="Nk_paraxial", *, w, sigma=1,
     d2, n2 = defect_at(2 * order)
     if n2 == 0.0:
         return HermiticityDefect(defect=0j, norm_sq=0.0)
-    if abs(d2 - d1) > 1e-6 * max(n2, abs(d2)):
+    if not _converged(d1, d2, 1e-6, 1e-6 * n2):
         raise QuadratureConvergenceError(
             f"hermiticity defect not converged: {d1} vs {d2} at doubled order")
     return HermiticityDefect(defect=d2, norm_sq=n2)

@@ -30,6 +30,13 @@ __all__ = [
 ]
 
 
+def _converged(a, b, rtol, atol):
+    """True when a, b are finite and |a - b| <= max(atol, rtol |b|): NaN and inf never pass."""
+    a, b = np.asarray(a), np.asarray(b)
+    finite = np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+    return bool(finite and np.all(np.abs(a - b) <= np.maximum(atol, rtol * np.abs(b))))
+
+
 def laguerre(n, alpha, x):
     """Evaluate the generalized Laguerre polynomial L_n^alpha(x).
 

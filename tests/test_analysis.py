@@ -37,6 +37,15 @@ class TestExpectation:
             assert abs(raw_expectation(op, p, z).imag) < 1e-9
         assert abs(raw_expectation(Operator("Nz", params=p, z=ZR), p, ZR).imag) < 1e-9
 
+    @pytest.mark.parametrize("n,l,w0,z", [(40, 3, W0, 2.0), (2, 1, 5e-6, 2.0)])
+    def test_ph_matches_closed_form(self, n, l, w0, z):
+        # the rule order grows with n and the tolerance is relative: fixed
+        # orders 160/320 moved by 2e-6 at n = 40, and an absolute 1e-7 is
+        # out of reach for the ~1e5 value of a 5 um waist
+        p = LGParams(n, l, K, w0)
+        want = (2 * n + abs(l) + 1) * z / p.rayleigh_range
+        assert expectation("PH", p, z) == pytest.approx(want, rel=1e-9)
+
     def test_nz_expectation_is_z_invariant(self):
         # the radial index is conserved when the operator carries its own z
         for (n, l) in ((1, 0), (3, 2)):
@@ -174,6 +183,15 @@ class TestOverlapMatrix:
                                      LGParams(0, 0, K, W0), dz)) ** 2
                          for dz in dzs])
         assert np.all(np.diff(vals) < 0)
+
+    def test_finite_and_complete_at_n160(self):
+        M = overlap_matrix(0, range(161), 0.0, ZR, W0, W0, K)
+        assert np.all(np.isfinite(M.entries))
+        assert np.all(M.completeness() <= 1.0 + 1e-9)
+        for i in range(3):
+            for j in range(3):
+                want = overlap_riemann(i, j, 0, K, W0, W0, 0.0, ZR, rmax=12 * W0, nr=100000)
+                assert abs(M.entries[i, j] - want) < 1e-8  # midpoint-rule error ~2e-9
 
     def test_requires_contiguous_n_set(self):
         with pytest.raises(DiagnosticError):

@@ -148,6 +148,14 @@ class TestOverlapCommand:
         first = clines[1].split(",")
         assert int(first[3]) == 1  # dz = 0: one mode is complete
 
+    def test_n_max_200_is_finite(self, tmp_path):
+        assert run(tmp_path, "overlap", "--sweep.dz_list_m", "[0.0,10.0]",
+                   "--sweep.n_max", "200") == 0
+        lines = (tmp_path / "lg_overlap.csv").read_text().splitlines()
+        values = np.array([[float(v) for v in row.split(",")[3:]] for row in lines[1:]])
+        assert len(lines) == 1 + 2 * 201**2
+        assert np.all(np.isfinite(values))
+
     def test_dz_required(self, tmp_path):
         assert run(tmp_path, "overlap") == 2
 

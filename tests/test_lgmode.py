@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from lgradial.errors import DiagnosticError, GridError
-from lgradial.lgmode import (FieldGrid, LGParams, PolarGrid, beam_geometry,
+from lgradial.lgmode import (FieldGrid, LGParams, PolarGrid, _radial_profiles, beam_geometry,
                              inner, lg_field, lg_partials, norm,
                              quadrature_polar_grid, sample,
                              uniform_polar_grid)
@@ -74,9 +75,45 @@ class TestLGField:
             want = lg_reference(n, l, K, W0, r, phi, z)
             assert abs(got - want) <= 1e-11 * max(abs(want), 1e-30)
 
+    @pytest.mark.parametrize("l", [300, -300])
+    def test_high_order_mode_against_mpmath(self, l):
+        # log-space reference: sqrt(2 n!/(pi (n+a)!)) / w0 u^(a/2) e^(-u/2) L_n^a(u)
+        n, a = 300, abs(l)
+        mpmath.mp.dps = 40
+        for r in (10e-3, 20e-3):
+            u = 2 * mpmath.mpf(r) ** 2 / mpmath.mpf(W0) ** 2
+            log_amp = (0.5 * (mpmath.log(2 / mpmath.pi) + mpmath.loggamma(n + 1)
+                              - mpmath.loggamma(n + a + 1)) - mpmath.log(W0)
+                       + 0.5 * a * mpmath.log(u) - u / 2)
+            want = float(mpmath.exp(log_amp) * mpmath.laguerre(n, a, u))
+            got = lg_field(LGParams(n, l, K, W0), r, 0.0, 0.0)
+            assert np.isfinite(got)
+            assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_non_integer_mode_numbers_rejected(self):
+        with pytest.raises(DiagnosticError):
+            LGParams(2.5, 0, K, W0)
+        with pytest.raises(DiagnosticError):
+            LGParams(1, 1.5, K, W0)
+        p = LGParams(np.int64(2), np.int32(-1), K, W0)
+        assert (p.n, p.l) == (2, -1)
+
     def test_paraxiality_flag(self):
         assert not LGParams(0, 0, K, W0).paraxial_strained
         assert LGParams(0, 0, K, 1e-6).paraxial_strained
+
+
+class TestRadialProfiles:
+    def test_table_matches_independent_reassembly(self):
+        z = 0.6 * ZR
+        wz = beam_geometry(LGParams(0, 0, K, W0), z).w_z
+        for l in range(-20, 21):
+            r = np.linspace(0.0, 1.5 * wz * math.sqrt(2.0 * (41 + abs(l) + 1)), 301)[1:]
+            table, curvature, gouy = _radial_profiles(20, l, K, W0, z, r)
+            for n in range(21):
+                want = lg_reference(n, l, K, W0, r, 0.0, z)
+                got = table[n] * curvature * gouy[n]
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestSampling:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lgradial.errors import DiagnosticError
+from lgradial.errors import DiagnosticError, QuadratureConvergenceError
 from lgradial.momentum import (ExactMomentumParams, apply_nk,
                                apply_nk_paraxial, hermiticity_defect,
                                nk_eigen_residual, nk_polar, paraxial_norm_sq,
@@ -227,6 +227,23 @@ class TestHermiticity:
         hd = hermiticity_defect(psi, operator="kt_ddkt", w=W0, sigma=1, kt_max=14.0 / W0)
         assert abs(hd.defect) > 1e-3 * hd.norm_sq
 
+    def test_nan_wavefunction_fails_the_convergence_gate(self):
+        psi = lambda kt, kphi: np.full(np.shape(kt), np.nan + 0j)
+        with pytest.raises(QuadratureConvergenceError):
+            hermiticity_defect(psi, w=W0, sigma=1, kt_max=5.0 / W0)
+
     def test_unknown_operator_rejected(self):
         with pytest.raises(DiagnosticError):
             hermiticity_defect(lambda a, b: a, operator="nope", w=W0, sigma=1, kt_max=1.0)
+
+
+class TestParams:
+    def test_non_integer_mode_numbers_rejected(self):
+        with pytest.raises(DiagnosticError):
+            ExactMomentumParams(1.5, 0, 1, OMEGA, W0)
+        with pytest.raises(DiagnosticError):
+            ExactMomentumParams(1, 0.5, 1, OMEGA, W0)
+
+    def test_numpy_integers_accepted(self):
+        p = ExactMomentumParams(np.int64(2), np.int32(-1), 1, OMEGA, W0)
+        assert (p.n, p.m) == (2, -1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lgradial.errors import DiagnosticError
-from lgradial.specfun import (bessel_j, bessel_j_derivative, laguerre,
+from lgradial.specfun import (_converged, bessel_j, bessel_j_derivative, laguerre,
                               laguerre_derivative, make_rule)
 
 from oracles import bessel_series, laguerre_monomial
@@ -121,6 +121,23 @@ class TestBesselJ:
         for m in (0, 1, 3):
             want = 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
             assert np.allclose(bessel_j_derivative(m, x), want, rtol=0, atol=1e-14)
+
+
+class TestConverged:
+    def test_nan_and_inf_never_converge(self):
+        for bad in (math.nan, math.inf, -math.inf, complex(math.nan, 0.0), complex(0.0, math.inf)):
+            assert not _converged(bad, bad, 1.0, 1.0)
+            assert not _converged(1.0, bad, 1.0, 1.0)
+            assert not _converged(bad, 1.0, 1.0, 1.0)
+        assert not _converged(np.array([1.0, np.nan]), np.array([1.0, np.nan]), 1.0, 1.0)
+        assert not _converged(np.array([1.0, np.inf]), np.array([1.0, 2.0]), 1.0, 1.0)
+
+    def test_tolerance_is_the_larger_of_rtol_and_atol(self):
+        assert _converged(1.0, 1.0 + 5e-8, 1e-7, 0.0)
+        assert not _converged(1.0, 1.0 + 5e-7, 1e-7, 0.0)
+        assert _converged(0.0, 5e-8, 1e-7, 1e-7)
+        assert _converged(1e6, 1e6 + 0.05, 1e-7, 1e-7)
+        assert not _converged(np.ones(3), np.array([1.0, 1.0, 1.1]), 1e-7, 1e-7)
 
 
 class TestQuadrature:
