@@ -17,7 +17,7 @@ All outputs are deterministic functions of the config: fixed sample points,
 no RNG, stable JSON key order, 17-significant-digit CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 I/O error.
+3 I/O error, 4 internal error.  No exit prints a traceback.
 """
 
 from __future__ import annotations
@@ -73,6 +73,39 @@ DEFAULT_CONFIG = {
     "output": {"dir": ".", "basename": "lg"},
     "format": "csv",
     "policy": "symmetrized",
+}
+
+# Leaf types of DEFAULT_CONFIG (see _LEAF_TYPES); "[]" marks a list, "?" allows null.
+CONFIG_TYPES = {
+    "command": "str?",
+    "mode": {"n": "count", "l": "int", "wavelength_nm": "positive", "w0_m": "positive",
+             "sigma": "int", "omega_rad_per_s": "positive?", "w_m": "positive?"},
+    "grid": {"radial_nodes": "size", "azimuthal_nodes": "size",
+             "window_diameter_m": "positive", "pixels": "size", "z_m": "number"},
+    "sweep": {"z_list_m": "number[]?", "w0_list_m": "positive[]?", "dz_list_m": "number[]?",
+              "n_list": "count[]?", "n_max": "count", "completeness_threshold": "number"},
+    "render": {"n_list": "count[]?", "l_list": "int[]?"},
+    "output": {"dir": "str", "basename": "str"},
+    "format": "str",
+    "policy": "str",
+}
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+_LEAF_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "int": ("an integer", _is_int),
+    "size": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "count": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "number": ("a finite number", _is_number),
+    "positive": ("a finite number > 0", lambda v: _is_number(v) and v > 0),
 }
 
 COMMANDS = ("render", "phexp", "overlap", "verify")
@@ -141,7 +174,34 @@ def parse_config(argv):
         cfg["command"] = command
     if cfg["command"] not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}, got {cfg['command']!r}")
+    _validate(cfg)
     return cfg
+
+
+def _validate(cfg, types=CONFIG_TYPES, prefix=""):
+    """Raise ConfigError for an unknown key, a wrong type or an out-of-range size."""
+    for key, value in cfg.items():
+        path = prefix + key
+        if key not in types:
+            raise ConfigError(f"unknown key {path!r}")
+        want = types[key]
+        if isinstance(want, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path} must be an object, got {value!r}")
+            _validate(value, want, path + ".")
+            continue
+        if value is None and want.endswith("?"):
+            continue
+        leaf = want.rstrip("?")
+        if leaf.endswith("[]"):
+            what, check = _LEAF_TYPES[leaf[:-2]]
+            what = f"a list with each item {what}"
+            ok = isinstance(value, list) and all(check(v) for v in value)
+        else:
+            what, check = _LEAF_TYPES[leaf]
+            ok = check(value)
+        if not ok:
+            raise ConfigError(f"{path} must be {what}, got {value!r}")
 
 
 def _read_text(path):
@@ -458,10 +518,6 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         cfg = parse_config(argv)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    try:
         if cfg["command"] == "render":
             files = cmd_render(cfg)
         elif cfg["command"] == "phexp":
@@ -476,6 +532,9 @@ def main(argv=None):
     except (ConfigError, DiagnosticError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # the CLI boundary: one line, never a traceback
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
     for f in files:
         print(f)
     return 0

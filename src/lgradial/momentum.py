@@ -27,7 +27,7 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .errors import DiagnosticError, QuadratureConvergenceError
-from .paraxops import diff_matrix, phi_derivative
+from .paraxops import _radial_derivative, phi_derivative
 from .specfun import _converged, make_rule
 
 __all__ = [
@@ -239,7 +239,7 @@ def hermiticity_defect(psi, operator="Nk_paraxial", *, w, sigma=1,
         kphi = np.arange(nphi) * (2.0 * math.pi / nphi)
         KT, KP = np.meshgrid(kt, kphi, indexing="ij")
         vals = np.asarray(psi(KT, KP), dtype=complex)
-        d_kt = diff_matrix(kt, 1) @ vals
+        d_kt = _radial_derivative(kt, vals, 1)
         a_vals = KT * d_kt
         if operator == "Nk_paraxial":
             dphi = phi_derivative(vals, 1)

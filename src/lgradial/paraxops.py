@@ -8,9 +8,11 @@ generates dilations, and the radial-index operators N0 (focal plane) and Nz
 Every operator has two application paths:
 
   * analytic  - exact partial derivatives of a closed-form LG mode;
-  * fd        - 6th-order local-polynomial stencils in r and spectral
-                (Fourier) differentiation in the periodic phi direction,
-                for arbitrary sampled fields.
+  * fd        - 7-point banded stencils in r (N x 7 weights, no dense
+                matrix) and spectral (Fourier) differentiation in the
+                periodic phi direction, for arbitrary sampled fields.
+
+Both paths feed their derivatives to one definition of each operator.
 
 Sign policy for negative azimuthal index: the operators as written act on
 exp(i l phi) through -Lz/2 and return eigenvalue n + (|l|-l)/2, i.e. n only
@@ -34,17 +36,10 @@ from .specfun import make_rule
 __all__ = [
     "Operator",
     "AppliedField",
-    "fornberg_weights",
-    "diff_matrix",
     "phi_derivative",
     "phi_abs_multiplier",
     "apply_to_field",
     "apply_to_mode",
-    "apply_lz",
-    "apply_laplacian_t",
-    "apply_ph",
-    "apply_n0",
-    "apply_nz",
     "expected_eigenvalue",
     "eigen_residual",
     "DilationCheck",
@@ -91,60 +86,49 @@ class AppliedField:
 # ---------------------------------------------------------------------------
 # finite-difference machinery
 
-def fornberg_weights(x0, nodes, m):
-    """Weights w such that f^(m)(x0) ~= sum_j w[j] f(nodes[j])."""
-    nodes = np.asarray(nodes, dtype=float)
-    npts = len(nodes)
-    c = np.zeros((npts, m + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = nodes[0] - x0
-    for i in range(1, npts):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = nodes[i] - x0
-        for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
-            if j == i - 1:
-                for s in range(mn, 0, -1):
-                    c[i, s] = c1 * (s * c[i - 1, s - 1] - c5 * c[i - 1, s]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for s in range(mn, 0, -1):
-                c[j, s] = (c4 * c[j, s] - s * c[j, s - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, m]
+def _stencils(nodes, m):
+    """Banded 7-point finite-difference weights of derivative order m on sorted nodes.
 
-
-_DIFF_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def diff_matrix(nodes, m, stencil=7):
-    """Dense N x N differentiation matrix of derivative order m.
-
-    Rows hold `stencil`-point local-polynomial weights (6th order for the
-    first and second derivative on the default 7-point interior stencils).
+    Returns (idx, w), two N x 7 arrays with f^(m)(nodes[i]) ~= sum_j
+    w[i, j] f(nodes[idx[i, j]]).  Each row is centred on its node, and the
+    rows near either end are one-sided.  Fornberg's recurrence (Math. Comp.
+    51, 699, 1988) runs on all N rows at once, so it also serves non-uniform
+    nodes.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    key = (nodes.tobytes(), m, stencil)
-    hit = _DIFF_CACHE.get(key)
-    if hit is not None:
-        return hit
-    npts = len(nodes)
-    if npts < stencil:
-        raise GridError(f"need at least {stencil} radial nodes, got {npts}")
-    D = np.zeros((npts, npts))
-    half = stencil // 2
-    for i in range(npts):
-        lo = min(max(i - half, 0), npts - stencil)
-        idx = slice(lo, lo + stencil)
-        D[i, idx] = fornberg_weights(nodes[i], nodes[idx], m)
-    if len(_DIFF_CACHE) > 32:
-        _DIFF_CACHE.clear()
-    _DIFF_CACHE[key] = D
-    return D
+    npts = 7
+    x = np.asarray(nodes, dtype=float)
+    n = len(x)
+    if n < npts:
+        raise GridError(f"need at least {npts} radial nodes, got {n}")
+    lo = np.clip(np.arange(n) - npts // 2, 0, n - npts)
+    idx = lo[:, None] + np.arange(npts)
+    xs = x[idx]
+    c = np.zeros((m + 1, n, npts))
+    c[0, :, 0] = 1.0
+    c1 = np.ones(n)
+    c4 = xs[:, 0] - x
+    for i in range(1, npts):
+        c2 = np.ones(n)
+        c5 = c4
+        c4 = xs[:, i] - x
+        for j in range(i):
+            c3 = xs[:, i] - xs[:, j]
+            c2 = c2 * c3
+            if j == i - 1:
+                for s in range(min(i, m), 0, -1):
+                    c[s, :, i] = c1 * (s * c[s - 1, :, i - 1] - c5 * c[s, :, i - 1]) / c2
+                c[0, :, i] = -c1 * c5 * c[0, :, i - 1] / c2
+            for s in range(min(i, m), 0, -1):
+                c[s, :, j] = (c4 * c[s, :, j] - s * c[s - 1, :, j]) / c3
+            c[0, :, j] = c4 * c[0, :, j] / c3
+        c1 = c2
+    return idx, c[m]
+
+
+def _radial_derivative(nodes, values, m):
+    """d^m/dr^m along axis 0 of `values` sampled on `nodes`, by 7-point stencils."""
+    idx, w = _stencils(nodes, m)
+    return np.einsum("ij,ij...->i...", w, values[idx])
 
 
 def _check_phi(grid: PolarGrid, minimum=8):
@@ -176,78 +160,69 @@ def phi_abs_multiplier(values):
 
 
 # ---------------------------------------------------------------------------
-# FD application path
+# operator definitions, shared by both paths
 
-def _fd_lz(field: FieldGrid, sign_policy="symmetrized"):
-    _check_phi(field.grid)
-    return -1j * phi_derivative(field.values, 1)
-
-
-def _fd_abs_lz(field: FieldGrid):
-    _check_phi(field.grid)
-    return phi_abs_multiplier(field.values)
+def _laplacian(r, d_r, d2_r, d2_phi):
+    return d2_r + d_r / r + d2_phi / r**2
 
 
-def _fd_laplacian(field: FieldGrid):
-    _check_phi(field.grid)
-    g = field.grid
-    r = g.r_nodes[:, None]
-    d1 = diff_matrix(g.r_nodes, 1)
-    d2 = diff_matrix(g.r_nodes, 2)
-    f = field.values
-    return d2 @ f + (d1 @ f) / r + phi_derivative(f, 2) / r**2
-
-
-def _fd_ph(field: FieldGrid):
-    g = field.grid
-    r = g.r_nodes[:, None]
-    d1 = diff_matrix(g.r_nodes, 1)
-    return -1j * (r * (d1 @ field.values) + field.values)
-
-
-def _fd_curvature_term(field: FieldGrid, params: LGParams, z: float):
+def _curvature_term(params: LGParams, z, r, f, d_r):
     """(i z / (k w0^2)) d/dr (r f) = -(z / (k w0^2)) PH f."""
     coeff = z / (params.k * params.w0**2)
     if coeff == 0.0:
-        return np.zeros_like(field.values)
-    g = field.grid
-    r = g.r_nodes[:, None]
-    d1 = diff_matrix(g.r_nodes, 1)
-    return 1j * coeff * (field.values + r * (d1 @ field.values))
+        return np.zeros_like(f)
+    return 1j * coeff * (f + r * d_r)
 
 
-def _fd_radial_mode_op(field: FieldGrid, params: LGParams, z: float, sign_policy: str):
-    g = field.grid
-    if np.any(g.r_nodes == 0.0):
-        raise GridError("radial-index operators are undefined on the origin node")
+def _radial_index_op(params: LGParams, z, r, f, d_r, d2_r, d2_phi, lz_part):
+    """N0 (z = 0) or Nz on f, given its derivatives.
+
+    -(w_z^2/8) lap f - lz_part/2 + (r^2/w0^2 - 1) f/2, plus the curvature
+    term off focus; lz_part is Lz f ("verbatim") or |Lz| f ("symmetrized").
+    """
     w_eff = beam_geometry(params, z).w_z if z != 0.0 else params.w0
-    r = g.r_nodes[:, None]
-    out = -(w_eff**2 / 8.0) * _fd_laplacian(field)
-    if sign_policy == "verbatim":
-        out -= 0.5 * _fd_lz(field)
-    else:
-        out -= 0.5 * _fd_abs_lz(field)
-    out += 0.5 * (r**2 / params.w0**2 - 1.0) * field.values
+    out = -(w_eff**2 / 8.0) * _laplacian(r, d_r, d2_r, d2_phi)
+    out -= 0.5 * lz_part
+    out += 0.5 * (r**2 / params.w0**2 - 1.0) * f
     if z != 0.0:
-        out += _fd_curvature_term(field, params, z)
+        out += _curvature_term(params, z, r, f, d_r)
     return out
+
+
+# ---------------------------------------------------------------------------
+# FD application path
+
+def _fd_laplacian(field: FieldGrid):
+    _check_phi(field.grid)
+    nodes, f = field.grid.r_nodes, field.values
+    return _laplacian(nodes[:, None], _radial_derivative(nodes, f, 1),
+                      _radial_derivative(nodes, f, 2), phi_derivative(f, 2))
 
 
 def apply_to_field(op: Operator, field: FieldGrid) -> AppliedField:
     """Apply an operator to a sampled field by finite differences."""
+    f, nodes = field.values, field.grid.r_nodes
+    r = nodes[:, None]
     if op.kind == "Lz":
-        out = _fd_lz(field)
+        _check_phi(field.grid)
+        out = -1j * phi_derivative(f, 1)
     elif op.kind == "laplacian_t":
         out = _fd_laplacian(field)
     elif op.kind == "PH":
-        out = _fd_ph(field)
+        out = -1j * (r * _radial_derivative(nodes, f, 1) + f)
     elif op.kind == "curvature_term":
-        out = _fd_curvature_term(field, op.params, op.z)
+        out = _curvature_term(op.params, op.z, r, f, _radial_derivative(nodes, f, 1))
     elif op.kind in ("N0", "Nz"):
         z = 0.0 if op.kind == "N0" else op.z
         if not math.isclose(field.grid.z, z, rel_tol=0, abs_tol=1e-12 * (1 + abs(z))):
             raise GridError(f"field sampled at z={field.grid.z} but operator built for z={z}")
-        out = _fd_radial_mode_op(field, op.params, z, op.sign_policy)
+        if np.any(nodes == 0.0):
+            raise GridError("radial-index operators are undefined on the origin node")
+        _check_phi(field.grid)
+        lz_part = (-1j * phi_derivative(f, 1) if op.sign_policy == "verbatim"
+                   else phi_abs_multiplier(f))
+        out = _radial_index_op(op.params, z, r, f, _radial_derivative(nodes, f, 1),
+                               _radial_derivative(nodes, f, 2), phi_derivative(f, 2), lz_part)
     else:  # pragma: no cover - guarded by Operator validation
         raise DiagnosticError(op.kind)
     return AppliedField(input=field, output=FieldGrid(field.grid, out), operator=op, method="fd")
@@ -268,31 +243,19 @@ def apply_to_mode(op: Operator, params: LGParams, grid: PolarGrid) -> AppliedFie
         raise GridError("the focal-plane operator applies to z = 0 fields only")
     d_r, d2_r, d_phi, d2_phi = lg_partials(params, r, phi, z)
     f = field.values
-    lap = d2_r + d_r / r + d2_phi / r**2
 
     if op.kind == "Lz":
         out = -1j * d_phi
     elif op.kind == "laplacian_t":
-        out = lap
+        out = _laplacian(r, d_r, d2_r, d2_phi)
     elif op.kind == "PH":
         out = -1j * (r * d_r + f)
     elif op.kind == "curvature_term":
-        ctx = op.params or params
-        coeff = op.z / (ctx.k * ctx.w0**2)
-        out = 1j * coeff * (f + r * d_r) if coeff != 0.0 else np.zeros_like(f)
+        out = _curvature_term(op.params or params, op.z, r, f, d_r)
     elif op.kind in ("N0", "Nz"):
-        ctx = op.params or params
         z_op = 0.0 if op.kind == "N0" else op.z
-        w_eff = beam_geometry(ctx, z_op).w_z if z_op != 0.0 else ctx.w0
-        out = -(w_eff**2 / 8.0) * lap
-        if op.sign_policy == "verbatim":
-            out -= 0.5 * (-1j * d_phi)
-        else:
-            out -= 0.5 * abs(params.l) * f
-        out += 0.5 * (r**2 / ctx.w0**2 - 1.0) * f
-        if z_op != 0.0:
-            coeff = z_op / (ctx.k * ctx.w0**2)
-            out += 1j * coeff * (f + r * d_r)
+        lz_part = -1j * d_phi if op.sign_policy == "verbatim" else abs(params.l) * f
+        out = _radial_index_op(op.params or params, z_op, r, f, d_r, d2_r, d2_phi, lz_part)
     else:  # pragma: no cover
         raise DiagnosticError(op.kind)
     return AppliedField(input=field, output=FieldGrid(grid, out), operator=op, method="analytic")
@@ -319,29 +282,6 @@ def eigen_residual(params: LGParams, op: Operator, grid: PolarGrid, method="anal
     f = applied.input
     resid = FieldGrid(grid, applied.output.values - a * f.values)
     return norm(resid) / norm(f)
-
-
-# named single-operator entry points over the FD path
-
-def apply_lz(field: FieldGrid) -> AppliedField:
-    return apply_to_field(Operator("Lz"), field)
-
-
-def apply_laplacian_t(field: FieldGrid) -> AppliedField:
-    return apply_to_field(Operator("laplacian_t"), field)
-
-
-def apply_ph(field: FieldGrid) -> AppliedField:
-    return apply_to_field(Operator("PH"), field)
-
-
-def apply_n0(field: FieldGrid, params: LGParams, sign_policy="symmetrized") -> AppliedField:
-    return apply_to_field(Operator("N0", params=params, sign_policy=sign_policy), field)
-
-
-def apply_nz(field: FieldGrid, params: LGParams, z: float,
-             sign_policy="symmetrized") -> AppliedField:
-    return apply_to_field(Operator("Nz", params=params, z=z, sign_policy=sign_policy), field)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +324,7 @@ def dilation_check(f, gamma, *, delta=1e-4, rule=None) -> DilationCheck:
           - math.exp(-delta) * np.asarray(f(math.exp(-delta) * r), dtype=complex)) / (2.0 * delta)
     h = 1e-4 * float(rule.interval[1])
     offsets = np.arange(-3, 4)
-    w = fornberg_weights(0.0, offsets * h, 1)
+    w = _stencils(offsets * h, 1)[1][3]
     fprime = sum(wj * np.asarray(f(r + oj * h), dtype=complex)
                  for wj, oj in zip(w, offsets))
     gen = r * fprime + base

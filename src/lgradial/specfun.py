@@ -13,6 +13,7 @@ J_{-m} = (-1)^m J_m is applied explicitly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,20 +130,13 @@ class QuadratureRule:
         return np.sum(self.weights * values, axis=-1)
 
 
-_ROOTS_CACHE: dict[tuple, tuple] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _roots(kind, order):
-    key = (kind, order)
-    hit = _ROOTS_CACHE.get(key)
-    if hit is None:
-        x, w = roots_legendre(order) if kind == "legendre" else roots_laguerre(order)
-        x.setflags(write=False)
-        w.setflags(write=False)
-        if len(_ROOTS_CACHE) > 64:
-            _ROOTS_CACHE.clear()
-        hit = _ROOTS_CACHE[key] = (x, w)
-    return hit
+    # read-only, because every caller shares the cached arrays
+    x, w = roots_legendre(order) if kind == "legendre" else roots_laguerre(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def make_rule(kind, order, *, interval=None, scale=None):

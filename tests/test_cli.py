@@ -51,6 +51,27 @@ class TestConfigParsing:
         assert main(["render", "--grid.pixels", "16",
                      "--output.dir", "/dev/null/nope"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["render", "--grid.pixel", "64"],             # unknown key
+        ["verify", "--nonsense.key", "1"],            # unknown section
+        ["render", "--grid.pixels", "-4"],            # out-of-range size
+        ["phexp", "--sweep.z_list_m", '"abc"'],       # wrong type
+    ])
+    def test_bad_config_exits_2_in_one_line(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not list(tmp_path.iterdir())
+
+    def test_unexpected_error_exits_4_without_traceback(self, tmp_path, capsys, monkeypatch):
+        import lgradial.cli as cli
+
+        def boom(cfg):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "cmd_render", boom)
+        assert run(tmp_path, "render") == 4
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
 
 class TestRender:
     def test_fundamental_mode_images(self, tmp_path):

@@ -7,10 +7,10 @@ from lgradial.errors import DiagnosticError, GridError
 from lgradial.lgmode import (FieldGrid, LGParams, PolarGrid,
                              quadrature_polar_grid, inner, norm, sample,
                              uniform_polar_grid)
-from lgradial.paraxops import (Operator, apply_to_field, apply_to_mode,
-                               commutator_residual, diff_matrix,
-                               dilation_check, eigen_residual,
-                               expected_eigenvalue)
+from lgradial.paraxops import (Operator, _radial_derivative, _stencils,
+                               apply_to_field, apply_to_mode,
+                               commutator_residual, dilation_check,
+                               eigen_residual, expected_eigenvalue)
 
 from conftest import K, W0, ZR
 
@@ -325,10 +325,29 @@ class TestDiffMatrix:
     def test_exact_on_polynomials(self):
         nodes = np.sort(np.concatenate([np.linspace(0.1, 5, 40),
                                         np.array([0.33, 1.234, 4.5])]))
-        d1 = diff_matrix(nodes, 1)
-        d2 = diff_matrix(nodes, 2)
         f = nodes**5 - 2 * nodes**3 + nodes
         want1 = 5 * nodes**4 - 6 * nodes**2 + 1
         want2 = 20 * nodes**3 - 12 * nodes
-        assert np.max(np.abs(d1 @ f - want1)) < 1e-8 * np.max(np.abs(want1))
-        assert np.max(np.abs(d2 @ f - want2)) < 1e-7 * np.max(np.abs(want2))
+        d1 = _radial_derivative(nodes, f, 1)
+        d2 = _radial_derivative(nodes, f, 2)
+        assert np.max(np.abs(d1 - want1)) < 1e-8 * np.max(np.abs(want1))
+        assert np.max(np.abs(d2 - want2)) < 1e-7 * np.max(np.abs(want2))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_banded_weights_match_sympy(self, m):
+        from sympy import Rational
+        from sympy.calculus.finite_diff import finite_diff_weights
+        nodes = np.cumsum(np.random.default_rng(7).uniform(0.05, 0.3, 40))
+        idx, w = _stencils(nodes, m)
+        n = len(nodes)
+        # interior rows centred on their node, three one-sided rows at each end
+        assert np.array_equal(idx[:, 0], np.clip(np.arange(n) - 3, 0, n - 7))
+        assert np.array_equal(idx, idx[:, :1] + np.arange(7))
+        for i in range(n):
+            xs = [Rational(x) for x in nodes[idx[i]]]
+            want = np.array(finite_diff_weights(m, xs, Rational(nodes[i]))[m][-1], dtype=float)
+            assert np.max(np.abs(w[i] - want)) <= 1e-10 * np.max(np.abs(want)), i
+
+    def test_needs_seven_nodes(self):
+        with pytest.raises(GridError):
+            _stencils(np.linspace(0.1, 1.0, 6), 1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lgradial.errors import DiagnosticError
-from lgradial.specfun import (_converged, bessel_j, bessel_j_derivative, laguerre,
+from lgradial.specfun import (_converged, _roots, bessel_j, bessel_j_derivative, laguerre,
                               laguerre_derivative, make_rule)
 
 from oracles import bessel_series, laguerre_monomial
@@ -186,6 +186,12 @@ class TestQuadrature:
         a = make_rule("laguerre", 48, scale=1.0).integrate(g)
         b = make_rule("laguerre", 96, scale=1.0).integrate(g)
         assert abs(a - b) < 1e-12 * max(1.0, abs(b))
+
+    def test_roots_are_cached_read_only(self):
+        x, w = _roots("legendre", 37)
+        assert _roots("legendre", 37)[0] is x
+        assert not (x.flags.writeable or w.flags.writeable)
+        assert _roots.cache_info().maxsize == 64
 
     def test_bad_arguments(self):
         with pytest.raises(DiagnosticError):
