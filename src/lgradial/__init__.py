@@ -22,8 +22,8 @@ from .errors import DiagnosticError, GridError, QuadratureConvergenceError
 from .lgmode import (BeamGeometry, FieldGrid, LGParams, PolarGrid,
                      beam_geometry, lg_field, lg_partials, norm,
                      quadrature_polar_grid, sample, uniform_polar_grid)
-from .paraxops import (AppliedField, Operator, apply_to_field, apply_to_mode,
-                       commutator_residual, dilation_check, eigen_residual)
+from .paraxops import (Operator, apply_to_field, apply_to_mode, commutator_residual,
+                       dilation_check, eigen_residual)
 from .analysis import (Decomposition, ExpectationSeries, OverlapMatrix,
                        decompose, expectation, overlap, overlap_matrix,
                        ph_vs_w0, ph_vs_z)

@@ -40,8 +40,8 @@ from .lgmode import (FieldGrid, LGParams, PolarGrid, lg_field,
                      quadrature_polar_grid, sample, uniform_polar_grid)
 from .momentum import (ExactMomentumParams, hermiticity_defect,
                        nk_eigen_residual, paraxial_norm_sq, psi_paraxial)
-from .paraxops import (Operator, commutator_residual, dilation_check,
-                       eigen_residual)
+from .paraxops import (SIGN_POLICIES, Operator, commutator_residual,
+                       dilation_check, eigen_residual)
 
 DEFAULT_CONFIG = {
     "command": None,
@@ -50,13 +50,8 @@ DEFAULT_CONFIG = {
         "l": 0,
         "wavelength_nm": 633.0,
         "w0_m": 1e-3,
-        "sigma": 1,
-        "omega_rad_per_s": None,  # None: c * (2 pi / wavelength)
-        "w_m": None,              # exact-mode width; None: w0_m
     },
     "grid": {
-        "radial_nodes": 192,
-        "azimuthal_nodes": 32,
         "window_diameter_m": 6e-3,
         "pixels": 256,
         "z_m": 0.0,
@@ -71,23 +66,19 @@ DEFAULT_CONFIG = {
     },
     "render": {"n_list": None, "l_list": None},
     "output": {"dir": ".", "basename": "lg"},
-    "format": "csv",
     "policy": "symmetrized",
 }
 
 # Leaf types of DEFAULT_CONFIG (see _LEAF_TYPES); "[]" marks a list, "?" allows null.
 CONFIG_TYPES = {
     "command": "str?",
-    "mode": {"n": "count", "l": "int", "wavelength_nm": "positive", "w0_m": "positive",
-             "sigma": "int", "omega_rad_per_s": "positive?", "w_m": "positive?"},
-    "grid": {"radial_nodes": "size", "azimuthal_nodes": "size",
-             "window_diameter_m": "positive", "pixels": "size", "z_m": "number"},
+    "mode": {"n": "count", "l": "int", "wavelength_nm": "positive", "w0_m": "positive"},
+    "grid": {"window_diameter_m": "positive", "pixels": "size", "z_m": "number"},
     "sweep": {"z_list_m": "number[]?", "w0_list_m": "positive[]?", "dz_list_m": "number[]?",
               "n_list": "count[]?", "n_max": "count", "completeness_threshold": "number"},
     "render": {"n_list": "count[]?", "l_list": "int[]?"},
     "output": {"dir": "str", "basename": "str"},
-    "format": "str",
-    "policy": "str",
+    "policy": "policy",
 }
 
 
@@ -106,6 +97,7 @@ _LEAF_TYPES = {
     "count": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
     "number": ("a finite number", _is_number),
     "positive": ("a finite number > 0", lambda v: _is_number(v) and v > 0),
+    "policy": (f"one of {SIGN_POLICIES}", lambda v: isinstance(v, str) and v in SIGN_POLICIES),
 }
 
 COMMANDS = ("render", "phexp", "overlap", "verify")
@@ -218,18 +210,6 @@ def _mode_params(cfg, n=None, l=None) -> LGParams:
     return LGParams(int(m["n"] if n is None else n),
                     int(m["l"] if l is None else l),
                     k, float(m["w0_m"]))
-
-
-def _exact_params(cfg, n=None, m_idx=None) -> ExactMomentumParams:
-    m = cfg["mode"]
-    k = 2.0 * math.pi / (float(m["wavelength_nm"]) * 1e-9)
-    omega = m["omega_rad_per_s"]
-    omega = C_LIGHT * k if omega is None else float(omega)
-    w = m["w_m"]
-    w = float(m["w0_m"]) if w is None else float(w)
-    return ExactMomentumParams(int(m["n"] if n is None else n),
-                               int(m["l"] if m_idx is None else m_idx),
-                               int(m["sigma"]), omega, w)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticError, GridError
-from .specfun import _converged, laguerre, laguerre_derivative, make_rule
+from .specfun import _converged, make_rule
 
 __all__ = [
     "LGParams",
@@ -68,12 +68,6 @@ class LGParams:
     @property
     def paraxial_strained(self):
         return self.paraxiality < 20.0
-
-    @property
-    def norm_constant(self):
-        """Prefactor sqrt(2 n! / (pi (n+|l|)!)); lgamma keeps large n exact enough."""
-        return math.sqrt(2.0 / math.pi
-                         * math.exp(math.lgamma(self.n + 1) - math.lgamma(self.n + abs(self.l) + 1)))
 
 
 @dataclass(frozen=True)
@@ -167,6 +161,16 @@ class FieldGrid:
 
 
 _RESCALE = 2.0**600  # no recurrence step carries a mantissa below this past 1e308
+_LOG_TINY = math.log(np.finfo(float).tiny)  # below this, exp gives a subnormal or 0
+
+
+def _scale_rows(rows, log_scale):
+    """rows *= exp(log_scale), in two halves where exp alone would underflow."""
+    split = log_scale < _LOG_TINY
+    scale = np.exp(np.where(split, 0.5 * log_scale, log_scale))
+    rows *= scale
+    if np.any(split):
+        rows *= np.where(split, scale, 1.0)
 
 
 def _radial_profiles(n_max, l, k, w0, z, r):
@@ -178,7 +182,7 @@ def _radial_profiles(n_max, l, k, w0, z, r):
     u = 2 r^2/w_z^2, by the recurrence phi_(n+1) = ((2n+1+a-u) phi_n -
     sqrt(n(n+a)) phi_(n-1)) / sqrt((n+1)(n+1+a)) on a mantissa.  phi_0 is a
     per-node log scale that takes over exact powers of two whenever a mantissa
-    passes _RESCALE: nothing overflows; values below ~1e-140 may come out 0.
+    passes _RESCALE: nothing overflows, and values underflow only below ~1e-308.
     """
     geo = beam_geometry(LGParams(0, l, k, w0), z)
     a, r = abs(l), np.asarray(r, dtype=float)
@@ -201,10 +205,10 @@ def _radial_profiles(n_max, l, k, w0, z, r):
         if bound > _RESCALE:
             _, e = np.frexp(np.maximum(np.abs(p), np.abs(p_prev)))
             p, p_prev = np.ldexp(p, -e), np.ldexp(p_prev, -e)
-            table[done:n + 2] *= np.exp(log_scale)
+            _scale_rows(table[done:n + 2], log_scale)
             log_scale = log_scale + e * math.log(2.0)
             done, bound = n + 2, 1.0
-    table[done:] *= np.exp(log_scale)
+    _scale_rows(table[done:], log_scale)
     curvature = np.exp(0.5j * k * geo.inv_R_z * r**2)
     gouy = np.exp(-1j * (2 * np.arange(n_max + 1) + a + 1) * geo.phi_g)
     return table, curvature, gouy
@@ -251,6 +255,38 @@ def norm(field: FieldGrid) -> float:
     return float(np.sqrt(np.sum(w * field.grid.r_nodes * rad)))
 
 
+def _mode_derivatives(params: LGParams, z, r):
+    """The mode along phi = 0 and its r-derivatives (f, d_r f, d2_r f) on nodes r > 0.
+
+    Read off the radial table p_m = table[m], a = |l|, u = 2 r^2/w_z^2.  With
+    L_n^a' = -sum_{k<n} L_k^a, r d_r p_n = a p_n + e_n, e_n = -u (p_n + 2 s_n),
+    s_n = sum_{k<n} sqrt(n! (k+a)! / ((n+a)! k!)) p_k; applying r d_r to the
+    row identity r d_r p_n = (2n+a-u) p_n - 2 sqrt(n(n+a)) p_(n-1) once more
+    gives r^2 d2_r p_n = a(a-1) p_n + (2n+2a-1-u) e_n - 2u p_n
+    - 2 sqrt(n(n+a)) e_(n-1).  No term cancels as u -> 0.  The curvature
+    factor C has r d_r C = t C, t = i k r^2 / R_z.
+    """
+    table, curvature, gouy = _radial_profiles(params.n, params.l, params.k, params.w0, z, r)
+    geo = beam_geometry(params, z)
+    n, a = params.n, abs(params.l)
+    u = 2.0 * r**2 / geo.w_z**2
+    s_prev = s = 0.0
+    for m in range(1, n + 1):
+        s_prev, s = s, math.sqrt(m / (m + a)) * (s + table[m - 1])
+    p = table[n]
+    e = -u * (p + 2.0 * s)
+    rp = a * p + e
+    r2pp = a * (a - 1) * p + (2 * n + 2 * a - 1 - u) * e - 2.0 * u * p
+    if n:
+        r2pp += 2.0 * math.sqrt(n * (n + a)) * u * (table[n - 1] + 2.0 * s_prev)
+    t = 1j * params.k * geo.inv_R_z * r**2
+    phase = curvature * gouy[n]
+    f = p * curvature * gouy[n]  # lg_field's order of products, bit for bit
+    d_r = (rp + t * p) * phase / r
+    d2_r = (r2pp + t * (2.0 * rp + p) + t * t * p) * phase / r**2
+    return f, d_r, d2_r
+
+
 def lg_partials(params: LGParams, r, phi, z):
     """Analytic partial derivatives (d_r, d2_r, d_phi, d2_phi) of the mode.
 
@@ -259,36 +295,10 @@ def lg_partials(params: LGParams, r, phi, z):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise DiagnosticError("lg_partials requires r > 0")
-    phi = np.asarray(phi, dtype=float)
-    geo = beam_geometry(params, z)
-    n, al = params.n, abs(params.l)
-    wz = geo.w_z
-    u = 2.0 * r**2 / wz**2
-    du = 4.0 * r / wz**2
-    ddu = 4.0 / wz**2
-    c = -1.0 / wz**2 + 0.5j * params.k * geo.inv_R_z  # exponent coefficient of r^2
-
-    P = (math.sqrt(2.0) * r / wz) ** al
-    dP = al * P / r
-    d2P = al * (al - 1) * P / r**2
-    L = laguerre(n, al, u)
-    Lu = laguerre_derivative(n, al, u)
-    Luu = laguerre(n - 2, al + 2, u) if n >= 2 else np.zeros_like(u)
-    dL = Lu * du
-    d2L = Luu * du**2 + Lu * ddu
-    E = np.exp(c * r**2)
-    dE = 2.0 * c * r * E
-    d2E = (2.0 * c + 4.0 * c**2 * r**2) * E
-
-    pref = (params.norm_constant / wz
-            * np.exp(1j * (params.l * phi - (2 * n + al + 1) * geo.phi_g)))
-    value = pref * P * L * E
-    d_r = pref * (dP * L * E + P * dL * E + P * L * dE)
-    d2_r = pref * (d2P * L * E + P * d2L * E + P * L * d2E
-                   + 2.0 * (dP * dL * E + dP * L * dE + P * dL * dE))
-    d_phi = 1j * params.l * value
-    d2_phi = -(params.l ** 2) * value
-    return d_r, d2_r, d_phi, d2_phi
+    f, d_r, d2_r = (v.reshape(r.shape) for v in _mode_derivatives(params, z, np.atleast_1d(r)))
+    azimuthal = np.exp(1j * params.l * np.asarray(phi, dtype=float))
+    value = f * azimuthal
+    return d_r * azimuthal, d2_r * azimuthal, 1j * params.l * value, -(params.l ** 2) * value
 
 
 def _radial_extent(params: LGParams, z: float, n_max=None, l_max=None):
@@ -307,13 +317,12 @@ def quadrature_polar_grid(params: LGParams, z=0.0, *, n_max=None, l_max=None,
     The radial extent covers the classical turning radius of the largest
     requested mode with a 1.5x margin (floored at 4.5 w_z for the lowest
     modes); when `order` is not given the rule order is doubled until the
-    sampled norm of that mode changes by < 1e-10.
+    norm of that mode, from its radial table row, changes by < 1e-10.
     """
     n_max = params.n if n_max is None else n_max
     l_max = params.l if l_max is None else l_max
     rmax = _radial_extent(params, z, n_max, l_max)
     phi = np.arange(nphi) * (2.0 * math.pi / nphi)
-    probe = LGParams(n_max, l_max, params.k, params.w0)
 
     def build(m):
         rule = make_rule("legendre", m, interval=(0.0, rmax))
@@ -324,7 +333,8 @@ def quadrature_polar_grid(params: LGParams, z=0.0, *, n_max=None, l_max=None,
     prev = None
     for m in (64, 128, 256, 512, 1024, 2048, 4096):
         grid = build(m)
-        cur = norm(sample(probe, grid))
+        row = _radial_profiles(n_max, l_max, params.k, params.w0, z, grid.r_nodes)[0][-1]
+        cur = math.sqrt(2.0 * math.pi * np.sum(grid.r_weights * grid.r_nodes * row**2))
         if prev is not None and _converged(prev, cur, 0.0, 1e-10):
             return grid
         prev = cur

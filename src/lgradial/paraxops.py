@@ -5,14 +5,17 @@ transverse Laplacian, the hyperbolic momentum PH = -i (r d/dr + 1) that
 generates dilations, and the radial-index operators N0 (focal plane) and Nz
 (any plane), with hbar = 1 throughout.
 
-Every operator has two application paths:
+Every operator has two application paths, and both return a FieldGrid:
 
-  * analytic  - exact partial derivatives of a closed-form LG mode;
+  * analytic  - a closed-form LG mode is its radial profile times
+                exp(i l phi): the radial derivatives are read off the
+                overflow-safe radial table on the radial nodes only, and
+                the phi parts are exact (Lz -> l, d2_phi -> -l^2, |Lz| -> |l|);
   * fd        - 7-point banded stencils in r (N x 7 weights, no dense
                 matrix) and spectral (Fourier) differentiation in the
                 periodic phi direction, for arbitrary sampled fields.
 
-Both paths feed their derivatives to one definition of each operator.
+Both paths only supply the derivatives; one dispatch defines every operator.
 
 Sign policy for negative azimuthal index: the operators as written act on
 exp(i l phi) through -Lz/2 and return eigenvalue n + (|l|-l)/2, i.e. n only
@@ -29,13 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticError, GridError
-from .lgmode import (FieldGrid, LGParams, PolarGrid, beam_geometry, inner,
-                     lg_partials, norm, sample)
+from .lgmode import (FieldGrid, LGParams, PolarGrid, _mode_derivatives,
+                     _require_weights, beam_geometry, norm, sample)
 from .specfun import make_rule
 
 __all__ = [
     "Operator",
-    "AppliedField",
     "phi_derivative",
     "phi_abs_multiplier",
     "apply_to_field",
@@ -75,25 +77,17 @@ class Operator:
             raise DiagnosticError(f"{self.kind} requires a plane z")
 
 
-@dataclass(frozen=True)
-class AppliedField:
-    input: FieldGrid
-    output: FieldGrid
-    operator: Operator
-    method: str
-
-
 # ---------------------------------------------------------------------------
 # finite-difference machinery
 
 def _stencils(nodes, m):
-    """Banded 7-point finite-difference weights of derivative order m on sorted nodes.
+    """Banded 7-point finite-difference weights of derivative orders 0..m on sorted nodes.
 
-    Returns (idx, w), two N x 7 arrays with f^(m)(nodes[i]) ~= sum_j
-    w[i, j] f(nodes[idx[i, j]]).  Each row is centred on its node, and the
-    rows near either end are one-sided.  Fornberg's recurrence (Math. Comp.
-    51, 699, 1988) runs on all N rows at once, so it also serves non-uniform
-    nodes.
+    Returns (idx, c): N x 7 stencil indices and (m+1) x N x 7 weights with
+    f^(s)(nodes[i]) ~= sum_j c[s, i, j] f(nodes[idx[i, j]]).  Each row is
+    centred on its node, and the rows near either end are one-sided.
+    Fornberg's recurrence (Math. Comp. 51, 699, 1988) runs on all N rows at
+    once, so it also serves non-uniform nodes; c[s] does not depend on m.
     """
     npts = 7
     x = np.asarray(nodes, dtype=float)
@@ -122,13 +116,13 @@ def _stencils(nodes, m):
                 c[s, :, j] = (c4 * c[s, :, j] - s * c[s - 1, :, j]) / c3
             c[0, :, j] = c4 * c[0, :, j] / c3
         c1 = c2
-    return idx, c[m]
+    return idx, c
 
 
 def _radial_derivative(nodes, values, m):
     """d^m/dr^m along axis 0 of `values` sampled on `nodes`, by 7-point stencils."""
-    idx, w = _stencils(nodes, m)
-    return np.einsum("ij,ij...->i...", w, values[idx])
+    idx, c = _stencils(nodes, m)
+    return np.einsum("ij,ij...->i...", c[m], values[idx])
 
 
 def _check_phi(grid: PolarGrid, minimum=8):
@@ -162,10 +156,6 @@ def phi_abs_multiplier(values):
 # ---------------------------------------------------------------------------
 # operator definitions, shared by both paths
 
-def _laplacian(r, d_r, d2_r, d2_phi):
-    return d2_r + d_r / r + d2_phi / r**2
-
-
 def _curvature_term(params: LGParams, z, r, f, d_r):
     """(i z / (k w0^2)) d/dr (r f) = -(z / (k w0^2)) PH f."""
     coeff = z / (params.k * params.w0**2)
@@ -174,91 +164,67 @@ def _curvature_term(params: LGParams, z, r, f, d_r):
     return 1j * coeff * (f + r * d_r)
 
 
-def _radial_index_op(params: LGParams, z, r, f, d_r, d2_r, d2_phi, lz_part):
-    """N0 (z = 0) or Nz on f, given its derivatives.
+def _apply(op: Operator, z, r, f, radial, azimuthal):
+    """The operator on a field f at plane z, given its derivatives.
 
-    -(w_z^2/8) lap f - lz_part/2 + (r^2/w0^2 - 1) f/2, plus the curvature
-    term off focus; lz_part is Lz f ("verbatim") or |Lz| f ("symmetrized").
+    radial() returns (d_r f, d2_r f); azimuthal(part) returns d2_phi f, Lz f
+    or |Lz| f for part "d2_phi", "lz" or "abs_lz".  N0 (z = 0) and Nz are
+    -(w_z^2/8) lap f - lz_part/2 + (r^2/w0^2 - 1) f/2, plus the curvature term
+    off focus; lz_part is Lz f ("verbatim") or |Lz| f ("symmetrized").
     """
-    w_eff = beam_geometry(params, z).w_z if z != 0.0 else params.w0
-    out = -(w_eff**2 / 8.0) * _laplacian(r, d_r, d2_r, d2_phi)
-    out -= 0.5 * lz_part
+    if op.kind == "Lz":
+        return azimuthal("lz")
+    d_r, d2_r = radial()
+    if op.kind == "PH":
+        return -1j * (r * d_r + f)
+    if op.kind == "curvature_term":
+        return _curvature_term(op.params, op.z, r, f, d_r)
+    lap = d2_r + d_r / r + azimuthal("d2_phi") / r**2
+    if op.kind == "laplacian_t":
+        return lap
+    z_op = 0.0 if op.kind == "N0" else op.z
+    if not math.isclose(z, z_op, rel_tol=0, abs_tol=1e-12 * (1 + abs(z_op))):
+        raise GridError(f"field at z={z} but operator built for z={z_op}")
+    params = op.params
+    w_eff = beam_geometry(params, z_op).w_z if z_op != 0.0 else params.w0
+    out = -(w_eff**2 / 8.0) * lap
+    out -= 0.5 * azimuthal("lz" if op.sign_policy == "verbatim" else "abs_lz")
     out += 0.5 * (r**2 / params.w0**2 - 1.0) * f
-    if z != 0.0:
-        out += _curvature_term(params, z, r, f, d_r)
+    if z_op != 0.0:
+        out += _curvature_term(params, z_op, r, f, d_r)
     return out
 
 
-# ---------------------------------------------------------------------------
-# FD application path
+def apply_to_field(op: Operator, field: FieldGrid) -> FieldGrid:
+    """Apply an operator to a sampled field: 7-point stencils in r, FFT in phi."""
+    grid, f = field.grid, field.values
 
-def _fd_laplacian(field: FieldGrid):
-    _check_phi(field.grid)
-    nodes, f = field.grid.r_nodes, field.values
-    return _laplacian(nodes[:, None], _radial_derivative(nodes, f, 1),
-                      _radial_derivative(nodes, f, 2), phi_derivative(f, 2))
+    def radial():  # both orders from one stencil pass and one gather
+        idx, c = _stencils(grid.r_nodes, 2)
+        fi = f[idx]
+        return [np.einsum("ij,ij...->i...", c[m], fi) for m in (1, 2)]
 
+    def azimuthal(part):
+        _check_phi(grid)
+        if part == "d2_phi":
+            return phi_derivative(f, 2)
+        return -1j * phi_derivative(f, 1) if part == "lz" else phi_abs_multiplier(f)
 
-def apply_to_field(op: Operator, field: FieldGrid) -> AppliedField:
-    """Apply an operator to a sampled field by finite differences."""
-    f, nodes = field.values, field.grid.r_nodes
-    r = nodes[:, None]
-    if op.kind == "Lz":
-        _check_phi(field.grid)
-        out = -1j * phi_derivative(f, 1)
-    elif op.kind == "laplacian_t":
-        out = _fd_laplacian(field)
-    elif op.kind == "PH":
-        out = -1j * (r * _radial_derivative(nodes, f, 1) + f)
-    elif op.kind == "curvature_term":
-        out = _curvature_term(op.params, op.z, r, f, _radial_derivative(nodes, f, 1))
-    elif op.kind in ("N0", "Nz"):
-        z = 0.0 if op.kind == "N0" else op.z
-        if not math.isclose(field.grid.z, z, rel_tol=0, abs_tol=1e-12 * (1 + abs(z))):
-            raise GridError(f"field sampled at z={field.grid.z} but operator built for z={z}")
-        if np.any(nodes == 0.0):
-            raise GridError("radial-index operators are undefined on the origin node")
-        _check_phi(field.grid)
-        lz_part = (-1j * phi_derivative(f, 1) if op.sign_policy == "verbatim"
-                   else phi_abs_multiplier(f))
-        out = _radial_index_op(op.params, z, r, f, _radial_derivative(nodes, f, 1),
-                               _radial_derivative(nodes, f, 2), phi_derivative(f, 2), lz_part)
-    else:  # pragma: no cover - guarded by Operator validation
-        raise DiagnosticError(op.kind)
-    return AppliedField(input=field, output=FieldGrid(field.grid, out), operator=op, method="fd")
+    return FieldGrid(grid, _apply(op, grid.z, grid.r_nodes[:, None], f, radial, azimuthal))
 
 
-# ---------------------------------------------------------------------------
-# analytic application path
+def _mode_apply(op: Operator, params: LGParams, z, r):
+    """(f, A f) for the closed-form mode along phi = 0, on radial nodes r only."""
+    f, d_r, d2_r = _mode_derivatives(params, z, r)
+    l = params.l
+    parts = {"d2_phi": -(l**2) * f, "lz": l * f, "abs_lz": abs(l) * f}
+    return f, _apply(op, z, r, f, lambda: (d_r, d2_r), parts.__getitem__)
 
-def apply_to_mode(op: Operator, params: LGParams, grid: PolarGrid) -> AppliedField:
-    """Apply an operator to the closed-form mode via its analytic partials."""
-    r, phi = grid.mesh()
-    field = FieldGrid(grid, sample(params, grid).values)
-    z = grid.z
-    if op.kind == "Nz":
-        if op.z is None or not math.isclose(z, op.z, rel_tol=0, abs_tol=1e-12 * (1 + abs(op.z))):
-            raise GridError(f"grid at z={z} does not match operator z={op.z}")
-    if op.kind == "N0" and z != 0.0:
-        raise GridError("the focal-plane operator applies to z = 0 fields only")
-    d_r, d2_r, d_phi, d2_phi = lg_partials(params, r, phi, z)
-    f = field.values
 
-    if op.kind == "Lz":
-        out = -1j * d_phi
-    elif op.kind == "laplacian_t":
-        out = _laplacian(r, d_r, d2_r, d2_phi)
-    elif op.kind == "PH":
-        out = -1j * (r * d_r + f)
-    elif op.kind == "curvature_term":
-        out = _curvature_term(op.params or params, op.z, r, f, d_r)
-    elif op.kind in ("N0", "Nz"):
-        z_op = 0.0 if op.kind == "N0" else op.z
-        lz_part = -1j * d_phi if op.sign_policy == "verbatim" else abs(params.l) * f
-        out = _radial_index_op(op.params or params, z_op, r, f, d_r, d2_r, d2_phi, lz_part)
-    else:  # pragma: no cover
-        raise DiagnosticError(op.kind)
-    return AppliedField(input=field, output=FieldGrid(grid, out), operator=op, method="analytic")
+def apply_to_mode(op: Operator, params: LGParams, grid: PolarGrid) -> FieldGrid:
+    """Apply an operator to the closed-form mode: its radial result times exp(i l phi)."""
+    out = _mode_apply(op, params, grid.z, grid.r_nodes)[1]
+    return FieldGrid(grid, out[:, None] * np.exp(1j * params.l * grid.phi_nodes)[None, :])
 
 
 def expected_eigenvalue(op: Operator, params: LGParams) -> float:
@@ -273,15 +239,18 @@ def expected_eigenvalue(op: Operator, params: LGParams) -> float:
 
 
 def eigen_residual(params: LGParams, op: Operator, grid: PolarGrid, method="analytic") -> float:
-    """|| A f - a f || / || f || for the expected eigenvalue a."""
+    """|| A f - a f || / || f || for the expected eigenvalue a.
+
+    The analytic path integrates the radial factor with the grid's weights
+    (the phi integral, 2 pi, cancels); the fd path works on the sampled grid.
+    """
     a = expected_eigenvalue(op, params)
     if method == "analytic":
-        applied = apply_to_mode(op, params, grid)
-    else:
-        applied = apply_to_field(op, sample(params, grid))
-    f = applied.input
-    resid = FieldGrid(grid, applied.output.values - a * f.values)
-    return norm(resid) / norm(f)
+        f, out = _mode_apply(op, params, grid.z, grid.r_nodes)
+        w = _require_weights(grid) * grid.r_nodes
+        return math.sqrt(np.sum(w * np.abs(out - a * f) ** 2) / np.sum(w * np.abs(f) ** 2))
+    f = sample(params, grid)
+    return norm(FieldGrid(grid, apply_to_field(op, f).values - a * f.values)) / norm(f)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +293,7 @@ def dilation_check(f, gamma, *, delta=1e-4, rule=None) -> DilationCheck:
           - math.exp(-delta) * np.asarray(f(math.exp(-delta) * r), dtype=complex)) / (2.0 * delta)
     h = 1e-4 * float(rule.interval[1])
     offsets = np.arange(-3, 4)
-    w = _stencils(offsets * h, 1)[1][3]
+    w = _stencils(offsets * h, 1)[1][1, 3]
     fprime = sum(wj * np.asarray(f(r + oj * h), dtype=complex)
                  for wj, oj in zip(w, offsets))
     gen = r * fprime + base
@@ -349,12 +318,11 @@ _EXPECTED_COMMUTATORS = {
 
 def commutator_residual(op_a: Operator, op_b: Operator, field: FieldGrid) -> float:
     """|| (AB - BA) f - C f || / || f || against the expected commutator C."""
-    ab = apply_to_field(op_a, apply_to_field(op_b, field).output).output.values
-    ba = apply_to_field(op_b, apply_to_field(op_a, field).output).output.values
+    ab = apply_to_field(op_a, apply_to_field(op_b, field)).values
+    ba = apply_to_field(op_b, apply_to_field(op_a, field)).values
     comm = ab - ba
     tag = _EXPECTED_COMMUTATORS.get((op_a.kind, op_b.kind), "zero")
-    if tag == "lap_scaled":
-        comm -= -2j * _fd_laplacian(field)
-    elif tag == "lap_scaled_neg":
-        comm -= 2j * _fd_laplacian(field)
+    if tag != "zero":
+        lap = apply_to_field(Operator("laplacian_t"), field).values
+        comm -= (-2j if tag == "lap_scaled" else 2j) * lap
     return norm(FieldGrid(field.grid, comm)) / norm(field)

@@ -23,7 +23,6 @@ from .errors import DiagnosticError
 
 __all__ = [
     "laguerre",
-    "laguerre_derivative",
     "bessel_j",
     "bessel_j_derivative",
     "QuadratureRule",
@@ -65,15 +64,6 @@ def laguerre(n, alpha, x):
     for j in range(1, n):
         p, p_prev = ((2 * j + 1 + alpha - x) * p - (j + alpha) * p_prev) / (j + 1), p
     return p[()] if scalar else p
-
-
-def laguerre_derivative(n, alpha, x):
-    """First derivative d/dx L_n^alpha(x) = -L_{n-1}^{alpha+1}(x) (0 for n = 0)."""
-    if n == 0:
-        x = np.asarray(x)
-        out = np.zeros_like(x)
-        return out[()] if x.ndim == 0 else out
-    return -laguerre(n - 1, alpha + 1, x)
 
 
 def bessel_j(m, x):

@@ -68,7 +68,7 @@ class TestAcceptance:
                 g = quadrature_polar_grid(p, 0.0, n_max=3, l_max=2, nphi=8, order=192)
                 out = sample(p, g)
                 verb = apply_to_mode(Operator("N0", params=p, sign_policy="verbatim"), p, g)
-                resid = norm(FieldGrid(g, verb.output.values - (n + abs(l)) * out.values))
+                resid = norm(FieldGrid(g, verb.values - (n + abs(l)) * out.values))
                 worst_verbatim = max(worst_verbatim, resid / norm(out))
                 worst_symmetrized = max(
                     worst_symmetrized,

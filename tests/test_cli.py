@@ -56,6 +56,10 @@ class TestConfigParsing:
         ["verify", "--nonsense.key", "1"],            # unknown section
         ["render", "--grid.pixels", "-4"],            # out-of-range size
         ["phexp", "--sweep.z_list_m", '"abc"'],       # wrong type
+        ["render", "--grid.pixels", "8", "--format", "xml",
+         "--grid.radial_nodes", "3"],                 # keys no command reads
+        ["render", "--policy", "bogus"],              # not a sign policy
+        ["verify", "--mode.omega_rad_per_s", "1e15"],  # a key no command reads
     ])
     def test_bad_config_exits_2_in_one_line(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 2

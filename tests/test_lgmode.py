@@ -115,6 +115,21 @@ class TestRadialProfiles:
                 got = table[n] * curvature * gouy[n]
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_deep_tail_against_mpmath(self):
+        # at u = 3364 the scale e^(-u/2) alone underflows, though the values
+        # themselves are normal doubles
+        us = np.array([2600.0, 3000.0, 3364.0])
+        for l in (0, 5):
+            table = _radial_profiles(300, l, K, W0, 0.0, W0 * np.sqrt(us / 2))[0]
+            for n in (280, 300):
+                for got, u in zip(table[n], us):
+                    with mpmath.workdps(50):
+                        want = float(mpmath.sqrt(2 / mpmath.pi * mpmath.factorial(n)
+                                                 / mpmath.factorial(n + l)) / W0
+                                     * mpmath.mpf(u) ** (l / 2) * mpmath.exp(-mpmath.mpf(u) / 2)
+                                     * mpmath.laguerre(n, l, u))
+                    assert abs(got - want) <= 1e-11 * abs(want) + 1e-320, (l, n, u, got, want)
+
 
 class TestSampling:
     def test_single_point_grid(self, params21):

@@ -6,7 +6,7 @@ import pytest
 
 from lgradial.errors import DiagnosticError
 from lgradial.specfun import (_converged, _roots, bessel_j, bessel_j_derivative, laguerre,
-                              laguerre_derivative, make_rule)
+                              make_rule)
 
 from oracles import bessel_series, laguerre_monomial
 
@@ -48,21 +48,6 @@ class TestLaguerre:
         assert out.shape == (7,)
 
 
-class TestLaguerreDerivative:
-    def test_constant_has_zero_derivative(self):
-        assert laguerre_derivative(0, 0, 5.0) == 0.0
-
-    def test_degree_one_derivative_is_minus_one(self):
-        for x in (0.0, 1.3, 17.0):
-            assert laguerre_derivative(1, 0, x) == pytest.approx(-1.0, abs=1e-15)
-
-    def test_against_finite_difference(self):
-        h = 1e-5
-        x = 0.7
-        fd = (laguerre(4, 2, x + h) - laguerre(4, 2, x - h)) / (2 * h)
-        assert laguerre_derivative(4, 2, x) == pytest.approx(fd, abs=1e-8)
-
-
 class TestThreePointIdentity:
     def test_identity_over_orders_and_degrees(self, rng):
         # (x - l - 1) L' - x L'' = n L with both derivatives taken through
@@ -71,7 +56,7 @@ class TestThreePointIdentity:
         for n in range(0, 9):
             for l in range(0, 6):
                 L = laguerre(n, l, xs)
-                d1 = laguerre_derivative(n, l, xs)
+                d1 = -laguerre(n - 1, l + 1, xs) if n >= 1 else np.zeros_like(xs)
                 d2 = laguerre(n - 2, l + 2, xs) if n >= 2 else np.zeros_like(xs)
                 lhs = (xs - l - 1) * d1 - xs * d2
                 rhs = n * L
