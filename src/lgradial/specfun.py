@@ -6,18 +6,23 @@ inside a Gaussian envelope (x of order a few times 2n+alpha+1).  The same
 recurrence is reused verbatim over complex arithmetic, which is needed for
 the complex-beam-parameter arguments of the exact wave solutions.
 
-Bessel functions of the first kind are delegated to scipy (series /
-continued-fraction evaluation, accurate to ~1e-15); the integer reflection
-J_{-m} = (-1)^m J_m is applied explicitly.
+Gauss-Legendre rules are computed here with numpy: Newton's method on the
+Legendre three-term recurrence, from Tricomi's initial guesses.
+
+Bessel functions of the first kind (series / continued-fraction evaluation,
+accurate to ~1e-15) and the Gauss-Laguerre nodes are delegated to scipy; the
+integer reflection J_{-m} = (-1)^m J_m is applied explicitly.  Only the
+exact-wave module calls either, so scipy is imported on the first Bessel J
+or Gauss-Laguerre call, not with the package.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv, jvp, roots_laguerre, roots_legendre
 
 from .errors import DiagnosticError
 
@@ -71,6 +76,8 @@ def bessel_j(m, x):
 
     Negative orders use the reflection J_{-m}(x) = (-1)^m J_m(x).
     """
+    from scipy.special import jv
+
     m = int(m)
     if m < 0:
         sign = -1.0 if (-m) % 2 else 1.0
@@ -80,6 +87,8 @@ def bessel_j(m, x):
 
 def bessel_j_derivative(m, x):
     """dJ_m/dx via the identity J_m' = (J_{m-1} - J_{m+1}) / 2."""
+    from scipy.special import jvp
+
     m = int(m)
     if m < 0:
         sign = -1.0 if (-m) % 2 else 1.0
@@ -120,10 +129,48 @@ class QuadratureRule:
         return np.sum(self.weights * values, axis=-1)
 
 
+# Newton steps allowed per Gauss-Legendre rule; Tricomi's guesses need 3 or 4
+_NEWTON_STEPS = 12
+
+
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n, evaluated by the three-term recurrence, runs on
+    the nodes in [0, 1) at once; the other half is their mirror image, so the
+    rule is exactly symmetric.  The weights are 2 / ((1 - x^2) P_n'(x)^2) with
+    P_n' from the last Newton step.
+    """
+    # Tricomi: x_k ~ (1 - (n-1)/(8 n^3)) cos(pi (4k-1)/(4n+2)), written as a
+    # sine so that the centre node of an odd rule is exactly 0 from the start
+    x = (1 - (n - 1) / (8 * n**3)) * np.sin(np.pi * np.arange(1 - n % 2, n, 2) / (2 * n + 1))
+    for _ in range(_NEWTON_STEPS):
+        p_prev, p = np.ones_like(x), x
+        for k in range(1, n):
+            p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
+        dp = n * (x * p - p_prev) / (x * x - 1)
+        dx = p / dp
+        x = x - dx
+        # a NaN step fails this test, so it runs into the cap below
+        if np.max(np.abs(dx)) <= 4 * np.finfo(float).eps:
+            break
+    else:
+        raise DiagnosticError(f"Gauss-Legendre nodes of order {n} did not converge "
+                              f"in {_NEWTON_STEPS} Newton steps")
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    half = n // 2  # the mirrored half leaves out the centre node of an odd rule
+    return np.concatenate((-x[::-1][:half], x)), np.concatenate((w[::-1][:half], w))
+
+
 @functools.lru_cache(maxsize=64)
 def _roots(kind, order):
     # read-only, because every caller shares the cached arrays
-    x, w = roots_legendre(order) if kind == "legendre" else roots_laguerre(order)
+    if kind == "legendre":
+        x, w = _gauss_legendre(order)
+    else:
+        from scipy.special import roots_laguerre
+
+        x, w = roots_laguerre(order)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -143,8 +190,9 @@ def make_rule(kind, order, *, interval=None, scale=None):
         standard Gauss-Laguerre ones mapped by x -> x / scale, so
         sum(w_i f(x_i)) approximates the integral of f(x) e^{-scale x}.
     """
-    if order < 1:
-        raise DiagnosticError(f"quadrature order must be >= 1, got {order}")
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
+        raise DiagnosticError(f"quadrature order must be an integer >= 1, got {order!r}")
+    order = int(order)
     if kind == "legendre":
         if interval is None:
             raise DiagnosticError("legendre rule requires an interval")

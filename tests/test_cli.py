@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,3 +240,29 @@ class TestDeterminism:
         for target in (a, b):
             assert main(["verify", "--output.dir", str(target)]) == 0
         assert (a / "lg_verify.json").read_bytes() == (b / "lg_verify.json").read_bytes()
+
+
+# scipy is only needed by exactwave (Bessel J, Gauss-Laguerre nodes); the
+# package import and the render/phexp/overlap commands must not load it
+IMPORT_GUARD = """
+import sys
+import lgradial, lgradial.cli
+from lgradial import specfun
+for argv in (["render", "--grid.pixels", "16"],
+             ["phexp", "--sweep.z_list_m", "[0.0,1.0]"],
+             ["overlap", "--sweep.dz_list_m", "[0.0,1.0]", "--sweep.n_max", "3"]):
+    assert lgradial.cli.main(argv + ["--output.dir", sys.argv[1]]) == 0, argv
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+specfun.bessel_j(0, 1.0)
+assert "scipy" in sys.modules
+"""
+
+
+def test_scipy_stays_off_the_import_path(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert {"lg_phexp.csv", "lg_overlap.csv"} <= {p.name for p in tmp_path.iterdir()}

@@ -79,16 +79,16 @@ class TestLGField:
     def test_high_order_mode_against_mpmath(self, l):
         # log-space reference: sqrt(2 n!/(pi (n+a)!)) / w0 u^(a/2) e^(-u/2) L_n^a(u)
         n, a = 300, abs(l)
-        mpmath.mp.dps = 40
-        for r in (10e-3, 20e-3):
-            u = 2 * mpmath.mpf(r) ** 2 / mpmath.mpf(W0) ** 2
-            log_amp = (0.5 * (mpmath.log(2 / mpmath.pi) + mpmath.loggamma(n + 1)
-                              - mpmath.loggamma(n + a + 1)) - mpmath.log(W0)
-                       + 0.5 * a * mpmath.log(u) - u / 2)
-            want = float(mpmath.exp(log_amp) * mpmath.laguerre(n, a, u))
-            got = lg_field(LGParams(n, l, K, W0), r, 0.0, 0.0)
-            assert np.isfinite(got)
-            assert abs(got - want) <= 1e-10 * abs(want)
+        with mpmath.workdps(40):
+            for r in (10e-3, 20e-3):
+                u = 2 * mpmath.mpf(r) ** 2 / mpmath.mpf(W0) ** 2
+                log_amp = (0.5 * (mpmath.log(2 / mpmath.pi) + mpmath.loggamma(n + 1)
+                                  - mpmath.loggamma(n + a + 1)) - mpmath.log(W0)
+                           + 0.5 * a * mpmath.log(u) - u / 2)
+                want = float(mpmath.exp(log_amp) * mpmath.laguerre(n, a, u))
+                got = lg_field(LGParams(n, l, K, W0), r, 0.0, 0.0)
+                assert np.isfinite(got)
+                assert abs(got - want) <= 1e-10 * abs(want)
 
     def test_non_integer_mode_numbers_rejected(self):
         with pytest.raises(DiagnosticError):

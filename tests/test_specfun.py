@@ -4,9 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from scipy.special import roots_legendre
+
+from lgradial import specfun
 from lgradial.errors import DiagnosticError
-from lgradial.specfun import (_converged, _roots, bessel_j, bessel_j_derivative, laguerre,
-                              make_rule)
+from lgradial.specfun import (_converged, _gauss_legendre, _roots, bessel_j,
+                              bessel_j_derivative, laguerre, make_rule)
 
 from oracles import bessel_series, laguerre_monomial
 
@@ -187,3 +190,79 @@ class TestQuadrature:
             make_rule("laguerre", 4, scale=0.0)
         with pytest.raises(DiagnosticError):
             make_rule("chebyshev", 4, interval=(0, 1))
+
+    @pytest.mark.parametrize("order", [2.5, math.nan, True, 4.0, "4"])
+    def test_order_must_be_an_integer(self, order):
+        with pytest.raises(DiagnosticError):
+            make_rule("legendre", order, interval=(0, 1))
+        with pytest.raises(DiagnosticError):
+            make_rule("laguerre", order, scale=1.0)
+
+    def test_numpy_integer_order_accepted(self):
+        rule = make_rule("legendre", np.int64(5), interval=(0, 1))
+        assert rule.order == 5 and type(rule.order) is int
+        assert make_rule("laguerre", np.int32(6), scale=1.0).order == 6
+
+
+def _mp_legendre(n, x):
+    """P_n(x) and P_{n-1}(x) by the three-term recurrence, in mpmath arithmetic."""
+    p_prev, p = mpmath.mpf(1), x
+    for k in range(1, n):
+        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
+    return p, p_prev
+
+
+def _mp_node_and_weight(n, x0):
+    """The root of P_n nearest x0 and its weight 2 (1 - x^2) / (n P_{n-1})^2, at 40 digits."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x0)
+        for _ in range(2):  # from a double, two steps reach 1e-64
+            p, p_prev = _mp_legendre(n, x)
+            x -= p * (x * x - 1) / (n * (x * p - p_prev))
+        p_prev = _mp_legendre(n, x)[1]
+        return x, 2 * (1 - x * x) / (n * p_prev) ** 2
+
+
+class TestGaussLegendre:
+    # one unit in the last place of a double in [0.5, 1)
+    ULP = 2.0**-53
+
+    @pytest.mark.parametrize("orders", [range(1, 201), (256, 416, 2576)],
+                             ids=["1-200", "256-2576"])
+    def test_nodes_match_scipy(self, orders):
+        # scipy's own nodes are up to 1.5 ulp from the true roots (n = 61,
+        # 118, 121, 130), so even correctly rounded nodes are 2 ulp off them
+        for n in orders:
+            x = _gauss_legendre(n)[0]
+            assert np.max(np.abs(x - roots_legendre(n)[0])) <= 2 * self.ULP, n
+
+    @pytest.mark.parametrize("n", [61, 130])
+    def test_nodes_within_one_ulp_of_mpmath(self, n):
+        x = _gauss_legendre(n)[0]
+        for xi in x[n // 2:]:
+            root = _mp_node_and_weight(n, xi)[0]
+            assert abs(mpmath.mpf(xi) - root) <= self.ULP, (n, xi)
+
+    @pytest.mark.parametrize("n", [192, 2576])
+    def test_weights_against_mpmath(self, n):
+        # scipy misses 1e-10 at the edge node: 1.2e-10 at 192, 1.2e-7 at 2576
+        x, w = _gauss_legendre(n)
+        for i in (n - 1, n - 1 - n // 4, n // 2):  # edge, quarter and centre
+            root, weight = _mp_node_and_weight(n, x[i])
+            assert abs(w[i] / float(weight) - 1) <= 1e-10, (n, i)
+            assert abs(mpmath.mpf(x[i]) - root) <= self.ULP, (n, i)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 160, 191, 192, 2576])
+    def test_symmetric_increasing_and_normalized(self, n):
+        x, w = _gauss_legendre(n)
+        assert len(x) == len(w) == n
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        assert abs(np.sum(w) - 2.0) <= 1e-14
+        if n % 2:
+            assert x[n // 2] == 0.0
+
+    def test_no_convergence_is_a_diagnostic_error(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_NEWTON_STEPS", 1)
+        with pytest.raises(DiagnosticError, match="did not converge"):
+            _gauss_legendre(50)
