@@ -1,25 +1,27 @@
-"""Quadrature-based expectation values, figure-level curves and mode overlaps.
+"""Expectation values and figure-level curves by quadrature; overlaps by algebra.
 
 All integrals use the transverse area measure r dr dphi at fixed z, under
-which the closed-form modes are exactly normalized.  Expectations are
-convergence-checked by doubling the radial quadrature order; hyperbolic
-momentum curves carry their fit diagnostics so figure-level claims (linear
-through the origin in z, monotone decay in w0, oscillatory crosstalk in
-propagation mismatch) can be asserted directly.
+which the closed-form modes are exactly normalized.  Expectations (and the
+hyperbolic-momentum curves made of them) are convergence-checked by doubling
+the radial quadrature order; the curves carry fit diagnostics so figure-level
+claims can be asserted directly.  Overlap matrices take no integral: they are
+su(1,1) representation matrices, one real three-term recurrence in O(n_max^2).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DiagnosticError, QuadratureConvergenceError
-from .lgmode import (FieldGrid, LGParams, _radial_profiles, _require_weights,
+from .lgmode import (_RESCALE, FieldGrid, LGParams, _radial_profiles, _require_weights,
                      beam_geometry, norm, quadrature_polar_grid)
 from .paraxops import Operator, _mode_apply
-from .specfun import _converged, make_rule
+from .specfun import _converged
 
 __all__ = [
     "ExpectationSeries",
@@ -117,10 +119,7 @@ def ph_vs_z(params: LGParams, z_list) -> ExpectationSeries:
     z_list = np.asarray(z_list, dtype=float)
     if z_list.size == 0:
         raise DiagnosticError("z_list must be nonempty")
-    raw = np.array([raw_expectation("PH", params, z, order=256) for z in z_list])
-    if np.any(np.abs(raw.imag) > 1e-9):
-        raise DiagnosticError("hyperbolic-momentum expectation has imaginary residue")
-    values = raw.real
+    values = np.array([expectation("PH", params, z) for z in z_list])
     slope, intercept, r2 = _linear_fit(z_list, values)
     return ExpectationSeries("z", z_list, values, params,
                              {"slope": slope, "intercept": intercept, "r_squared": r2})
@@ -135,14 +134,7 @@ def ph_vs_w0(params: LGParams, w0_list, z: float) -> ExpectationSeries:
     w0_list = np.asarray(w0_list, dtype=float)
     if w0_list.size == 0 or np.any(w0_list <= 0) or np.any(np.diff(w0_list) <= 0):
         raise DiagnosticError("w0_list must be positive and increasing")
-    raw = []
-    for w0 in w0_list:
-        p = replace(params, w0=float(w0))
-        raw.append(raw_expectation("PH", p, z, order=256))
-    raw = np.array(raw)
-    if np.any(np.abs(raw.imag) > 1e-9):
-        raise DiagnosticError("hyperbolic-momentum expectation has imaginary residue")
-    values = raw.real
+    values = np.array([expectation("PH", replace(params, w0=float(w0)), z) for w0 in w0_list])
     diag = {"monotone_decreasing": bool(np.all(np.diff(values) < 0))}
     if np.all(values > 0):
         ls, li, lr2 = _linear_fit(np.log(w0_list), np.log(values))
@@ -195,42 +187,60 @@ class OverlapMatrix:
         return int(idx[0]) + 1 if idx.size else None
 
 
+def _su11_magnitudes(n_max, a, rho):
+    """sech^(a+1)(tau) r[n, m] for n <= m, 0 below, rho = tanh(tau) < 1: r[0, m] =
+    sqrt(C(m+a, m)), sqrt((n+1)(n+a+1)) r[n+1, m] = ((m-n) - (a+1+m+n) rho^2) r[n, m]
+    - rho^2 sqrt(n(n+a)) r[n-1, m], each column run only up to the diagonal, inside
+    its growing region.  A per-column exponent takes over powers of two past _RESCALE.
+    """
+    m, rho2 = np.arange(n_max + 1), rho * rho
+    t, e = np.zeros((n_max + 1, n_max + 1)), np.zeros(n_max + 1, dtype=int)
+    t[0] = np.cumprod(np.sqrt(np.r_[1.0, (m[1:] + a) / m[1:]]))
+    s = np.sqrt((m + 1.0) * (m + 1 + a))
+    step = ((m - m[:, None]) - (a + 1 + m + m[:, None]) * rho2) / s[:, None]
+    back = rho2 * np.sqrt(m * (m + a + 0.0)) / s
+    for n in range(n_max):
+        row = np.multiply(step[n, n + 1:], t[n, n + 1:], out=t[n + 1, n + 1:])
+        row -= back[n] * t[n - 1, n + 1:]  # back[0] = 0
+        if np.abs(row).max() > _RESCALE:
+            _, x = np.frexp(np.maximum(np.abs(row), np.abs(t[n, n + 1:])))
+            t[:n + 2, n + 1:] *= 2.0 ** -x
+            e[n + 1:] += x
+    half = math.exp(0.25 * (a + 1) * math.log1p(-rho2))  # sech^((a+1)/2)(tau)
+    return t * np.ldexp(half, e // 2) * np.ldexp(half, e - e // 2)  # halves stay normal
+
+
 def overlap_matrix(l, n_set, z, z_prime, w0, w0_prime, k) -> OverlapMatrix:
     """Full overlap matrix between two mode families of common l and k.
 
-    Rows index the (z, w0) family, columns the (z', w0') family.  The radial
-    integral is a real product A diag(c) B^T of the two radial tables on one
-    order-doubled Gauss-Legendre rule, with the curvature phases in the
-    weights c and the Gouy phases as an outer product.
+    Rows index the (z, w0) family, columns the (z', w0') family: one su(1,1)
+    group element apart, so no integral.  With gamma = 1/w_z^2 - i k inv_R_z/2
+    and Gouy angle phi per side, G = conj(gamma) + gamma', d = gamma - gamma',
+    tanh(tau) = |d|/|G| and j = min(n, m), O[n, m] = t[j, max(n, m)] b^|n-m|
+    exp(i (|l|+1+2j) (phi - phi' - arg G)), t = `_su11_magnitudes`, b = tanh(tau)
+    exp(-i (arg d + arg G + 2 phi')) above the diagonal, -tanh(tau) exp(i (arg d
+    - arg G + 2 phi)) below.  O(n_max^2); a non-finite entry raises DiagnosticError.
     """
     n_set = tuple(int(n) for n in n_set)
     if list(n_set) != list(range(len(n_set))):
         raise DiagnosticError("n_set must be contiguous from 0")
-    n_max = max(n_set)
-    w_max = max(beam_geometry(LGParams(0, l, k, w0), z).w_z,
-                beam_geometry(LGParams(0, l, k, w0_prime), z_prime).w_z)
-    rmax = 1.5 * w_max * math.sqrt(2.0 * (2 * n_max + abs(l) + 1))
-
-    def matrix(m):
-        rule = make_rule("legendre", m, interval=(0.0, rmax))
-        A, curv_a, gouy_a = _radial_profiles(n_max, l, k, w0, z, rule.nodes)
-        B, curv_b, gouy_b = _radial_profiles(n_max, l, k, w0_prime, z_prime, rule.nodes)
-        # past the last node where both top rows exceed 1e-100 of their peaks,
-        # every row of one table is smaller still: the products there are
-        # negligible, and their subnormal results would slow the matmuls
-        top_a, top_b = np.abs(A[-1]), np.abs(B[-1])
-        big = (top_a > 1e-100 * top_a.max()) & (top_b > 1e-100 * top_b.max())
-        A[:, len(big) - np.argmax(big[::-1]):] = 0.0
-        c = 2.0 * math.pi * rule.weights * rule.nodes * np.conj(curv_a) * curv_b
-        radial = (A * c.real) @ B.T + 1j * ((A * c.imag) @ B.T)
-        return np.conj(gouy_a)[:, None] * radial * gouy_b[None, :]
-
-    m = max(192, 16 * (n_max + 1))
-    m1, m2 = matrix(m), matrix(2 * m)
-    if not _converged(m1, m2, 0.0, 1e-9):
-        raise QuadratureConvergenceError(f"overlap matrix not converged at order {2 * m}")
+    n_max, m = max(n_set), np.arange(len(n_set))
+    geo = beam_geometry(LGParams(0, l, k, w0), z)
+    geo_p = beam_geometry(LGParams(0, l, k, w0_prime), z_prime)
+    gamma, gamma_p = (complex(1.0 / g.w_z**2, -0.5 * k * g.inv_R_z) for g in (geo, geo_p))
+    G, d = gamma.conjugate() + gamma_p, gamma - gamma_p
+    theta, delta, rho = cmath.phase(G), cmath.phase(d), abs(d) / abs(G)
+    rows = _su11_magnitudes(n_max, abs(l), rho) * np.exp(
+        1j * (abs(l) + 1 + 2 * m[:, None]) * (geo.phi_g - geo_p.phi_g - theta))
+    b = np.zeros((2, 2 * n_max + 1), complex)  # b^d for d >= 0 above and below
+    b[:, n_max:] = rho ** m * np.exp(1j * np.outer(
+        (-delta - theta - 2 * geo_p.phi_g, math.pi + delta - theta + 2 * geo.phi_g), m))
+    above, below = sliding_window_view(b, n_max + 1, axis=1)[:, ::-1]  # Toeplitz views
+    entries = rows * above + np.triu(rows * below, 1).T
+    if not np.all(np.isfinite(entries)):
+        raise DiagnosticError(f"overlap matrix not finite at l={l}, n_max={n_max}")
     return OverlapMatrix(l=l, n_set=n_set, z=z, z_prime=z_prime, w0=w0,
-                         w0_prime=w0_prime, k=k, entries=m2)
+                         w0_prime=w0_prime, k=k, entries=entries)
 
 
 # ---------------------------------------------------------------------------

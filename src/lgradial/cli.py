@@ -8,7 +8,7 @@ phexp    write the hyperbolic-momentum expectation sweep (CSV) with a JSON
          sidecar of fit diagnostics, versus z or versus w0
 overlap  write radial-mode overlap matrices versus propagation mismatch
          (CSV) plus per-mismatch completeness
-verify   run the eigenvalue / commutator / dilation / hermiticity /
+verify   run the eigenvalue / commutator / dilation / overlap / hermiticity /
          synthesis / Maxwell suites and write a JSON report
 
 Configuration is a single JSON document (file, or '-' for stdin) merged
@@ -16,8 +16,8 @@ over built-in defaults, then overridden by `--dotted.path value` flags.
 All outputs are deterministic functions of the config: fixed sample points,
 no RNG, stable JSON key order, 17-significant-digit CSV.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 I/O error, 4 internal error.  No exit prints a traceback.
+Exit codes: 0 success, 1 verification failure, 2 usage/config error, 3 I/O
+error, 4 internal error, 5 accuracy error.  No exit prints a traceback.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .analysis import overlap_matrix, ph_vs_w0, ph_vs_z
 from .constants import C_LIGHT
-from .errors import DiagnosticError
+from .errors import DiagnosticError, QuadratureConvergenceError
 from .exactwave import (BesselModeParams, SpacetimePoint, chi_closed_form,
                         fit_global_scale, maxwell_residual, rs_bessel_field,
                         synthesize_lg)
@@ -395,13 +395,15 @@ def _verify_checks(cfg):
     r = commutator_residual(Operator("laplacian_t"), Operator("PH"), fsm)
     checks.append(_check("commutator/lap_PH", r, 1e-5))
 
-    # dilation
+    # unitarity of su(1,1) group elements: dilations, and the overlaps at dz = zR
     gauss = lambda x: np.exp(-x**2)
     for gma in (0.3, -0.3, 1.0, -1.0):
         dc = dilation_check(gauss, gma)
         checks.append(_check(f"dilation/unitarity/gamma{gma}",
                              abs(dc.unitarity_ratio - 1.0), 1e-10))
     checks.append(_check("dilation/generator", dilation_check(gauss, 0.0).generator_defect, 1e-6))
+    comp = overlap_matrix(0, range(121), 0.0, zr, w0, w0, k).completeness()[:13]
+    checks.append(_check("overlap/unitarity", np.max(np.abs(1.0 - comp)), 1e-12))
 
     # momentum eigenrelations (pointwise)
     omega = C_LIGHT * k
@@ -509,6 +511,9 @@ def main(argv=None):
     except IOFailure as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 3
+    except QuadratureConvergenceError as e:
+        print(f"accuracy error: {e}", file=sys.stderr)
+        return 5
     except (ConfigError, DiagnosticError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

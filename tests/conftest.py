@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lgradial import LGParams
 from lgradial.constants import C_LIGHT
@@ -13,6 +14,12 @@ K = 2.0 * math.pi / 633e-9   # rad/m
 W0 = 1e-3                    # m
 ZR = K * W0**2 / 2
 OMEGA = C_LIGHT * K          # puts the exact-mode constraint at k_plus = K
+
+# the envelope property tests: reproducible draws, no example database, no
+# deadline (a single n = 300 example takes about a second)
+settings.register_profile("envelope", derandomize=True, database=None, deadline=None,
+                          max_examples=3)
+ENVELOPE = settings.get_profile("envelope")
 
 
 @pytest.fixture(scope="session")

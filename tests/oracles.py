@@ -3,13 +3,20 @@
 Everything here deliberately avoids the library's own code paths: Laguerre
 values come from the explicit monomial expansion, Bessel values from the
 defining power series, LG fields from a symbol-by-symbol reassembly on top
-of scipy, and overlaps from a dense midpoint Riemann sum.
+of scipy, and overlaps from a dense midpoint Riemann sum.  The one
+exception is `overlap_matrix_quadrature`, which integrates the library's
+radial table on its Gauss-Legendre rule: it shares only that table and the
+rule with the library, and test_lgmode checks the table (test_specfun the
+rule) against mpmath.  The library's own overlap matrices take no integral.
 """
 
 import math
 
 import numpy as np
 from scipy.special import binom, eval_genlaguerre
+
+from lgradial.lgmode import LGParams, _radial_profiles, beam_geometry
+from lgradial.specfun import make_rule
 
 
 def laguerre_monomial(n, alpha, x):
@@ -59,3 +66,44 @@ def overlap_riemann(na, nb, l, k, w0a, w0b, za, zb, rmax, nr=4000):
     fa = lg_reference(na, l, k, w0a, r, 0.0, za)
     fb = lg_reference(nb, l, k, w0b, r, 0.0, zb)
     return 2.0 * math.pi * np.sum(np.conj(fa) * fb * r) * h
+
+
+def overlap_matrix_quadrature(l, n_max, z, z_prime, w0, w0_prime, k, atol=1e-13):
+    """Overlap matrix of the families n = 0..n_max at (z, w0) and (z', w0') by quadrature.
+
+    The radial integral is a real product A diag(c) B^T of the two radial
+    tables on one Gauss-Legendre rule, with the curvature phases in the
+    weights c and the Gouy phases as an outer product.  The extent reaches
+    4 w_z past 1.5 turning radii, so even the n_max = 0 Gaussian tail is
+    below 1e-30.  The order starts at max(192, 16 (n_max+1)) and doubles
+    until two successive orders agree within atol: opposite wavefront
+    curvatures (z = -2 zR against z' = 2 zR at |l| = 300) need four times
+    the starting order.
+    """
+    w_max = max(beam_geometry(LGParams(0, l, k, w0), z).w_z,
+                beam_geometry(LGParams(0, l, k, w0_prime), z_prime).w_z)
+    rmax = w_max * (1.5 * math.sqrt(2.0 * (2 * n_max + abs(l) + 1)) + 4.0)
+
+    def matrix(m):
+        rule = make_rule("legendre", m, interval=(0.0, rmax))
+        A, curv_a, gouy_a = _radial_profiles(n_max, l, k, w0, z, rule.nodes)
+        B, curv_b, gouy_b = _radial_profiles(n_max, l, k, w0_prime, z_prime, rule.nodes)
+        # past the last node where both top rows exceed 1e-100 of their peaks,
+        # every row of one table is smaller still: the products there are
+        # negligible, and their subnormal results would slow the matmuls
+        top_a, top_b = np.abs(A[-1]), np.abs(B[-1])
+        big = (top_a > 1e-100 * top_a.max()) & (top_b > 1e-100 * top_b.max())
+        A[:, len(big) - np.argmax(big[::-1]):] = 0.0
+        c = 2.0 * math.pi * rule.weights * rule.nodes * np.conj(curv_a) * curv_b
+        radial = (A * c.real) @ B.T + 1j * ((A * c.imag) @ B.T)
+        return np.conj(gouy_a)[:, None] * radial * gouy_b[None, :]
+
+    m = max(192, 16 * (n_max + 1))
+    prev = matrix(m)
+    for _ in range(4):
+        m *= 2
+        cur = matrix(m)
+        if np.max(np.abs(cur - prev)) <= atol:
+            return cur
+        prev = cur
+    raise AssertionError(f"quadrature overlap not converged at order {m}")

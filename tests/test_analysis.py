@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+import lgradial.analysis as analysis
 from lgradial.analysis import (decompose, expectation, overlap, overlap_matrix,
                                ph_vs_w0, ph_vs_z, raw_expectation)
 from lgradial.errors import DiagnosticError
@@ -111,10 +113,33 @@ class TestPhVsW0:
             ph_vs_w0(LGParams(0, 0, K, W0), [2e-3, 1e-3], z=1.0)
 
 
+class TestHighRadialIndexCurves:
+    # a fixed quadrature order loses <PH> for n >= ~100; every point is a
+    # convergence-checked expectation, which returns the closed form
+    @pytest.mark.parametrize("n", [120, 300])
+    def test_ph_vs_z_matches_closed_form(self, n):
+        z_list = np.array([0.5, 1.3]) * ZR
+        s = ph_vs_z(LGParams(n, 0, K, W0), z_list)
+        want = (2 * n + 1) * z_list / ZR
+        assert np.max(np.abs(s.values - want) / want) <= 1e-12
+
+    def test_ph_vs_w0_matches_closed_form(self):
+        w0_list = np.array([0.8, 1.25]) * W0
+        s = ph_vs_w0(LGParams(120, 0, K, W0), w0_list, z=1.3 * ZR)
+        want = 241 * 1.3 * ZR / (K * w0_list**2 / 2)
+        assert np.max(np.abs(s.values - want) / want) <= 1e-12
+
+
 class TestOverlap:
     def test_identical_parameters(self):
         p = LGParams(2, 1, K, W0)
         assert abs(overlap(p, 0.7, p, 0.7) - 1.0) < 1e-9
+
+    def test_ground_mode_is_normalized(self):
+        # a quadrature extent of 1.5 turning radii cut the n_max = 0 Gaussian
+        # tail and left 1 - 1.2e-4 here
+        p = LGParams(0, 0, K, W0)
+        assert abs(overlap(p, 0.0, p, 0.0) - 1.0) < 1e-14
 
     def test_orthonormal_at_equal_geometry(self):
         a = LGParams(0, 1, K, W0)
@@ -196,6 +221,84 @@ class TestOverlapMatrix:
     def test_requires_contiguous_n_set(self):
         with pytest.raises(DiagnosticError):
             overlap_matrix(0, [1, 2, 3], 0.0, 0.0, W0, W0, K)
+
+    @pytest.mark.parametrize("l", [0, 5, -300])
+    def test_identity_at_equal_families(self, l):
+        M = overlap_matrix(l, range(301), 0.4 * ZR, 0.4 * ZR, W0, W0, K)
+        assert np.max(np.abs(M.entries - np.eye(301))) <= 1e-14
+
+    @pytest.mark.parametrize("l", [0, 3, -150])
+    def test_swapping_families_gives_conjugate_transpose(self, l):
+        # the two sides reach the same phases by different roundings, so the
+        # agreement is the phase rounding times the index, not bitwise
+        M = overlap_matrix(l, range(81), 0.3 * ZR, -1.1 * ZR, W0, 0.9 * W0, K)
+        S = overlap_matrix(l, range(81), -1.1 * ZR, 0.3 * ZR, 0.9 * W0, W0, K)
+        assert np.max(np.abs(S.entries - M.entries.conj().T)) <= 5e-14
+
+    @pytest.mark.parametrize("l", [0, 1, 3])
+    def test_first_columns_complete_at_n120(self, l):
+        M = overlap_matrix(l, range(121), 0.0, ZR, W0, W0, K)
+        assert np.max(np.abs(M.completeness()[:13] - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("l, n_max", [(150, 40), (60, 80)])
+    def test_against_generating_function_in_mpmath(self, l, n_max):
+        z, z_prime, w0_prime = -0.5 * ZR, 1.1 * ZR, 0.85 * W0
+        got = overlap_matrix(l, range(n_max + 1), z, z_prime, W0, w0_prime, K).entries
+        assert np.max(np.abs(got - _overlap_mp(l, n_max, z, z_prime, w0_prime))) <= 1e-13
+
+    def test_rescaling_changes_no_entry(self, monkeypatch):
+        # the per-column power-of-two exponents only take over when a mantissa
+        # passes 2^600, which no envelope point reaches: force them at 2^5
+        cases = [(300, 300, -2 * ZR, 2 * ZR, 0.8 * W0), (0, 300, 0.0, ZR, W0),
+                 (20, 200, 0.1 * ZR, 0.1 * ZR, 1.1 * W0)]
+        want = [overlap_matrix(l, range(n + 1), z, zp, W0, wp, K).entries
+                for l, n, z, zp, wp in cases]
+        monkeypatch.setattr(analysis, "_RESCALE", 2.0**5)
+        for (l, n, z, zp, wp), ref in zip(cases, want):
+            got = overlap_matrix(l, range(n + 1), z, zp, W0, wp, K).entries
+            assert np.max(np.abs(got - ref)) <= 1e-15
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_raises(self):
+        # far outside the envelope sqrt(C(m + |l|, m)) overflows
+        with pytest.raises(DiagnosticError):
+            overlap_matrix(20000, range(301), 0.0, ZR, W0, W0, K)
+
+
+def _overlap_mp(l, n_max, z, z_prime, w0_prime, dps=50):
+    """The overlap matrix from Laguerre's generating function, in mpmath.
+
+    sum_(n,m) s^n t^m I_nm = (a!/2) G^-(a+1) (1 + al s + be t + de s t)^-(a+1)
+    gives, normalized, h_00 = 1, h_0m = -be sqrt((m+a)/m) h_0,m-1 and
+    h_(n+1,m) = -al sqrt((n+a+1)/(n+1)) h_nm - be sqrt(m/(m+a)) h_(n+1,m-1)
+    - de sqrt((n+a+1)/(n+1)) sqrt(m/(m+a)) h_(n,m-1), run forward in both
+    indices (unstable in double precision at large |l|, fine at 50 digits).
+    """
+    a = abs(l)
+    with mpmath.workdps(dps):
+        k = mpmath.mpf(K)
+
+        def plane(w0, z):
+            zr, z = k * mpmath.mpf(w0) ** 2 / 2, mpmath.mpf(z)
+            w2 = mpmath.mpf(w0) ** 2 * (1 + (z / zr) ** 2)
+            return w2, 1 / w2 - 0.5j * k * z / (z * z + zr * zr), mpmath.atan2(z, zr)
+
+        (wa2, ga, pa), (wb2, gb, pb) = plane(W0, z), plane(w0_prime, z_prime)
+        G = mpmath.conj(ga) + gb
+        al, be = 2 / (wa2 * G) - 1, 2 / (wb2 * G) - 1
+        de = -1 - al - be
+        h = [[mpmath.mpc(1)] * (n_max + 1) for _ in range(n_max + 1)]
+        for m in range(1, n_max + 1):
+            h[0][m] = -be * mpmath.sqrt(mpmath.mpf(m + a) / m) * h[0][m - 1]
+        for n in range(n_max):
+            r = mpmath.sqrt(mpmath.mpf(n + a + 1) / (n + 1))
+            h[n + 1][0] = -al * r * h[n][0]
+            for m in range(1, n_max + 1):
+                s = mpmath.sqrt(mpmath.mpf(m) / (m + a))
+                h[n + 1][m] = -al * r * h[n][m] - be * s * h[n + 1][m - 1] - de * r * s * h[n][m - 1]
+        pref = (2 / (mpmath.sqrt(wa2 * wb2) * G)) ** (a + 1)
+        return np.array([[complex(pref * mpmath.expj((2 * n + a + 1) * pa - (2 * m + a + 1) * pb)
+                                  * h[n][m]) for m in range(n_max + 1)] for n in range(n_max + 1)])
 
 
 class TestDecompose:

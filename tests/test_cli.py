@@ -80,6 +80,16 @@ class TestConfigParsing:
         assert run(tmp_path, "render") == 4
         assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
+    def test_accuracy_error_exits_5_in_one_line(self, tmp_path, capsys, monkeypatch):
+        import lgradial.cli as cli
+        from lgradial.errors import QuadratureConvergenceError
+
+        def miss(cfg):
+            raise QuadratureConvergenceError("expectation not converged")
+        monkeypatch.setattr(cli, "cmd_phexp", miss)
+        assert run(tmp_path, "phexp", "--sweep.z_list_m", "[0.0]") == 5
+        assert capsys.readouterr().err == "accuracy error: expectation not converged\n"
+
 
 class TestRender:
     def test_fundamental_mode_images(self, tmp_path):
@@ -152,6 +162,16 @@ class TestPhexp:
     def test_sweep_required(self, tmp_path):
         assert run(tmp_path, "phexp") == 2
 
+    def test_high_radial_index_gives_closed_form(self, tmp_path):
+        # n >= ~100 needs more than a fixed quadrature order: each point is a
+        # convergence-checked expectation, (2n+1) z/zR at l = 0
+        assert run(tmp_path, "phexp", "--mode.n", "120", "--sweep.z_list_m", "[0,1,2]") == 0
+        rows = (tmp_path / "lg_phexp.csv").read_text().splitlines()[1:]
+        for row in rows:
+            z, value, n = row.split(",")
+            want = (2 * 120 + 1) * float(z) / ZR
+            assert abs(float(value) - want) <= 1e-9 * max(1.0, want)
+
     def test_csv_rows_newline_terminated(self, tmp_path):
         assert run(tmp_path, "phexp", "--sweep.z_list_m", "[0.0,1.0]") == 0
         text = (tmp_path / "lg_phexp.csv").read_text()
@@ -201,6 +221,11 @@ class TestVerifyCommand:
             assert case["verbatim_residual"] < 1e-8
             assert case["symmetrized_eigenvalue"] == case["n"]
             assert case["symmetrized_residual"] < 1e-8
+
+    def test_overlap_unitarity_is_checked(self, tmp_path):
+        assert run(tmp_path, "verify") == 0
+        checks = {c["name"]: c for c in json.loads((tmp_path / "lg_verify.json").read_text())["checks"]}
+        assert checks["overlap/unitarity"]["pass"] and checks["overlap/unitarity"]["measured"] <= 1e-12
 
     def test_verbatim_policy_selectable(self, tmp_path):
         assert run(tmp_path, "verify", "--policy", "verbatim") == 0

@@ -1,7 +1,8 @@
 """Property tests over the documented envelope n, |l| <= 300, |z| <= 2 zR, w0 in [5 um, 5 mm].
 
 Inside the envelope every analytic result is finite and matches its closed
-form; the derivative tables are checked against mpmath.
+form; the derivative tables are checked against mpmath, and the algebraic
+overlap matrices against converged quadrature.
 """
 
 import math
@@ -11,13 +12,12 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lgradial.analysis import expectation
+from lgradial.analysis import expectation, overlap_matrix
 from lgradial.lgmode import LGParams, beam_geometry, lg_partials
 from lgradial.paraxops import Operator
 
-from conftest import K, W0, ZR
-
-ENVELOPE = settings(derandomize=True, database=None, deadline=None, max_examples=3)
+from conftest import ENVELOPE, K, W0, ZR
+from oracles import overlap_matrix_quadrature
 
 
 @ENVELOPE
@@ -35,6 +35,22 @@ def test_expectations_match_closed_forms(n, l, z_over_zr, w0):
     for op, plane, want in cases:
         got = expectation(op, p, plane)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (op, got, want)
+
+
+@ENVELOPE
+@given(l=st.integers(-300, 300), n_max=st.integers(0, 300), z_over_zr=st.floats(-2.0, 2.0),
+       zp_over_zr=st.floats(-2.0, 2.0), ratio=st.floats(0.8, 1.25))
+@example(l=150, n_max=40, z_over_zr=0.0, zp_over_zr=1.3, ratio=1.0)
+@example(l=300, n_max=300, z_over_zr=2.0, zp_over_zr=-2.0, ratio=1.25)
+@example(l=0, n_max=300, z_over_zr=0.5, zp_over_zr=-1.5, ratio=0.8)
+@example(l=300, n_max=300, z_over_zr=0.3, zp_over_zr=0.3 + 1e-6, ratio=1.0)  # dz = 1e-6 zR
+@example(l=-7, n_max=120, z_over_zr=0.7, zp_over_zr=0.7, ratio=1.0)  # the exact identity
+@example(l=300, n_max=60, z_over_zr=-2.0, zp_over_zr=2.0, ratio=0.8)  # opposite curvatures
+def test_overlap_matrix_matches_quadrature(l, n_max, z_over_zr, zp_over_zr, ratio):
+    z, z_prime, w0_prime = z_over_zr * ZR, zp_over_zr * ZR, ratio * W0
+    got = overlap_matrix(l, range(n_max + 1), z, z_prime, W0, w0_prime, K).entries
+    want = overlap_matrix_quadrature(l, n_max, z, z_prime, W0, w0_prime, K)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def _mode_mp(n, l, z, r):
