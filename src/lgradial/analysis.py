@@ -2,9 +2,9 @@
 
 All integrals use the transverse area measure r dr dphi at fixed z, under
 which the closed-form modes are exactly normalized.  Expectations (and the
-hyperbolic-momentum curves made of them) are convergence-checked by doubling
-the radial quadrature order; the curves carry fit diagnostics so figure-level
-claims can be asserted directly.  Overlap matrices take no integral: they are
+hyperbolic-momentum curves made of them) are convergence-checked on a
+doubling ladder of radial quadrature orders; the curves carry fit diagnostics
+so figure-level claims can be asserted directly.  Overlap matrices take no integral: they are
 su(1,1) representation matrices, one real three-term recurrence in O(n_max^2).
 """
 
@@ -17,11 +17,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DiagnosticError, QuadratureConvergenceError
+from .errors import DiagnosticError
 from .lgmode import (_RESCALE, FieldGrid, LGParams, _radial_profiles, _require_weights,
                      beam_geometry, norm, quadrature_polar_grid)
 from .paraxops import Operator, _mode_apply
-from .specfun import _converged
+from .specfun import _converge, _inaccurate
 
 __all__ = [
     "ExpectationSeries",
@@ -67,23 +67,23 @@ def expectation(op, params: LGParams, z=0.0) -> float:
     """Expectation value of a transverse operator on a mode at plane z.
 
     Restricted to operators that are self-adjoint on LG inputs.  The radial
-    order max(160, 16 (n+1)) is doubled once and the run aborts if the value
-    moved by more than 1e-7 max(1, |value|); the (tiny) imaginary residue of
-    the hermitian expectation is discarded after the same check.
+    order climbs the ladder m 2^k, k = 0..4, m = max(160, 4 (n+1)), until two
+    successive values agree to 1e-7 max(1, |value|); the imaginary residue of
+    the hermitian value must be below 1e-9 max(1, |value|) and is discarded.
     """
     kind = op.kind if isinstance(op, Operator) else op
     if kind not in _SELF_ADJOINT_KINDS:
         raise DiagnosticError(f"expectation is defined for {_SELF_ADJOINT_KINDS}, got {kind!r}")
-    m = max(160, 16 * (params.n + 1))
-    v1 = raw_expectation(op, params, z, order=m)
-    v2 = raw_expectation(op, params, z, order=2 * m)
-    if not _converged(v1, v2, 1e-7, 1e-7):
-        raise QuadratureConvergenceError(
-            f"expectation not converged: {v1} vs {v2} at doubled order")
-    if abs(v2.imag) > 1e-9 * max(1.0, abs(v2)):
-        raise DiagnosticError(
-            f"expectation of a hermitian operator has imaginary residue {v2.imag}")
-    return float(v2.real)
+
+    def evaluate(order):
+        value = raw_expectation(op, params, z, order=order)
+        return value, 1.0, value
+
+    m = max(160, 4 * (params.n + 1))
+    value = _converge("expectation", evaluate, [m << k for k in range(5)], 1e-7, 1e-7)
+    if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
+        _inaccurate("expectation", f"hermitian operator has imaginary residue {value.imag}")
+    return float(value.real)
 
 
 @dataclass(frozen=True)

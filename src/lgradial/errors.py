@@ -6,7 +6,7 @@ class DiagnosticError(ValueError):
 
 
 class QuadratureConvergenceError(DiagnosticError):
-    """A quadrature result failed its order-doubling convergence check."""
+    """Two successive orders disagreed, or the result failed its accuracy contract."""
 
 
 class GridError(DiagnosticError):

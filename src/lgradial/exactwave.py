@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT
-from .errors import DiagnosticError, QuadratureConvergenceError
+from .errors import DiagnosticError
 from .momentum import ExactMomentumParams
-from .specfun import _converged, bessel_j, bessel_j_derivative, laguerre, make_rule
+from .specfun import _converge, bessel_j, bessel_j_derivative, laguerre, make_rule
 
 __all__ = [
     "BesselModeParams",
@@ -137,6 +137,10 @@ def rs_bessel_field(params: BesselModeParams, p: SpacetimePoint) -> RSField:
 _D1_W = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0   # 4th-order first derivative
 _D2_W = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0  # 4th-order second derivative
 _OFFS = np.array([-2, -1, 0, 1, 2])
+# FD step as a fraction of the wavelength (and of a turn in phi): it balances truncation
+# against roundoff for 4th-order stencils in double precision (1e-4 of a wavelength
+# is roundoff-dominated and fails its own halving check)
+_STEP_FRACTION = 2e-3
 
 
 def _fd1(values, h):
@@ -197,19 +201,15 @@ def _maxwell_defects(sampler, p, wavenumber, frac):
     return curl_defect, div_defect
 
 
-def maxwell_residual(sampler, p: SpacetimePoint, *, wavenumber,
-                     step_fraction=2e-3) -> MaxwellResidual:
+def maxwell_residual(sampler, p: SpacetimePoint, *, wavenumber) -> MaxwellResidual:
     """Finite-difference Maxwell residuals of an RS field sampler at a point.
 
-    Central 4th-order differences with steps of `step_fraction` of the local
-    wavelength; the result is confirmed by step halving and a warning is
-    attached when halving does not decrease the defect.  The default step
-    balances truncation against roundoff for 4th-order stencils in double
-    precision (1e-4 of a wavelength is roundoff-dominated and fails its own
-    halving check).
+    Central 4th-order differences with steps of 2e-3 of the local wavelength;
+    the result is confirmed by step halving and a warning is attached when
+    halving does not decrease the defect.
     """
-    c1, d1 = _maxwell_defects(sampler, p, wavenumber, step_fraction)
-    c2, d2 = _maxwell_defects(sampler, p, wavenumber, 0.5 * step_fraction)
+    c1, d1 = _maxwell_defects(sampler, p, wavenumber, _STEP_FRACTION)
+    c2, d2 = _maxwell_defects(sampler, p, wavenumber, 0.5 * _STEP_FRACTION)
     warning = None
     floor = 1e-9
     if (c2 > c1 and c2 > floor) or (d2 > d1 and d2 > floor):
@@ -218,13 +218,12 @@ def maxwell_residual(sampler, p: SpacetimePoint, *, wavenumber,
     return MaxwellResidual(curl_defect=c2, div_defect=d2, warning=warning)
 
 
-def wave_residual(sampler, p: SpacetimePoint, *, wavenumber,
-                  step_fraction=2e-3) -> float:
+def wave_residual(sampler, p: SpacetimePoint, *, wavenumber) -> float:
     """Relative residual of (1/c^2) d^2/dt^2 chi - laplacian chi at a point."""
     lam = 2.0 * math.pi / wavenumber
-    hr = hz = step_fraction * lam
-    hphi = step_fraction * 2.0 * math.pi
-    ht = step_fraction * lam / C_LIGHT
+    hr = hz = _STEP_FRACTION * lam
+    hphi = _STEP_FRACTION * 2.0 * math.pi
+    ht = _STEP_FRACTION * lam / C_LIGHT
 
     def along(axis, h):
         return np.array(_sample_axis(sampler, p, axis, h))
@@ -257,13 +256,13 @@ def chi_closed_form(params: ExactMomentumParams, p: SpacetimePoint):
 def _synthesis_radial(params: ExactMomentumParams, p: SpacetimePoint, order):
     rule = make_rule("laguerre", order, scale=params.beta)
     km = rule.nodes
-    s = params.sigma
     g = (km ** (params.n + abs(params.m) / 2.0)
          * (params.k_plus + km)
-         * np.exp(-1j * s * C_LIGHT * km * p.t_plus)
+         * np.exp(-1j * params.sigma * C_LIGHT * km * p.t_plus)
          * bessel_j(params.m, 2.0 * p.r * np.sqrt(params.k_plus * km)))
     weighted = rule.weights * g
-    return complex(np.sum(weighted)), float(np.sum(np.abs(weighted)))
+    value = complex(np.sum(weighted))
+    return value, float(np.sum(np.abs(weighted))), value  # value, integrand mass, result
 
 
 def synthesize_lg(params: ExactMomentumParams, p: SpacetimePoint,
@@ -275,21 +274,15 @@ def synthesize_lg(params: ExactMomentumParams, p: SpacetimePoint,
     surface with a Gauss-Laguerre rule whose scale absorbs the physical
     exponent, so no truncation radius is ever chosen.  The azimuthal
     integral is resolved analytically to the exp(i sigma m phi) term.
+    With `check_convergence`, orders q and 2q must agree to 1e-8 relative or
+    1e-11 of the integrand mass (in oscillatory tails far above the value).
     """
     if quad_order < 8:
         raise DiagnosticError("quad_order must be >= 8")
-    s = params.sigma
-    val, _ = _synthesis_radial(params, p, quad_order)
-    if check_convergence:
-        val2, mass = _synthesis_radial(params, p, 2 * quad_order)
-        # in oscillatory tails the value can be many orders below the
-        # integrand mass; convergence is judged against both
-        if not _converged(val, val2, 1e-8, max(1e-11 * mass, 1e-300)):
-            raise QuadratureConvergenceError(
-                f"synthesis integral not converged at order {quad_order}: "
-                f"{val} vs {val2}")
-        val = val2
-    phase = np.exp(-1j * s * (params.Omega * p.t_minus - params.m * p.phi))
+    val = (_converge("synthesis integral", lambda q: _synthesis_radial(params, p, q),
+                     (quad_order, 2 * quad_order), 1e-8, 1e-11) if check_convergence
+           else _synthesis_radial(params, p, quad_order)[0])
+    phase = np.exp(-1j * params.sigma * (params.Omega * p.t_minus - params.m * p.phi))
     return complex(phase * val)
 
 

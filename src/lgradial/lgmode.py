@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticError, GridError
-from .specfun import _converged, make_rule
+from .specfun import _converge, make_rule
 
 __all__ = [
     "LGParams",
@@ -91,7 +91,7 @@ def beam_geometry(params: LGParams, z: float) -> BeamGeometry:
 
 @dataclass(frozen=True)
 class PolarGrid:
-    """Polar sampling of a transverse plane at fixed z (and optional t).
+    """Polar sampling of a transverse plane at fixed z.
 
     r_nodes must be strictly increasing and positive; phi_nodes uniformly
     spaced on [0, 2pi).  r_weights, when present, are quadrature weights for
@@ -102,7 +102,6 @@ class PolarGrid:
     r_nodes: np.ndarray
     phi_nodes: np.ndarray
     z: float = 0.0
-    t: float = 0.0
     r_weights: np.ndarray | None = None
 
     def __post_init__(self):
@@ -311,13 +310,13 @@ def _radial_extent(params: LGParams, z: float, n_max=None, l_max=None):
 
 
 def quadrature_polar_grid(params: LGParams, z=0.0, *, n_max=None, l_max=None,
-                          nphi=32, order=None, t=0.0):
+                          nphi=32, order=None):
     """Gauss-Legendre polar grid sized for modes up to (n_max, l_max).
 
     The radial extent covers the classical turning radius of the largest
     requested mode with a 1.5x margin (floored at 4.5 w_z for the lowest
-    modes); when `order` is not given the rule order is doubled until the
-    norm of that mode, from its radial table row, changes by < 1e-10.
+    modes).  Without `order` the rule climbs the ladder 64, 128, ..., 4096 until
+    the norm of that mode, from its radial table row, moves by < 1e-10.
     """
     n_max = params.n if n_max is None else n_max
     l_max = params.l if l_max is None else l_max
@@ -326,23 +325,21 @@ def quadrature_polar_grid(params: LGParams, z=0.0, *, n_max=None, l_max=None,
 
     def build(m):
         rule = make_rule("legendre", m, interval=(0.0, rmax))
-        return PolarGrid(rule.nodes, phi, z=z, t=t, r_weights=rule.weights)
+        return PolarGrid(rule.nodes, phi, z=z, r_weights=rule.weights)
 
     if order is not None:
         return build(order)
-    prev = None
-    for m in (64, 128, 256, 512, 1024, 2048, 4096):
+
+    def evaluate(m):
         grid = build(m)
         row = _radial_profiles(n_max, l_max, params.k, params.w0, z, grid.r_nodes)[0][-1]
-        cur = math.sqrt(2.0 * math.pi * np.sum(grid.r_weights * grid.r_nodes * row**2))
-        if prev is not None and _converged(prev, cur, 0.0, 1e-10):
-            return grid
-        prev = cur
-    raise DiagnosticError(f"polar grid norm did not settle by order {m}")
+        value = math.sqrt(2.0 * math.pi * np.sum(grid.r_weights * grid.r_nodes * row**2))
+        return value, 1.0, grid
+
+    return _converge("quadrature_polar_grid norm", evaluate, [64 << k for k in range(7)], 0.0, 1e-10)
 
 
-def uniform_polar_grid(params: LGParams, z=0.0, *, n_max=None, l_max=None,
-                       nr=768, nphi=32, t=0.0):
+def uniform_polar_grid(params: LGParams, z=0.0, *, n_max=None, l_max=None, nr=768, nphi=32):
     """Uniform radial grid (origin excluded) with midpoint weights.
 
     Suited to finite-difference operator application; the first node sits at
@@ -354,4 +351,4 @@ def uniform_polar_grid(params: LGParams, z=0.0, *, n_max=None, l_max=None,
     r = (np.arange(nr) + 0.5) * h
     w = np.full(nr, h)
     phi = np.arange(nphi) * (2.0 * math.pi / nphi)
-    return PolarGrid(r, phi, z=z, t=t, r_weights=w)
+    return PolarGrid(r, phi, z=z, r_weights=w)

@@ -270,15 +270,15 @@ def _radial_norm(rule, values):
     return math.sqrt(float(rule.integrate(np.abs(values) ** 2 * rule.nodes)))
 
 
-def dilation_check(f, gamma, *, delta=1e-4, rule=None) -> DilationCheck:
+def dilation_check(f, gamma) -> DilationCheck:
     """Check the dilation family (D_g f)(r) = e^g f(e^g r) on a radial function.
 
-    Verifies that D_g is unitary under the measure r dr, that D_0 is the
-    identity, and that the central difference (D_d f - D_{-d} f) / (2 d)
-    matches the generator (r d/dr + 1) f, i.e. i PH f with hbar = 1.
+    Verifies on a 384-node Gauss-Legendre rule over (0, 32) that D_g is unitary
+    under r dr, that D_0 is the identity, and that the central difference
+    (D_d f - D_{-d} f) / (2 d), d = 1e-4, matches the generator (r d/dr + 1) f,
+    i.e. i PH f with hbar = 1.
     """
-    if rule is None:
-        rule = make_rule("legendre", 384, interval=(0.0, 32.0))
+    rule, delta = make_rule("legendre", 384, interval=(0.0, 32.0)), 1e-4
     r = rule.nodes
     base = np.asarray(f(r), dtype=complex)
     nf = _radial_norm(rule, base)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagnosticError
+from .errors import DiagnosticError, QuadratureConvergenceError
 
 __all__ = [
     "laguerre",
@@ -40,6 +40,25 @@ def _converged(a, b, rtol, atol):
     a, b = np.asarray(a), np.asarray(b)
     finite = np.all(np.isfinite(a)) and np.all(np.isfinite(b))
     return bool(finite and np.all(np.abs(a - b) <= np.maximum(atol, rtol * np.abs(b))))
+
+
+def _inaccurate(stage, detail):
+    """Raise the package's one accuracy error: `stage` missed its accuracy contract."""
+    raise QuadratureConvergenceError(f"{stage}: {detail}")
+
+
+def _converge(stage, evaluate, orders, rtol, atol):
+    """The one convergence gate: evaluate(order) -> (value, scale, result) for each of
+    `orders` until a pair passes `_converged(coarse, fine, rtol, atol * scale)`, scale
+    from the finer evaluation; returns that finer result, else raises via `_inaccurate`.
+    """
+    value = evaluate(orders[0])[0]
+    for order in orders[1:]:
+        prev, (value, scale, result) = value, evaluate(order)
+        if _converged(prev, value, rtol, atol * scale):
+            return result
+    change = np.max(np.abs(value - prev))
+    _inaccurate(stage, f"not converged at orders {list(orders)}, last change {change:.3g}")
 
 
 def laguerre(n, alpha, x):

@@ -7,7 +7,7 @@ import pytest
 import lgradial.analysis as analysis
 from lgradial.analysis import (decompose, expectation, overlap, overlap_matrix,
                                ph_vs_w0, ph_vs_z, raw_expectation)
-from lgradial.errors import DiagnosticError
+from lgradial.errors import DiagnosticError, QuadratureConvergenceError
 from lgradial.lgmode import (FieldGrid, LGParams, norm, quadrature_polar_grid,
                              sample)
 from lgradial.paraxops import Operator
@@ -38,6 +38,25 @@ class TestExpectation:
             z = 0.0
             assert abs(raw_expectation(op, p, z).imag) < 1e-9
         assert abs(raw_expectation(Operator("Nz", params=p, z=ZR), p, ZR).imag) < 1e-9
+
+    @pytest.mark.parametrize("n,l,orders", [(3, 0, [160, 320]), (300, 0, [1204, 2408]),
+                                            (20, 300, [160, 320, 640])])
+    def test_orders_climb_the_ladder_from_4_n_plus_4(self, monkeypatch, n, l, orders):
+        # m 2^k from m = max(160, 4 (n+1)); large |l| needs a third order
+        real, seen = raw_expectation, []
+
+        def spy(op, params, z=0.0, *, order=None):
+            seen.append(order)
+            return real(op, params, z, order=order)
+        monkeypatch.setattr(analysis, "raw_expectation", spy)
+        got = expectation("PH", LGParams(n, l, K, W0), 1.3 * ZR)
+        assert seen == orders
+        assert got == pytest.approx((2 * n + abs(l) + 1) * 1.3, rel=1e-9)
+
+    def test_imaginary_residue_is_an_accuracy_error(self, monkeypatch):
+        monkeypatch.setattr(analysis, "raw_expectation", lambda *a, **k: 1 + 1e-3j)
+        with pytest.raises(QuadratureConvergenceError, match="imaginary residue"):
+            expectation("PH", LGParams(0, 0, K, W0), ZR)
 
     @pytest.mark.parametrize("n,l,w0,z", [(40, 3, W0, 2.0), (2, 1, 5e-6, 2.0)])
     def test_ph_matches_closed_form(self, n, l, w0, z):

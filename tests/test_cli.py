@@ -90,6 +90,15 @@ class TestConfigParsing:
         assert run(tmp_path, "phexp", "--sweep.z_list_m", "[0.0]") == 5
         assert capsys.readouterr().err == "accuracy error: expectation not converged\n"
 
+    def test_imaginary_residue_exits_5_in_one_line(self, tmp_path, capsys, monkeypatch):
+        import lgradial.analysis as analysis
+
+        monkeypatch.setattr(analysis, "raw_expectation", lambda *a, **k: 1 + 1e-3j)
+        assert run(tmp_path, "phexp", "--sweep.z_list_m", "[0,1]") == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("accuracy error: expectation: ")
+        assert not list(tmp_path.iterdir())
+
 
 class TestRender:
     def test_fundamental_mode_images(self, tmp_path):

@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from lgradial.errors import DiagnosticError, GridError
+import lgradial.lgmode as lgmode
+from lgradial.errors import DiagnosticError, GridError, QuadratureConvergenceError
 from lgradial.lgmode import (FieldGrid, LGParams, PolarGrid, _radial_profiles, beam_geometry,
                              inner, lg_field, lg_partials, norm,
                              quadrature_polar_grid, sample,
@@ -152,6 +153,18 @@ class TestSampling:
         f = sample(params21, g)
         assert norm(FieldGrid(g, np.zeros_like(f.values))) == 0.0
         assert norm(FieldGrid(g, 2.0 * f.values)) == pytest.approx(2.0 * norm(f), rel=1e-13)
+
+    def test_unsettled_grid_norm_is_an_accuracy_error(self, params21, monkeypatch):
+        # a table whose scale grows with the rule order: the norm never settles
+        real = lgmode._radial_profiles
+
+        def drifting(n_max, l, k, w0, z, r):
+            table, curvature, gouy = real(n_max, l, k, w0, z, r)
+            return table * len(r), curvature, gouy
+        monkeypatch.setattr(lgmode, "_radial_profiles", drifting)
+        with pytest.raises(QuadratureConvergenceError,
+                           match=r"orders \[64, 128, 256, 512, 1024, 2048, 4096\]"):
+            quadrature_polar_grid(params21, 0.0)
 
     def test_norm_requires_quadrature_grid(self, params21):
         g = PolarGrid(np.linspace(1e-5, 4e-3, 64), np.arange(16) * (2 * math.pi / 16))

@@ -234,11 +234,11 @@ class TestDilation:
         assert abs(dc.unitarity_ratio - 1.0) < 1e-10
 
     def test_generator_matches_hyperbolic_momentum(self):
-        dc = dilation_check(lambda r: np.exp(-r**2), 0.5, delta=1e-4)
+        dc = dilation_check(lambda r: np.exp(-r**2), 0.5)
         assert dc.generator_defect < 1e-6
 
     def test_generator_on_ring_profile(self):
-        dc = dilation_check(lambda r: r**2 * np.exp(-r**2), 0.0, delta=1e-4)
+        dc = dilation_check(lambda r: r**2 * np.exp(-r**2), 0.0)
         assert dc.generator_defect < 1e-6
 
 

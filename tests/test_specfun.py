@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 from scipy.special import roots_legendre
 
 from lgradial import specfun
-from lgradial.errors import DiagnosticError
-from lgradial.specfun import (_converged, _gauss_legendre, _roots, bessel_j,
+from lgradial.errors import DiagnosticError, QuadratureConvergenceError
+from lgradial.specfun import (_converge, _converged, _gauss_legendre, _roots, bessel_j,
                               bessel_j_derivative, laguerre, make_rule)
 
 from oracles import bessel_series, laguerre_monomial
@@ -126,6 +128,54 @@ class TestConverged:
         assert _converged(0.0, 5e-8, 1e-7, 1e-7)
         assert _converged(1e6, 1e6 + 0.05, 1e-7, 1e-7)
         assert not _converged(np.ones(3), np.array([1.0, 1.0, 1.1]), 1e-7, 1e-7)
+
+
+class TestConverge:
+    def test_returns_the_finer_result_of_the_first_agreeing_pair(self):
+        values = {10: 1.0, 20: 2.0, 40: 2.0 + 1e-12, 80: 5.0}
+        calls = []
+
+        def evaluate(order):
+            calls.append(order)
+            return values[order], 1.0, ("result", order)
+        assert _converge("demo", evaluate, [10, 20, 40, 80], 1e-9, 0.0) == ("result", 40)
+        assert calls == [10, 20, 40]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_values_never_converge(self, bad):
+        with pytest.raises(QuadratureConvergenceError,
+                           match=r"^demo stage: not converged at orders \[8, 16, 32\]"):
+            _converge("demo stage", lambda order: (bad, 1.0, order), [8, 16, 32], 1.0, 1.0)
+
+    def test_message_names_the_last_change(self):
+        with pytest.raises(QuadratureConvergenceError, match=r"last change 0\.25$"):
+            _converge("demo", lambda order: (1.0 / order, 1.0, order), [1, 2, 4], 0.0, 1e-3)
+
+    def test_atol_is_scaled_by_the_finer_evaluation(self):
+        # the values move by 1e-3; atol 2e-6 passes only at the finer scale 1e3
+        def evaluate_with(scales):
+            return lambda order: (1e-3 * order, scales[order], order)
+        assert _converge("demo", evaluate_with({1: 1.0, 2: 1e3}), [1, 2], 0.0, 2e-6) == 2
+        with pytest.raises(QuadratureConvergenceError):
+            _converge("demo", evaluate_with({1: 1e3, 2: 1.0}), [1, 2], 0.0, 2e-6)
+
+
+def test_convergence_gates_live_in_specfun_only():
+    # every order-doubled quadrature goes through specfun._converge, so no
+    # other module judges a pair or raises the accuracy error itself
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    hits = set()
+    for path in sorted(Path(specfun.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and name(node) == "_converged":
+                hits.add((path.name, "_converged"))
+            if isinstance(node, ast.Raise) and node.exc is not None \
+                    and name(node.exc) == "QuadratureConvergenceError":
+                hits.add((path.name, "raise"))
+    assert hits == {("specfun.py", "_converged"), ("specfun.py", "raise")}
 
 
 class TestQuadrature:
