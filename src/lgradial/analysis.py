@@ -1,9 +1,9 @@
-"""Expectation values and figure-level curves by quadrature; overlaps by algebra.
+"""Expectation values and figure-level curves by exact quadrature; overlaps by algebra.
 
 All integrals use the transverse area measure r dr dphi at fixed z, under
-which the closed-form modes are exactly normalized.  Expectations (and the
-hyperbolic-momentum curves made of them) are convergence-checked on a
-doubling ladder of radial quadrature orders; the curves carry fit diagnostics
+which the closed-form modes are exactly normalized.  An expectation on mode n
+is one (n+1)-node Gauss rule in u = 2 r^2/w_z^2, exact for every transverse
+operator; the hyperbolic-momentum curves made of them carry fit diagnostics
 so figure-level claims can be asserted directly.  Overlap matrices take no integral: they are
 su(1,1) representation matrices, one real three-term recurrence in O(n_max^2).
 """
@@ -19,9 +19,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DiagnosticError
 from .lgmode import (_RESCALE, FieldGrid, LGParams, _radial_profiles, _require_weights,
-                     beam_geometry, norm, quadrature_polar_grid)
+                     beam_geometry, norm)
 from .paraxops import Operator, _mode_apply
-from .specfun import _converge, _inaccurate
+from .specfun import _inaccurate
 
 __all__ = [
     "ExpectationSeries",
@@ -48,15 +48,21 @@ def _as_operator(op, params: LGParams, z: float) -> Operator:
     return Operator(op, **kwargs)
 
 
-def raw_expectation(op, params: LGParams, z=0.0, *, order=None) -> complex:
+def raw_expectation(op, params: LGParams, z=0.0) -> complex:
     """<f, A f> / <f, f> on the mode, as a raw complex number.
 
-    A 1-D radial integral on the Gauss-Legendre rule of the mode's quadrature
-    grid; the phi integral, 2 pi, cancels.
+    With a = |l| and u = 2 r^2/w_z^2, conj(f) A f is u^a e^(-u) times a polynomial
+    of degree <= 2n+1, which the (n+1)-node Gauss rule for that weight integrates
+    exactly (Golub & Welsch): nodes from the Jacobi matrix (diagonal 2j+a+1,
+    off-diagonal sqrt(j(j+a))), weights 1/sum_(k<=n) table[k]^2 (the Christoffel
+    function up to a constant that cancels, as does the phi integral).
     """
-    grid = quadrature_polar_grid(params, z, order=order or 192)
-    f, out = _mode_apply(_as_operator(op, params, z), params, z, grid.r_nodes)
-    w = grid.r_weights * grid.r_nodes
+    n, a = params.n, abs(params.l)
+    j = np.arange(n + 1.0)
+    jacobi = np.diag(2 * j + a + 1) + np.diag(np.sqrt(j[1:] * (j[1:] + a)), -1)
+    r = beam_geometry(params, z).w_z * np.sqrt(0.5 * np.linalg.eigvalsh(jacobi))
+    w = 1.0 / np.sum(_radial_profiles(n, params.l, params.k, params.w0, z, r)[0] ** 2, axis=0)
+    f, out = _mode_apply(_as_operator(op, params, z), params, z, r)
     return complex(np.sum(w * np.conj(f) * out) / np.sum(w * np.abs(f) ** 2))
 
 
@@ -66,21 +72,13 @@ _SELF_ADJOINT_KINDS = ("PH", "Lz", "N0", "Nz", "laplacian_t")
 def expectation(op, params: LGParams, z=0.0) -> float:
     """Expectation value of a transverse operator on a mode at plane z.
 
-    Restricted to operators that are self-adjoint on LG inputs.  The radial
-    order climbs the ladder m 2^k, k = 0..4, m = max(160, 4 (n+1)), until two
-    successive values agree to 1e-7 max(1, |value|); the imaginary residue of
-    the hermitian value must be below 1e-9 max(1, |value|) and is discarded.
+    Restricted to operators that are self-adjoint on LG inputs.  One exact `raw_expectation`;
+    its imaginary residue must be below 1e-9 max(1, |value|) and is discarded.
     """
     kind = op.kind if isinstance(op, Operator) else op
     if kind not in _SELF_ADJOINT_KINDS:
         raise DiagnosticError(f"expectation is defined for {_SELF_ADJOINT_KINDS}, got {kind!r}")
-
-    def evaluate(order):
-        value = raw_expectation(op, params, z, order=order)
-        return value, 1.0, value
-
-    m = max(160, 4 * (params.n + 1))
-    value = _converge("expectation", evaluate, [m << k for k in range(5)], 1e-7, 1e-7)
+    value = raw_expectation(op, params, z)
     if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
         _inaccurate("expectation", f"hermitian operator has imaginary residue {value.imag}")
     return float(value.real)
@@ -153,7 +151,7 @@ def overlap(params_a: LGParams, z_a: float, params_b: LGParams, z_b: float) -> c
     if params_a.k != params_b.k:
         raise DiagnosticError("overlap requires a shared wavenumber k")
     if params_a.l != params_b.l:
-        return 0.0
+        return 0j
     M = overlap_matrix(params_a.l, range(max(params_a.n, params_b.n) + 1), z_a, z_b,
                        params_a.w0, params_b.w0, params_a.k)
     return complex(M.entries[params_a.n, params_b.n])
@@ -222,7 +220,7 @@ def overlap_matrix(l, n_set, z, z_prime, w0, w0_prime, k) -> OverlapMatrix:
     - arg G + 2 phi)) below.  O(n_max^2); a non-finite entry raises DiagnosticError.
     """
     n_set = tuple(int(n) for n in n_set)
-    if list(n_set) != list(range(len(n_set))):
+    if not n_set or n_set != tuple(range(len(n_set))):
         raise DiagnosticError("n_set must be contiguous from 0")
     n_max, m = max(n_set), np.arange(len(n_set))
     geo = beam_geometry(LGParams(0, l, k, w0), z)
@@ -265,6 +263,8 @@ def decompose(field_grid: FieldGrid, l, n_set, z, w0, k) -> Decomposition:
         raise DiagnosticError("field and basis must share the plane z")
     weights = _require_weights(grid)
     n_set = tuple(int(n) for n in n_set)
+    if min(n_set, default=0) < 0:
+        raise DiagnosticError(f"n_set must hold radial indices n >= 0, got {n_set}")
     table, curvature, gouy = _radial_profiles(max(n_set, default=0), l, k, w0, z, grid.r_nodes)
     basis = (table * curvature * gouy[:, None])[list(n_set)]
     azimuthal = np.exp(1j * l * grid.phi_nodes)

@@ -39,19 +39,15 @@ class TestExpectation:
             assert abs(raw_expectation(op, p, z).imag) < 1e-9
         assert abs(raw_expectation(Operator("Nz", params=p, z=ZR), p, ZR).imag) < 1e-9
 
-    @pytest.mark.parametrize("n,l,orders", [(3, 0, [160, 320]), (300, 0, [1204, 2408]),
-                                            (20, 300, [160, 320, 640])])
-    def test_orders_climb_the_ladder_from_4_n_plus_4(self, monkeypatch, n, l, orders):
-        # m 2^k from m = max(160, 4 (n+1)); large |l| needs a third order
-        real, seen = raw_expectation, []
-
-        def spy(op, params, z=0.0, *, order=None):
-            seen.append(order)
-            return real(op, params, z, order=order)
-        monkeypatch.setattr(analysis, "raw_expectation", spy)
+    @pytest.mark.parametrize("n,l", [(3, 0), (300, 0), (20, 300)])
+    def test_ph_is_exact_at_high_n_and_l(self, n, l):
         got = expectation("PH", LGParams(n, l, K, W0), 1.3 * ZR)
-        assert seen == orders
         assert got == pytest.approx((2 * n + abs(l) + 1) * 1.3, rel=1e-9)
+
+    def test_raw_expectation_is_exact_at_n_120(self):
+        got = raw_expectation("PH", LGParams(120, 0, K, W0), 1.3 * ZR)
+        assert got.real == pytest.approx(313.3, rel=1e-12)
+        assert abs(got.imag) < 1e-9
 
     def test_imaginary_residue_is_an_accuracy_error(self, monkeypatch):
         monkeypatch.setattr(analysis, "raw_expectation", lambda *a, **k: 1 + 1e-3j)
@@ -168,7 +164,8 @@ class TestOverlap:
     def test_different_l_is_exactly_zero(self):
         a = LGParams(0, 1, K, W0)
         b = LGParams(0, 2, K, W0)
-        assert overlap(a, 0.0, b, 0.0) == 0.0
+        got = overlap(a, 0.0, b, 0.0)
+        assert got == 0.0 and isinstance(got, complex)
 
     def test_shared_wavenumber_required(self):
         a = LGParams(0, 0, K, W0)
@@ -240,6 +237,10 @@ class TestOverlapMatrix:
     def test_requires_contiguous_n_set(self):
         with pytest.raises(DiagnosticError):
             overlap_matrix(0, [1, 2, 3], 0.0, 0.0, W0, W0, K)
+
+    def test_rejects_empty_n_set(self):
+        with pytest.raises(DiagnosticError, match="contiguous from 0"):
+            overlap_matrix(0, [], 0.0, 0.0, W0, W0, K)
 
     @pytest.mark.parametrize("l", [0, 5, -300])
     def test_identity_at_equal_families(self, l):
@@ -364,3 +365,10 @@ class TestDecompose:
         f = sample(LGParams(0, 0, K, W0), g)
         with pytest.raises(DiagnosticError):
             decompose(f, 0, range(3), 0.0, W0, K)
+
+    def test_negative_mode_number_rejected(self):
+        # the table index would wrap and return c_1 again as "c_-1"
+        g = quadrature_polar_grid(LGParams(2, 2, K, W0), 0.0, n_max=2, l_max=2, order=128)
+        f = sample(LGParams(1, 2, K, W0), g)
+        with pytest.raises(DiagnosticError, match="n >= 0"):
+            decompose(f, 2, [0, 1, -1], 0.0, W0, K)

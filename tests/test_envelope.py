@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lgradial.analysis import expectation, overlap_matrix
+from lgradial.analysis import expectation, overlap_matrix, raw_expectation
 from lgradial.lgmode import LGParams, beam_geometry, lg_partials
 from lgradial.paraxops import Operator
 
@@ -29,11 +29,18 @@ from oracles import overlap_matrix_quadrature
 def test_expectations_match_closed_forms(n, l, z_over_zr, w0):
     p = LGParams(n, l, K, w0)
     z = z_over_zr * p.rayleigh_range
-    cases = ((Operator("N0", params=p), 0.0, n),
-             (Operator("Nz", params=p, z=z), z, n),
-             ("PH", z, (2 * n + abs(l) + 1) * z_over_zr))
-    for op, plane, want in cases:
-        got = expectation(op, p, plane)
+    mode_order = 2 * n + abs(l) + 1
+    cases = ((expectation, Operator("N0", params=p), 0.0, n),
+             (expectation, Operator("N0", params=p, sign_policy="verbatim"), 0.0,
+              n + (abs(l) - l) / 2),
+             (expectation, Operator("Nz", params=p, z=z), z, n),
+             (expectation, "PH", z, mode_order * z_over_zr),
+             (expectation, "Lz", z, l),
+             (expectation, "laplacian_t", z, -2 * mode_order / w0**2),
+             (raw_expectation, Operator("curvature_term", params=p, z=z), z,
+              -mode_order * z_over_zr**2 / 2))
+    for mean, op, plane, want in cases:
+        got = mean(op, p, plane)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (op, got, want)
 
 
