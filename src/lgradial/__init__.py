@@ -3,9 +3,10 @@
 Subpackages by capability:
 
   specfun   - Laguerre polynomials (real/complex argument), Bessel J,
-              Gauss-Legendre and Gauss-Laguerre rules
+              Gauss-Legendre rules
   lgmode    - closed-form paraxial LG fields, beam geometry, grids, norms,
-              analytic partial derivatives
+              analytic partial derivatives, the Gauss rule in u = 2 r^2/w_z^2
+              that makes quadrature grids and expectations exact
   paraxops  - transverse operators (Lz, Laplacian, hyperbolic momentum,
               radial-index operators), dilations, commutators
   analysis  - expectation values, figure-level curves, overlap/crosstalk

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DiagnosticError
-from .lgmode import (_RESCALE, FieldGrid, LGParams, _radial_profiles, _require_weights,
-                     beam_geometry, norm)
+from .lgmode import (_RESCALE, FieldGrid, LGParams, _gauss_u, _radial_profiles,
+                     _require_weights, beam_geometry, norm)
 from .paraxops import Operator, _mode_apply
 from .specfun import _inaccurate
 
@@ -52,18 +53,13 @@ def raw_expectation(op, params: LGParams, z=0.0) -> complex:
     """<f, A f> / <f, f> on the mode, as a raw complex number.
 
     With a = |l| and u = 2 r^2/w_z^2, conj(f) A f is u^a e^(-u) times a polynomial
-    of degree <= 2n+1, which the (n+1)-node Gauss rule for that weight integrates
-    exactly (Golub & Welsch): nodes from the Jacobi matrix (diagonal 2j+a+1,
-    off-diagonal sqrt(j(j+a))), weights 1/sum_(k<=n) table[k]^2 (the Christoffel
-    function up to a constant that cancels, as does the phi integral).
+    of degree <= 2n+1, which `_gauss_u(n+1, a)` integrates exactly; the constant
+    factor between du and r dr dphi cancels in the ratio.
     """
-    n, a = params.n, abs(params.l)
-    j = np.arange(n + 1.0)
-    jacobi = np.diag(2 * j + a + 1) + np.diag(np.sqrt(j[1:] * (j[1:] + a)), -1)
-    r = beam_geometry(params, z).w_z * np.sqrt(0.5 * np.linalg.eigvalsh(jacobi))
-    w = 1.0 / np.sum(_radial_profiles(n, params.l, params.k, params.w0, z, r)[0] ** 2, axis=0)
+    u, lam = _gauss_u(params.n + 1, abs(params.l))
+    r = beam_geometry(params, z).w_z * np.sqrt(0.5 * u)
     f, out = _mode_apply(_as_operator(op, params, z), params, z, r)
-    return complex(np.sum(w * np.conj(f) * out) / np.sum(w * np.abs(f) ** 2))
+    return complex(np.sum(lam * np.conj(f) * out) / np.sum(lam * np.abs(f) ** 2))
 
 
 _SELF_ADJOINT_KINDS = ("PH", "Lz", "N0", "Nz", "laplacian_t")
@@ -208,6 +204,14 @@ def _su11_magnitudes(n_max, a, rho):
     return t * np.ldexp(half, e // 2) * np.ldexp(half, e - e // 2)  # halves stay normal
 
 
+def _radial_indices(n_set):
+    """n_set as a tuple of ints; an entry that is not an integer >= 0 raises DiagnosticError."""
+    n_set = tuple(n_set)
+    if not all(isinstance(n, numbers.Integral) and n >= 0 for n in n_set):
+        raise DiagnosticError(f"n_set must hold integer radial indices n >= 0, got {n_set}")
+    return tuple(int(n) for n in n_set)
+
+
 def overlap_matrix(l, n_set, z, z_prime, w0, w0_prime, k) -> OverlapMatrix:
     """Full overlap matrix between two mode families of common l and k.
 
@@ -219,7 +223,7 @@ def overlap_matrix(l, n_set, z, z_prime, w0, w0_prime, k) -> OverlapMatrix:
     exp(-i (arg d + arg G + 2 phi')) above the diagonal, -tanh(tau) exp(i (arg d
     - arg G + 2 phi)) below.  O(n_max^2); a non-finite entry raises DiagnosticError.
     """
-    n_set = tuple(int(n) for n in n_set)
+    n_set = _radial_indices(n_set)
     if not n_set or n_set != tuple(range(len(n_set))):
         raise DiagnosticError("n_set must be contiguous from 0")
     n_max, m = max(n_set), np.arange(len(n_set))
@@ -262,9 +266,7 @@ def decompose(field_grid: FieldGrid, l, n_set, z, w0, k) -> Decomposition:
     if not math.isclose(grid.z, z, rel_tol=0, abs_tol=1e-12 * (1 + abs(z))):
         raise DiagnosticError("field and basis must share the plane z")
     weights = _require_weights(grid)
-    n_set = tuple(int(n) for n in n_set)
-    if min(n_set, default=0) < 0:
-        raise DiagnosticError(f"n_set must hold radial indices n >= 0, got {n_set}")
+    n_set = _radial_indices(n_set)
     table, curvature, gouy = _radial_profiles(max(n_set, default=0), l, k, w0, z, grid.r_nodes)
     basis = (table * curvature * gouy[:, None])[list(n_set)]
     azimuthal = np.exp(1j * l * grid.phi_nodes)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one quadrature-order check."""
+
+import numbers
 
 
 class DiagnosticError(ValueError):
@@ -11,3 +13,10 @@ class QuadratureConvergenceError(DiagnosticError):
 
 class GridError(DiagnosticError):
     """A grid does not satisfy the requirements of the requested operation."""
+
+
+def _check_order(order):
+    """A quadrature order is an integer >= 1: not a bool, a float or a string."""
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
+        raise DiagnosticError(f"quadrature order must be an integer >= 1, got {order!r}")
+    return int(order)

@@ -4,7 +4,7 @@ Contains the scalar Bessel modes chi (exact solutions of the full wave
 equation), the Riemann-Silberstein vector field of a single Bessel mode,
 finite-difference Maxwell/wave-equation residual checks, the closed-form
 exact Laguerre-Gauss-type scalar field with complex beam parameter
-a(t_plus) = w^2 + i sigma c^2 t_plus / Omega, and Gauss-Laguerre synthesis
+a(t_plus) = w^2 + i sigma c^2 t_plus / Omega, and Gauss-rule synthesis
 of that field from its momentum-space weight.
 
 The scalar field of the closed form is
@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT
-from .errors import DiagnosticError
+from .errors import DiagnosticError, _check_order
+from .lgmode import _gauss_u
 from .momentum import ExactMomentumParams
-from .specfun import _converge, bessel_j, bessel_j_derivative, laguerre, make_rule
+from .specfun import _converge, bessel_j, bessel_j_derivative, laguerre
 
 __all__ = [
     "BesselModeParams",
@@ -254,13 +255,14 @@ def chi_closed_form(params: ExactMomentumParams, p: SpacetimePoint):
 
 
 def _synthesis_radial(params: ExactMomentumParams, p: SpacetimePoint, order):
-    rule = make_rule("laguerre", order, scale=params.beta)
-    km = rule.nodes
+    # the weight e^(-beta k_minus) becomes the rule's e^(-u), u = beta k_minus
+    u, lam = _gauss_u(order, 0)
+    km = u / params.beta
     g = (km ** (params.n + abs(params.m) / 2.0)
          * (params.k_plus + km)
          * np.exp(-1j * params.sigma * C_LIGHT * km * p.t_plus)
          * bessel_j(params.m, 2.0 * p.r * np.sqrt(params.k_plus * km)))
-    weighted = rule.weights * g
+    weighted = lam * np.exp(-u) / params.beta * g
     value = complex(np.sum(weighted))
     return value, float(np.sum(np.abs(weighted))), value  # value, integrand mass, result
 
@@ -271,13 +273,14 @@ def synthesize_lg(params: ExactMomentumParams, p: SpacetimePoint,
 
     Evaluates int_0^inf dk_minus psi(k_minus) exp(-i sigma c (k_plus t_minus
     + k_minus t_plus)) J_m(2 r sqrt(k_plus k_minus)) on the constraint
-    surface with a Gauss-Laguerre rule whose scale absorbs the physical
-    exponent, so no truncation radius is ever chosen.  The azimuthal
-    integral is resolved analytically to the exp(i sigma m phi) term.
+    surface by the Gauss rule in u = beta k_minus for the weight e^(-u)
+    (`lgmode._gauss_u`), which absorbs the physical exponent, so no truncation
+    radius is ever chosen.  The azimuthal integral is resolved analytically to
+    the exp(i sigma m phi) term.  `quad_order` is an integer >= 8.
     With `check_convergence`, orders q and 2q must agree to 1e-8 relative or
     1e-11 of the integrand mass (in oscillatory tails far above the value).
     """
-    if quad_order < 8:
+    if _check_order(quad_order) < 8:
         raise DiagnosticError("quad_order must be >= 8")
     val = (_converge("synthesis integral", lambda q: _synthesis_radial(params, p, q),
                      (quad_order, 2 * quad_order), 1e-8, 1e-11) if check_convergence

@@ -14,14 +14,14 @@ Sign conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagnosticError, GridError
-from .specfun import _converge, make_rule
+from .errors import DiagnosticError, GridError, _check_order
 
 __all__ = [
     "LGParams",
@@ -213,6 +213,30 @@ def _radial_profiles(n_max, l, k, w0, z, r):
     return table, curvature, gouy
 
 
+@functools.lru_cache(maxsize=64)
+def _gauss_u(m, a):
+    """The m-node Gauss rule in u on (0, inf) for the weight u^a e^(-u), as (u, lam).
+
+    sum_j lam_j F(u_j) = int F du exactly when F is u^a e^(-u) times a polynomial of
+    degree <= 2m-1 (Golub & Welsch): the nodes are the eigenvalues of the Jacobi
+    matrix (diagonal 2j+a+1, off-diagonal sqrt(j(j+a))), and lam_j = 1/sum_(k<m)
+    phi_k(u_j)^2 are the Christoffel weights with the weight function folded in, read
+    off the overflow-safe `_radial_profiles` table at w_z = sqrt(2), where r = sqrt(u).
+    The arrays are read-only, because every caller shares the cached ones.
+    """
+    jacobi = np.zeros((m, m))
+    j = np.arange(m, dtype=float)
+    jacobi.flat[::m + 1] = 2 * j + a + 1
+    jacobi.flat[m::m + 1] = np.sqrt(j[1:] * (j[1:] + a))  # the lower triangle is read
+    u = np.linalg.eigvalsh(jacobi)
+    # table[k] = phi_k(u) / sqrt(pi) at w_z = sqrt(2)
+    table = _radial_profiles(m - 1, a, 1.0, math.sqrt(2.0), 0.0, np.sqrt(u))[0]
+    lam = 1.0 / (math.pi * np.sum(table**2, axis=0))
+    u.setflags(write=False)
+    lam.setflags(write=False)
+    return u, lam
+
+
 def lg_field(params: LGParams, r, phi, z):
     """Complex LG amplitude at (r, phi, z); r and phi broadcast as arrays.
 
@@ -300,43 +324,22 @@ def lg_partials(params: LGParams, r, phi, z):
     return d_r * azimuthal, d2_r * azimuthal, 1j * params.l * value, -(params.l ** 2) * value
 
 
-def _radial_extent(params: LGParams, z: float, n_max=None, l_max=None):
-    n_max = params.n if n_max is None else n_max
-    l_max = abs(params.l) if l_max is None else abs(l_max)
-    wz = beam_geometry(params, z).w_z
-    # 1.5x the classical turning radius, floored at 4.5 w_z so the Gaussian
-    # tail beyond the edge stays below 1e-17 even for the lowest modes
-    return wz * max(1.5 * math.sqrt(2.0 * (2 * n_max + l_max + 1)), 4.5)
-
-
 def quadrature_polar_grid(params: LGParams, z=0.0, *, n_max=None, l_max=None,
                           nphi=32, order=None):
-    """Gauss-Legendre polar grid sized for modes up to (n_max, l_max).
+    """Polar grid on the Gauss rule in u = 2 r^2/w_z^2, exact for modes up to (n_max, l_max).
 
-    The radial extent covers the classical turning radius of the largest
-    requested mode with a 1.5x margin (floored at 4.5 w_z for the lowest
-    modes).  Without `order` the rule climbs the ladder 64, 128, ..., 4096 until
-    the norm of that mode, from its radial table row, moves by < 1e-10.
+    For modes f, g of this grid's (k, w0) at plane z up to (n_max, l_max) and
+    transverse operators A, B, conj(A f) B g r dr is e^(-u) times a polynomial of
+    degree <= 2 n_max + |l_max| + 2 in u, so the default order n_max + 2 + |l_max|//2
+    integrates <A f, B g> exactly.  Nodes r = w_z sqrt(u/2), dr-weights w_z^2 lam/(4 r).
     """
     n_max = params.n if n_max is None else n_max
     l_max = params.l if l_max is None else l_max
-    rmax = _radial_extent(params, z, n_max, l_max)
+    u, lam = _gauss_u(_check_order(n_max + 2 + abs(l_max) // 2 if order is None else order), 0)
+    w_z = beam_geometry(params, z).w_z
+    r = w_z * np.sqrt(0.5 * u)
     phi = np.arange(nphi) * (2.0 * math.pi / nphi)
-
-    def build(m):
-        rule = make_rule("legendre", m, interval=(0.0, rmax))
-        return PolarGrid(rule.nodes, phi, z=z, r_weights=rule.weights)
-
-    if order is not None:
-        return build(order)
-
-    def evaluate(m):
-        grid = build(m)
-        row = _radial_profiles(n_max, l_max, params.k, params.w0, z, grid.r_nodes)[0][-1]
-        value = math.sqrt(2.0 * math.pi * np.sum(grid.r_weights * grid.r_nodes * row**2))
-        return value, 1.0, grid
-
-    return _converge("quadrature_polar_grid norm", evaluate, [64 << k for k in range(7)], 0.0, 1e-10)
+    return PolarGrid(r, phi, z=z, r_weights=w_z**2 * lam / (4.0 * r))
 
 
 def uniform_polar_grid(params: LGParams, z=0.0, *, n_max=None, l_max=None, nr=768, nphi=32):
@@ -346,7 +349,12 @@ def uniform_polar_grid(params: LGParams, z=0.0, *, n_max=None, l_max=None, nr=76
     half a step so 1/r terms stay bounded.  The midpoint rule is second
     order, ample for the norm ratios the FD paths need.
     """
-    rmax = _radial_extent(params, z, n_max, l_max)
+    n_max = params.n if n_max is None else n_max
+    l_max = params.l if l_max is None else l_max
+    # 1.5x the classical turning radius, floored at 4.5 w_z so the Gaussian
+    # tail beyond the edge stays below 1e-17 even for the lowest modes
+    turning = math.sqrt(2.0 * (2 * n_max + abs(l_max) + 1))
+    rmax = beam_geometry(params, z).w_z * max(1.5 * turning, 4.5)
     h = rmax / nr
     r = (np.arange(nr) + 0.5) * h
     w = np.full(nr, h)

@@ -7,24 +7,24 @@ recurrence is reused verbatim over complex arithmetic, which is needed for
 the complex-beam-parameter arguments of the exact wave solutions.
 
 Gauss-Legendre rules are computed here with numpy: Newton's method on the
-Legendre three-term recurrence, from Tricomi's initial guesses.
+Legendre three-term recurrence, from Tricomi's initial guesses.  (The Gauss
+rule in u = 2 r^2/w_z^2 for Laguerre-type integrals is `lgmode._gauss_u`,
+built on the radial table.)
 
 Bessel functions of the first kind (series / continued-fraction evaluation,
-accurate to ~1e-15) and the Gauss-Laguerre nodes are delegated to scipy; the
-integer reflection J_{-m} = (-1)^m J_m is applied explicitly.  Only the
-exact-wave module calls either, so scipy is imported on the first Bessel J
-or Gauss-Laguerre call, not with the package.
+accurate to ~1e-15) are delegated to scipy; the integer reflection
+J_{-m} = (-1)^m J_m is applied explicitly.  Only the exact-wave module calls
+them, so scipy is imported on the first Bessel J call, not with the package.
 """
 
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagnosticError, QuadratureConvergenceError
+from .errors import DiagnosticError, QuadratureConvergenceError, _check_order
 
 __all__ = [
     "laguerre",
@@ -117,20 +117,13 @@ def bessel_j_derivative(m, x):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """An immutable Gaussian quadrature rule.
-
-    kind "legendre": integrates f over the finite interval `interval`.
-    kind "laguerre": integrates f(x) e^{-scale x} over (0, inf); the
-    exponential weight is part of the rule, so integrands are supplied
-    without it.
-    """
+    """An immutable Gauss-Legendre rule: integrates f over the finite interval `interval`."""
 
     kind: str
     order: int
     nodes: np.ndarray
     weights: np.ndarray
     interval: tuple[float, float] | None = None
-    scale: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
@@ -182,57 +175,28 @@ def _gauss_legendre(n):
 
 
 @functools.lru_cache(maxsize=64)
-def _roots(kind, order):
+def _roots(order):
     # read-only, because every caller shares the cached arrays
-    if kind == "legendre":
-        x, w = _gauss_legendre(order)
-    else:
-        from scipy.special import roots_laguerre
-
-        x, w = roots_laguerre(order)
+    x, w = _gauss_legendre(order)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
 
 
-def make_rule(kind, order, *, interval=None, scale=None):
-    """Construct a Gauss-Legendre or Gauss-Laguerre rule.
+def make_rule(kind, order, *, interval=None):
+    """Construct a Gauss-Legendre rule of `order` >= 1 nodes on `interval` = (a, b).
 
-    Parameters
-    ----------
-    kind : {"legendre", "laguerre"}
-    order : int
-        Number of nodes, >= 1.
-    interval : (a, b), required for kind "legendre"
-    scale : float > 0, required for kind "laguerre"
-        Decay rate of the weight e^{-scale x}; nodes and weights are the
-        standard Gauss-Laguerre ones mapped by x -> x / scale, so
-        sum(w_i f(x_i)) approximates the integral of f(x) e^{-scale x}.
+    `kind` must be "legendre", the one kind.
     """
-    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
-        raise DiagnosticError(f"quadrature order must be an integer >= 1, got {order!r}")
-    order = int(order)
-    if kind == "legendre":
-        if interval is None:
-            raise DiagnosticError("legendre rule requires an interval")
-        a, b = float(interval[0]), float(interval[1])
-        if not b > a:
-            raise DiagnosticError(f"empty interval ({a}, {b})")
-        x, w = _roots("legendre", order)
-        nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
-        weights = 0.5 * (b - a) * w
-        return QuadratureRule("legendre", order, nodes, weights, interval=(a, b))
-    if kind == "laguerre":
-        if scale is None or scale <= 0:
-            raise DiagnosticError("laguerre rule requires scale > 0")
-        if order > 350:
-            raise DiagnosticError(
-                f"laguerre rules are numerically reliable up to order 350, got {order}")
-        x, w = _roots("laguerre", order)
-        # beyond order ~180 the outermost weights underflow to exact zero;
-        # those nodes carry nothing, so drop them rather than violate the
-        # positive-weight invariant
-        keep = w > 0.0
-        return QuadratureRule("laguerre", order, x[keep] / scale, w[keep] / scale,
-                              scale=float(scale))
-    raise DiagnosticError(f"unknown quadrature kind {kind!r}")
+    order = _check_order(order)
+    if kind != "legendre":
+        raise DiagnosticError(f"unknown quadrature kind {kind!r}")
+    if interval is None:
+        raise DiagnosticError("legendre rule requires an interval")
+    a, b = float(interval[0]), float(interval[1])
+    if not b > a:
+        raise DiagnosticError(f"empty interval ({a}, {b})")
+    x, w = _roots(order)
+    nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
+    weights = 0.5 * (b - a) * w
+    return QuadratureRule("legendre", order, nodes, weights, interval=(a, b))

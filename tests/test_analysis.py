@@ -242,6 +242,13 @@ class TestOverlapMatrix:
         with pytest.raises(DiagnosticError, match="contiguous from 0"):
             overlap_matrix(0, [], 0.0, 0.0, W0, W0, K)
 
+    def test_rejects_non_integer_mode_numbers(self):
+        # int() would truncate [0, 1.7] to (0, 1)
+        with pytest.raises(DiagnosticError, match="integer radial indices"):
+            overlap_matrix(0, [0, 1.7], 0.0, 0.0, W0, W0, K)
+        M = overlap_matrix(0, np.arange(3), 0.0, 0.0, W0, W0, K)
+        assert M.n_set == (0, 1, 2) and all(type(n) is int for n in M.n_set)
+
     @pytest.mark.parametrize("l", [0, 5, -300])
     def test_identity_at_equal_families(self, l):
         M = overlap_matrix(l, range(301), 0.4 * ZR, 0.4 * ZR, W0, W0, K)
@@ -372,3 +379,11 @@ class TestDecompose:
         f = sample(LGParams(1, 2, K, W0), g)
         with pytest.raises(DiagnosticError, match="n >= 0"):
             decompose(f, 2, [0, 1, -1], 0.0, W0, K)
+
+    def test_non_integer_mode_number_rejected(self):
+        # int() would truncate [0.5, 1.9] and project onto n = 0 and 1
+        g = quadrature_polar_grid(LGParams(2, 2, K, W0), 0.0, n_max=2, l_max=2)
+        f = sample(LGParams(1, 2, K, W0), g)
+        with pytest.raises(DiagnosticError, match="integer radial indices"):
+            decompose(f, 2, [0.5, 1.9], 0.0, W0, K)
+        assert decompose(f, 2, np.arange(3), 0.0, W0, K).n_set == (0, 1, 2)

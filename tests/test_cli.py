@@ -276,16 +276,17 @@ class TestDeterminism:
         assert (a / "lg_verify.json").read_bytes() == (b / "lg_verify.json").read_bytes()
 
 
-# scipy is only needed by exactwave (Bessel J, Gauss-Laguerre nodes); the
-# package import and the render/phexp/overlap commands must not load it
+# scipy is only needed by exactwave (Bessel J); the package import, the
+# render/phexp/overlap commands and the synthesis quadrature rule must not load it
 IMPORT_GUARD = """
 import sys
 import lgradial, lgradial.cli
-from lgradial import specfun
+from lgradial import lgmode, specfun
 for argv in (["render", "--grid.pixels", "16"],
              ["phexp", "--sweep.z_list_m", "[0.0,1.0]"],
              ["overlap", "--sweep.dz_list_m", "[0.0,1.0]", "--sweep.n_max", "3"]):
     assert lgradial.cli.main(argv + ["--output.dir", sys.argv[1]]) == 0, argv
+lgmode._gauss_u(128, 0)  # the rule synthesize_lg builds at its default order
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 specfun.bessel_j(0, 1.0)
 assert "scipy" in sys.modules

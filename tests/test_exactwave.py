@@ -178,6 +178,12 @@ class TestSynthesis:
         with pytest.raises(DiagnosticError):
             synthesize_lg(p, SpacetimePoint(0.0, 0.0, 0.0, 0.0), 4)
 
+    @pytest.mark.parametrize("order", [0, 2.5, True, "4", 7])
+    def test_order_must_be_an_integer_from_8(self, order):
+        p = ExactMomentumParams(0, 0, 1, OMEGA, W0)
+        with pytest.raises(DiagnosticError):
+            synthesize_lg(p, SpacetimePoint(0.0, 0.0, 0.0, 0.0), order)
+
     @staticmethod
     def _sample_points(rng, count=200):
         return [SpacetimePoint(r=float(rv) * W0, phi=float(pv), z=float(zv) * W0,

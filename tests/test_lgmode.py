@@ -4,8 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-import lgradial.lgmode as lgmode
-from lgradial.errors import DiagnosticError, GridError, QuadratureConvergenceError
+from lgradial.errors import DiagnosticError, GridError
 from lgradial.lgmode import (FieldGrid, LGParams, PolarGrid, _radial_profiles, beam_geometry,
                              inner, lg_field, lg_partials, norm,
                              quadrature_polar_grid, sample,
@@ -154,17 +153,31 @@ class TestSampling:
         assert norm(FieldGrid(g, np.zeros_like(f.values))) == 0.0
         assert norm(FieldGrid(g, 2.0 * f.values)) == pytest.approx(2.0 * norm(f), rel=1e-13)
 
-    def test_unsettled_grid_norm_is_an_accuracy_error(self, params21, monkeypatch):
-        # a table whose scale grows with the rule order: the norm never settles
-        real = lgmode._radial_profiles
+    @pytest.mark.parametrize("n, l", [(0, 0), (40, 3), (120, 0), (300, 300), (300, -300)])
+    def test_default_grid_norm_is_exact(self, n, l):
+        p = LGParams(n, l, K, W0)
+        for z in (0.0, 1.3 * ZR, -2.0 * ZR):
+            assert abs(norm(sample(p, quadrature_polar_grid(p, z))) - 1.0) < 1e-12, z
 
-        def drifting(n_max, l, k, w0, z, r):
-            table, curvature, gouy = real(n_max, l, k, w0, z, r)
-            return table * len(r), curvature, gouy
-        monkeypatch.setattr(lgmode, "_radial_profiles", drifting)
-        with pytest.raises(QuadratureConvergenceError,
-                           match=r"orders \[64, 128, 256, 512, 1024, 2048, 4096\]"):
-            quadrature_polar_grid(params21, 0.0)
+    def test_default_grid_family_is_orthonormal(self):
+        l, n_max = 3, 40
+        g = quadrature_polar_grid(LGParams(n_max, l, K, W0), 0.7 * ZR, nphi=8)
+        fields = [sample(LGParams(n, l, K, W0), g) for n in range(n_max + 1)]
+        gram = np.array([[inner(f, h) for h in fields] for f in fields])
+        assert np.max(np.abs(gram - np.eye(n_max + 1))) < 1e-12
+
+    @pytest.mark.parametrize("n_max, l_max", [(0, 0), (4, 3), (4, -3), (120, 0), (300, 300)])
+    def test_default_order(self, n_max, l_max):
+        g = quadrature_polar_grid(LGParams(0, 0, K, W0), 0.0, n_max=n_max, l_max=l_max)
+        assert len(g.r_nodes) == n_max + 2 + abs(l_max) // 2
+
+    @pytest.mark.parametrize("order", [0, 2.5, True, "4"])
+    def test_order_must_be_an_integer(self, params21, order):
+        with pytest.raises(DiagnosticError, match="quadrature order must be an integer >= 1"):
+            quadrature_polar_grid(params21, 0.0, order=order)
+
+    def test_numpy_integer_order_accepted(self, params21):
+        assert len(quadrature_polar_grid(params21, 0.0, order=np.int32(6)).r_nodes) == 6
 
     def test_norm_requires_quadrature_grid(self, params21):
         g = PolarGrid(np.linspace(1e-5, 4e-3, 64), np.arange(16) * (2 * math.pi / 16))

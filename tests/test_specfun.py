@@ -10,6 +10,7 @@ from scipy.special import roots_legendre
 
 from lgradial import specfun
 from lgradial.errors import DiagnosticError, QuadratureConvergenceError
+from lgradial.lgmode import _gauss_u
 from lgradial.specfun import (_converge, _converged, _gauss_legendre, _roots, bessel_j,
                               bessel_j_derivative, laguerre, make_rule)
 
@@ -196,24 +197,23 @@ class TestQuadrature:
             want = (2.0 ** (deg + 1) - (-0.5) ** (deg + 1)) / (deg + 1)
             assert abs(got - want) < 1e-13 * max(1.0, abs(want))
 
+    # the Gauss rule in u = 2 r^2/w_z^2 for the weight u^a e^(-u) (lgmode._gauss_u):
+    # its weights lam carry the weight function, so sums take e^(-u) u^a explicitly
     def test_laguerre_moments(self):
-        rule = make_rule("laguerre", 20, scale=1.0)
-        assert rule.integrate(lambda x: x**3) == pytest.approx(6.0, rel=1e-12)
-        for j in (0, 10, 25, 39):  # up to 2N - 1
-            want = math.factorial(j)
-            assert abs(rule.integrate(lambda x: x**j) - want) < 1e-12 * want
-
-    def test_laguerre_scale_substitution(self):
-        s = 3.7
-        rule = make_rule("laguerre", 24, scale=s)
-        # integral of x^2 e^{-s x} = 2 / s^3
-        assert rule.integrate(lambda x: x**2) == pytest.approx(2.0 / s**3, rel=1e-13)
+        for a in (0, 3):
+            u, lam = _gauss_u(20, a)
+            for k in range(40):  # up to 2m - 1
+                want = math.gamma(k + a + 1)
+                assert abs(np.sum(lam * np.exp(-u) * u ** (k + a)) - want) < 1e-12 * want, (a, k)
 
     def test_invariants(self):
-        for rule in (make_rule("legendre", 31, interval=(0.0, 4.0)),
-                     make_rule("laguerre", 31, scale=2.0)):
-            assert np.all(np.diff(rule.nodes) > 0)
-            assert np.all(rule.weights > 0)
+        rule = make_rule("legendre", 31, interval=(0.0, 4.0))
+        assert np.all(np.diff(rule.nodes) > 0)
+        assert np.all(rule.weights > 0)
+        for a in (0, 3):
+            u, lam = _gauss_u(31, a)
+            assert np.all(np.diff(u) > 0) and u[0] > 0
+            assert np.all(lam > 0)
 
     def test_doubling_convergence(self):
         f = lambda x: np.exp(-x) * np.cos(3 * x)
@@ -221,15 +221,15 @@ class TestQuadrature:
         b = make_rule("legendre", 96, interval=(0.0, 6.0)).integrate(f)
         assert abs(a - b) < 1e-12
         g = lambda x: x**3 / (1 + 0.1 * x)
-        a = make_rule("laguerre", 48, scale=1.0).integrate(g)
-        b = make_rule("laguerre", 96, scale=1.0).integrate(g)
+        a, b = (np.sum(lam * np.exp(-u) * g(u)) for u, lam in (_gauss_u(48, 0), _gauss_u(96, 0)))
         assert abs(a - b) < 1e-12 * max(1.0, abs(b))
 
     def test_roots_are_cached_read_only(self):
-        x, w = _roots("legendre", 37)
-        assert _roots("legendre", 37)[0] is x
-        assert not (x.flags.writeable or w.flags.writeable)
-        assert _roots.cache_info().maxsize == 64
+        for rule, args in ((_roots, (37,)), (_gauss_u, (37, 2))):
+            x, w = rule(*args)
+            assert rule(*args)[0] is x
+            assert not (x.flags.writeable or w.flags.writeable)
+            assert rule.cache_info().maxsize == 64
 
     def test_bad_arguments(self):
         with pytest.raises(DiagnosticError):
@@ -237,21 +237,16 @@ class TestQuadrature:
         with pytest.raises(DiagnosticError):
             make_rule("legendre", 4, interval=(1, 1))
         with pytest.raises(DiagnosticError):
-            make_rule("laguerre", 4, scale=0.0)
-        with pytest.raises(DiagnosticError):
             make_rule("chebyshev", 4, interval=(0, 1))
 
     @pytest.mark.parametrize("order", [2.5, math.nan, True, 4.0, "4"])
     def test_order_must_be_an_integer(self, order):
         with pytest.raises(DiagnosticError):
             make_rule("legendre", order, interval=(0, 1))
-        with pytest.raises(DiagnosticError):
-            make_rule("laguerre", order, scale=1.0)
 
     def test_numpy_integer_order_accepted(self):
         rule = make_rule("legendre", np.int64(5), interval=(0, 1))
         assert rule.order == 5 and type(rule.order) is int
-        assert make_rule("laguerre", np.int32(6), scale=1.0).order == 6
 
 
 def _mp_legendre(n, x):
