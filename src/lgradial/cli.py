@@ -12,12 +12,17 @@ verify   run the eigenvalue / commutator / dilation / overlap / hermiticity /
          synthesis / Maxwell suites and write a JSON report
 
 Configuration is a single JSON document (file, or '-' for stdin) merged
-over built-in defaults, then overridden by `--dotted.path value` flags.
+over built-in defaults, then overridden by `--dotted.path value` flags: a
+flag `--a.b v` is the document {"a": {"b": v}}, merged the same way, so
+`--mode '{"n": 1}'` merges into its section as `--config` does.  `verify`
+runs its analytic eigen checks on each mode's exact default Gauss grid.
 All outputs are deterministic functions of the config: fixed sample points,
 no RNG, stable JSON key order, 17-significant-digit CSV.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error, 3 I/O
-error, 4 internal error, 5 accuracy error.  No exit prints a traceback.
+Exit codes: 0 success, 1 verification failure, 2 usage/config error (an
+unreadable config file included), 3 I/O error (any OS-level read or write
+failure, reading `--config -` from stdin included), 4 internal error,
+5 accuracy error.  No exit prints a traceback.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ DEFAULT_CONFIG = {
 
 # Leaf types of DEFAULT_CONFIG (see _LEAF_TYPES); "[]" marks a list, "?" allows null.
 CONFIG_TYPES = {
-    "command": "str?",
+    "command": "command",
     "mode": {"n": "count", "l": "int", "wavelength_nm": "positive", "w0_m": "positive"},
     "grid": {"window_diameter_m": "positive", "pixels": "size", "z_m": "number"},
     "sweep": {"z_list_m": "number[]?", "w0_list_m": "positive[]?", "dz_list_m": "number[]?",
@@ -90,7 +95,10 @@ def _is_number(v):
     return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
 
+COMMANDS = ("render", "phexp", "overlap", "verify")
+
 _LEAF_TYPES = {
+    "command": (f"one of {COMMANDS}", lambda v: v in COMMANDS),
     "str": ("a string", lambda v: isinstance(v, str)),
     "int": ("an integer", _is_int),
     "size": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
@@ -100,35 +108,22 @@ _LEAF_TYPES = {
     "policy": (f"one of {SIGN_POLICIES}", lambda v: isinstance(v, str) and v in SIGN_POLICIES),
 }
 
-COMMANDS = ("render", "phexp", "overlap", "verify")
-
 
 class ConfigError(ValueError):
     pass
 
 
 def _merge(base, override):
+    """base updated by override; a section is merged into, never replaced."""
     out = copy.deepcopy(base)
     for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
+        if isinstance(out.get(key), dict):
+            if not isinstance(val, dict):
+                raise ConfigError(f"{key} must be an object, got {val!r}")
             out[key] = _merge(out[key], val)
         else:
             out[key] = val
     return out
-
-
-def _set_dotted(cfg, path, raw):
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    node = cfg
-    parts = path.split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            node[part] = {}
-        node = node[part]
-    node[parts[-1]] = value
 
 
 def parse_config(argv):
@@ -139,16 +134,13 @@ def parse_config(argv):
         command = args.pop(0)
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     overrides = []
-    i = 0
-    while i < len(args):
-        a = args[i]
+    it = iter(args)
+    for a in it:
         if not a.startswith("--"):
             raise ConfigError(f"unexpected argument {a!r}")
-        key = a[2:]
-        if i + 1 >= len(args):
+        key, val = a[2:], next(it, None)
+        if val is None:
             raise ConfigError(f"flag --{key} is missing a value")
-        val = args[i + 1]
-        i += 2
         if key == "config":
             text = sys.stdin.read() if val == "-" else _read_text(val)
             try:
@@ -158,14 +150,18 @@ def parse_config(argv):
             if not isinstance(doc, dict):
                 raise ConfigError("config document must be a JSON object")
             cfg = _merge(cfg, doc)
-        else:
-            overrides.append((key, val))
-    for key, val in overrides:
-        _set_dotted(cfg, key, val)
+            continue
+        try:
+            doc = json.loads(val)
+        except json.JSONDecodeError:
+            doc = val
+        for part in reversed(key.split(".")):
+            doc = {part: doc}
+        overrides.append(doc)
+    for doc in overrides:
+        cfg = _merge(cfg, doc)
     if command is not None:
         cfg["command"] = command
-    if cfg["command"] not in COMMANDS:
-        raise ConfigError(f"command must be one of {COMMANDS}, got {cfg['command']!r}")
     _validate(cfg)
     return cfg
 
@@ -177,9 +173,7 @@ def _validate(cfg, types=CONFIG_TYPES, prefix=""):
         if key not in types:
             raise ConfigError(f"unknown key {path!r}")
         want = types[key]
-        if isinstance(want, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{path} must be an object, got {value!r}")
+        if isinstance(want, dict):  # _merge keeps every section an object
             _validate(value, want, path + ".")
             continue
         if value is None and want.endswith("?"):
@@ -200,7 +194,7 @@ def _read_text(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path!r}: {e}") from e
 
 
@@ -220,40 +214,25 @@ def _fmt(x):
 
 
 def write_csv(path, header, rows):
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                                  for v in row) + "\n")
-    except OSError as e:
-        raise IOFailure(path, e) from e
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 def write_json(path, doc):
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    except OSError as e:
-        raise IOFailure(path, e) from e
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def write_pgm(path, image):
     """Binary PGM (P5, maxval 255) from a uint8 array indexed [row, col]."""
     image = np.asarray(image, dtype=np.uint8)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii"))
-            fh.write(image.tobytes())
-    except OSError as e:
-        raise IOFailure(path, e) from e
-
-
-class IOFailure(OSError):
-    def __init__(self, path, err):
-        super().__init__(f"cannot write {path!r}: {err}")
-        self.path = path
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii"))
+        fh.write(image.tobytes())
 
 
 def _out_path(cfg, suffix):
@@ -297,25 +276,21 @@ def cmd_render(cfg):
 
 def cmd_phexp(cfg):
     sweep = cfg["sweep"]
-    n_list = sweep["n_list"] or [int(cfg["mode"]["n"])]
-    rows, sidecar = [], []
+    if sweep["z_list_m"] and sweep["w0_list_m"]:
+        raise ConfigError("phexp takes sweep.z_list_m or sweep.w0_list_m, not both")
     if sweep["z_list_m"]:
-        z_list = [float(z) for z in sweep["z_list_m"]]
-        for n in n_list:
-            series = ph_vs_z(_mode_params(cfg, n=n), z_list)
-            rows += [(z, float(v), n) for z, v in zip(series.abscissa, series.values)]
-            sidecar.append({"n": int(n), **series.diagnostics})
-        abscissa_name = "z_m"
+        abscissa_name, xs, curve = "z_m", sweep["z_list_m"], ph_vs_z
     elif sweep["w0_list_m"]:
-        w0_list = [float(w) for w in sweep["w0_list_m"]]
         z = float(cfg["grid"]["z_m"])
-        for n in n_list:
-            series = ph_vs_w0(_mode_params(cfg, n=n), w0_list, z)
-            rows += [(w, float(v), n) for w, v in zip(series.abscissa, series.values)]
-            sidecar.append({"n": int(n), **series.diagnostics})
-        abscissa_name = "w0_m"
+        abscissa_name, xs = "w0_m", sweep["w0_list_m"]
+        curve = lambda params, w0_list: ph_vs_w0(params, w0_list, z)
     else:
         raise ConfigError("phexp requires sweep.z_list_m or sweep.w0_list_m")
+    rows, sidecar = [], []
+    for n in sweep["n_list"] or [int(cfg["mode"]["n"])]:
+        series = curve(_mode_params(cfg, n=n), [float(x) for x in xs])
+        rows += [(x, float(v), n) for x, v in zip(series.abscissa, series.values)]
+        sidecar.append({"n": int(n), **series.diagnostics})
     csv_path = _out_path(cfg, "phexp.csv")
     write_csv(csv_path, (abscissa_name, "ph_expectation", "n"), rows)
     json_path = _out_path(cfg, "phexp_fit.json")
@@ -359,6 +334,12 @@ def _check(name, measured, tolerance, mode="max"):
             "comparison": "<=" if mode == "max" else ">=", "pass": ok}
 
 
+def _exact_eigen_residual(p, policy, kind="N0", z=0.0):
+    """Analytic eigen residual of mode p on its own exact default Gauss grid at plane z."""
+    op = Operator(kind, params=p, z=z, sign_policy=policy)
+    return eigen_residual(p, op, quadrature_polar_grid(p, z))
+
+
 def _verify_checks(cfg):
     checks = []
     policy = cfg["policy"]
@@ -368,13 +349,10 @@ def _verify_checks(cfg):
 
     # eigenrelations, analytic path
     for (n, l) in ((0, 0), (2, 1), (3, 2)):
-        p = LGParams(n, l, k, w0)
-        g = quadrature_polar_grid(p, 0.0, n_max=4, l_max=3, order=192)
-        r = eigen_residual(p, Operator("N0", params=p, sign_policy=policy), g)
+        r = _exact_eigen_residual(LGParams(n, l, k, w0), policy)
         checks.append(_check(f"eigen/N0/analytic/n{n}l{l}", r, 1e-8))
     p = LGParams(2, 1, k, w0)
-    gz = quadrature_polar_grid(p, zr, n_max=4, l_max=3, order=192)
-    r = eigen_residual(p, Operator("Nz", params=p, z=zr, sign_policy=policy), gz)
+    r = _exact_eigen_residual(p, policy, "Nz", zr)
     checks.append(_check("eigen/Nz/analytic/n2l1/zR", r, 1e-8))
 
     # one FD spot check
@@ -459,15 +437,12 @@ def _negative_index_section(k, w0):
     for l in (-1, -2):
         for n in (0, 1):
             p = LGParams(n, l, k, w0)
-            g = quadrature_polar_grid(p, 0.0, n_max=3, l_max=2, order=160)
-            rv = eigen_residual(p, Operator("N0", params=p, sign_policy="verbatim"), g)
-            rs = eigen_residual(p, Operator("N0", params=p, sign_policy="symmetrized"), g)
             entries.append({
                 "n": n, "l": l,
                 "verbatim_eigenvalue": n + abs(l),
-                "verbatim_residual": float(rv),
+                "verbatim_residual": _exact_eigen_residual(p, "verbatim"),
                 "symmetrized_eigenvalue": n,
-                "symmetrized_residual": float(rs),
+                "symmetrized_residual": _exact_eigen_residual(p, "symmetrized"),
             })
     return {
         "note": ("the radial-index operator as printed acts on exp(i l phi) "
@@ -497,18 +472,11 @@ def cmd_verify(cfg):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = parse_config(argv)
-        if cfg["command"] == "render":
-            files = cmd_render(cfg)
-        elif cfg["command"] == "phexp":
-            files = cmd_phexp(cfg)
-        elif cfg["command"] == "overlap":
-            files = cmd_overlap(cfg)
-        else:
-            return cmd_verify(cfg)
-    except IOFailure as e:
+        cfg = parse_config(sys.argv[1:] if argv is None else argv)
+        # looked up at call time, so a replaced cmd_<name> is the one that runs
+        out = globals()[f"cmd_{cfg['command']}"](cfg)
+    except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 3
     except QuadratureConvergenceError as e:
@@ -520,7 +488,9 @@ def main(argv=None):
     except Exception as e:  # the CLI boundary: one line, never a traceback
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
-    for f in files:
+    if isinstance(out, int):  # verify prints its own report and verdict
+        return out
+    for f in out:
         print(f)
     return 0
 

@@ -335,6 +335,10 @@ def quadrature_polar_grid(params: LGParams, z=0.0, *, n_max=None, l_max=None,
     """
     n_max = params.n if n_max is None else n_max
     l_max = params.l if l_max is None else l_max
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 0:
+        raise DiagnosticError(f"n_max must be an integer >= 0, got {n_max!r}")
+    if isinstance(l_max, bool) or not isinstance(l_max, numbers.Integral):
+        raise DiagnosticError(f"l_max must be an integer, got {l_max!r}")
     u, lam = _gauss_u(_check_order(n_max + 2 + abs(l_max) // 2 if order is None else order), 0)
     w_z = beam_geometry(params, z).w_z
     r = w_z * np.sqrt(0.5 * u)

@@ -51,9 +51,44 @@ class TestConfigParsing:
         assert main(["render", "--config", str(cfg), "--mode.l", "2"]) == 0
         assert (tmp_path / "lg_n1_l2_intensity.pgm").exists()
 
-    def test_unwritable_output_is_io_error(self):
+    def test_object_flag_merges_into_its_section(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        assert main(["render", "--grid.pixels", "24", "--mode", '{"n": 1}',
+                     "--output.dir", str(a)]) == 0
+        assert main(["render", "--grid.pixels", "24", "--mode.n", "1",
+                     "--output.dir", str(b)]) == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert names == ["lg_n1_l0_intensity.pgm", "lg_n1_l0_phase.pgm"]
+        assert names == sorted(p.name for p in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_unwritable_output_is_io_error(self, capsys):
         assert main(["render", "--grid.pixels", "16",
                      "--output.dir", "/dev/null/nope"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error: ")
+        assert "/dev/null/nope/lg_n0_l0_intensity.pgm" in err[0]
+
+    def test_stdin_read_failure_is_io_error(self, tmp_path, capsys, monkeypatch):
+        class BrokenStdin:
+            def read(self):
+                raise OSError(5, "Input/output error", "<stdin>")
+        monkeypatch.setattr(sys, "stdin", BrokenStdin())
+        assert run(tmp_path, "render", "--config", "-") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error: ")
+
+    @pytest.mark.parametrize("content", [None, b'\xff{"mode": {}}'])  # missing, not UTF-8
+    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert run(tmp_path, "render", "--config", str(path)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and str(path) in err[0]
 
     @pytest.mark.parametrize("argv", [
         ["render", "--grid.pixel", "64"],             # unknown key
@@ -64,6 +99,10 @@ class TestConfigParsing:
          "--grid.radial_nodes", "3"],                 # keys no command reads
         ["render", "--policy", "bogus"],              # not a sign policy
         ["verify", "--mode.omega_rad_per_s", "1e15"],  # a key no command reads
+        ["render", "--mode", '{"n": 1, "p": 2}'],     # unknown key in an object flag
+        ["render", "--mode", "5", "--mode.n", "1"],   # a section replaced by a scalar
+        ["phexp", "--sweep.z_list_m", "[0.0]",
+         "--sweep.w0_list_m", "[0.001]"],             # two sweeps at once
     ])
     def test_bad_config_exits_2_in_one_line(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 2
@@ -230,6 +269,18 @@ class TestVerifyCommand:
             assert case["verbatim_residual"] < 1e-8
             assert case["symmetrized_eigenvalue"] == case["n"]
             assert case["symmetrized_residual"] < 1e-8
+
+    @pytest.mark.parametrize("policy", ["symmetrized", "verbatim"])
+    def test_analytic_residuals_are_exact(self, tmp_path, policy):
+        # each mode's own default Gauss grid integrates its residual exactly
+        assert run(tmp_path, "verify", "--policy", policy) == 0
+        report = json.loads((tmp_path / "lg_verify.json").read_text())
+        analytic = [c for c in report["checks"] if "/analytic/" in c["name"]]
+        assert len(analytic) == 4
+        assert all(c["measured"] <= 1e-13 for c in analytic), analytic
+        for case in report["negative_index"]["cases"]:
+            assert case["verbatim_residual"] <= 1e-13, case
+            assert case["symmetrized_residual"] <= 1e-13, case
 
     def test_overlap_unitarity_is_checked(self, tmp_path):
         assert run(tmp_path, "verify") == 0

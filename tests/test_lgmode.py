@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -178,6 +179,21 @@ class TestSampling:
 
     def test_numpy_integer_order_accepted(self, params21):
         assert len(quadrature_polar_grid(params21, 0.0, order=np.int32(6)).r_nodes) == 6
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_max": 4.0}, "n_max must be an integer >= 0, got 4.0"),
+        ({"n_max": -9}, "n_max must be an integer >= 0, got -9"),
+        ({"n_max": True}, "n_max must be an integer >= 0, got True"),
+        ({"l_max": 1.5}, "l_max must be an integer, got 1.5"),
+        ({"l_max": "3"}, "l_max must be an integer, got '3'"),
+    ])
+    def test_family_bounds_named_as_passed(self, params21, kwargs, message):
+        with pytest.raises(DiagnosticError, match=re.escape(message)):
+            quadrature_polar_grid(params21, 0.0, **kwargs)
+
+    def test_numpy_integer_family_bounds_accepted(self, params21):
+        g = quadrature_polar_grid(params21, 0.0, n_max=np.int64(4), l_max=np.int32(-3))
+        assert len(g.r_nodes) == 4 + 2 + 3 // 2
 
     def test_norm_requires_quadrature_grid(self, params21):
         g = PolarGrid(np.linspace(1e-5, 4e-3, 64), np.arange(16) * (2 * math.pi / 16))
