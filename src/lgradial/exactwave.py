@@ -20,6 +20,7 @@ which the momentum-space synthesis reproduces the closed form.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ from .constants import C_LIGHT
 from .errors import DiagnosticError, _check_order
 from .lgmode import _gauss_u
 from .momentum import ExactMomentumParams
-from .specfun import _converge, bessel_j, bessel_j_derivative, laguerre
+from .specfun import _bessel_j_and_derivative, _converge, bessel_j, laguerre
 
 __all__ = [
     "BesselModeParams",
@@ -122,14 +123,13 @@ def rs_bessel_field(params: BesselModeParams, p: SpacetimePoint) -> RSField:
     s = params.sigma
     m, k, kt, kz = params.m, params.k, params.k_t, params.k_z
     u = kt * p.r
-    J = bessel_j(m, u)
-    Jp = bessel_j_derivative(m, u)
+    J, Jp = map(float, _bessel_j_and_derivative(m, u))
     pref = ((1j * s) ** m / (k * math.sqrt(2.0))
-            * np.exp(-1j * s * (params.omega_k * p.t - kz * p.z - m * p.phi)))
+            * cmath.exp(-1j * s * (params.omega_k * p.t - kz * p.z - m * p.phi)))
     F_r = pref * (1j * s * kz * Jp + 1j * (k * m / u) * J)
     F_phi = pref * (-s * k * Jp - (kz * m / u) * J)
     F_z = pref * kt * J
-    return RSField(F_r=complex(F_r), F_phi=complex(F_phi), F_z=complex(F_z))
+    return RSField(F_r=F_r, F_phi=F_phi, F_z=F_z)
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +255,16 @@ def chi_closed_form(params: ExactMomentumParams, p: SpacetimePoint):
 
 
 def _synthesis_radial(params: ExactMomentumParams, p: SpacetimePoint, order):
-    # the weight e^(-beta k_minus) becomes the rule's e^(-u), u = beta k_minus
+    # the weight e^(-beta k_minus) becomes the rule's e^(-u), u = beta k_minus, and
+    # shares one complex exponential with the phase of t_plus
     u, lam = _gauss_u(order, 0)
-    km = u / params.beta
-    g = (km ** (params.n + abs(params.m) / 2.0)
-         * (params.k_plus + km)
-         * np.exp(-1j * params.sigma * C_LIGHT * km * p.t_plus)
-         * bessel_j(params.m, 2.0 * p.r * np.sqrt(params.k_plus * km)))
-    weighted = lam * np.exp(-u) / params.beta * g
-    value = complex(np.sum(weighted))
-    return value, float(np.sum(np.abs(weighted))), value  # value, integrand mass, result
+    beta, k_plus = params.beta, params.k_plus
+    km = u / beta
+    weighted = (lam / beta * km ** (params.n + abs(params.m) / 2.0) * (k_plus + km)
+                * np.exp(-(1.0 + 1j * params.sigma * C_LIGHT * p.t_plus / beta) * u)
+                * bessel_j(params.m, 2.0 * p.r * math.sqrt(k_plus / beta) * np.sqrt(u)))
+    value = complex(weighted.sum())
+    return value, float(np.abs(weighted).sum()), value  # value, integrand mass, result
 
 
 def synthesize_lg(params: ExactMomentumParams, p: SpacetimePoint,
@@ -285,8 +285,7 @@ def synthesize_lg(params: ExactMomentumParams, p: SpacetimePoint,
     val = (_converge("synthesis integral", lambda q: _synthesis_radial(params, p, q),
                      (quad_order, 2 * quad_order), 1e-8, 1e-11) if check_convergence
            else _synthesis_radial(params, p, quad_order)[0])
-    phase = np.exp(-1j * params.sigma * (params.Omega * p.t_minus - params.m * p.phi))
-    return complex(phase * val)
+    return cmath.exp(-1j * params.sigma * (params.Omega * p.t_minus - params.m * p.phi)) * val
 
 
 def fit_global_scale(reference, values):

@@ -324,6 +324,18 @@ def lg_partials(params: LGParams, r, phi, z):
     return d_r * azimuthal, d2_r * azimuthal, 1j * params.l * value, -(params.l ** 2) * value
 
 
+def _family_bounds(params: LGParams, n_max, l_max):
+    """A grid's mode family (n_max, l_max), the mode's own (n, l) by default: integers,
+    numpy ones too, with n_max >= 0; anything else is named as passed."""
+    n_max = params.n if n_max is None else n_max
+    l_max = params.l if l_max is None else l_max
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 0:
+        raise DiagnosticError(f"n_max must be an integer >= 0, got {n_max!r}")
+    if isinstance(l_max, bool) or not isinstance(l_max, numbers.Integral):
+        raise DiagnosticError(f"l_max must be an integer, got {l_max!r}")
+    return n_max, l_max
+
+
 def quadrature_polar_grid(params: LGParams, z=0.0, *, n_max=None, l_max=None,
                           nphi=32, order=None):
     """Polar grid on the Gauss rule in u = 2 r^2/w_z^2, exact for modes up to (n_max, l_max).
@@ -333,12 +345,7 @@ def quadrature_polar_grid(params: LGParams, z=0.0, *, n_max=None, l_max=None,
     degree <= 2 n_max + |l_max| + 2 in u, so the default order n_max + 2 + |l_max|//2
     integrates <A f, B g> exactly.  Nodes r = w_z sqrt(u/2), dr-weights w_z^2 lam/(4 r).
     """
-    n_max = params.n if n_max is None else n_max
-    l_max = params.l if l_max is None else l_max
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 0:
-        raise DiagnosticError(f"n_max must be an integer >= 0, got {n_max!r}")
-    if isinstance(l_max, bool) or not isinstance(l_max, numbers.Integral):
-        raise DiagnosticError(f"l_max must be an integer, got {l_max!r}")
+    n_max, l_max = _family_bounds(params, n_max, l_max)
     u, lam = _gauss_u(_check_order(n_max + 2 + abs(l_max) // 2 if order is None else order), 0)
     w_z = beam_geometry(params, z).w_z
     r = w_z * np.sqrt(0.5 * u)
@@ -353,8 +360,7 @@ def uniform_polar_grid(params: LGParams, z=0.0, *, n_max=None, l_max=None, nr=76
     half a step so 1/r terms stay bounded.  The midpoint rule is second
     order, ample for the norm ratios the FD paths need.
     """
-    n_max = params.n if n_max is None else n_max
-    l_max = params.l if l_max is None else l_max
+    n_max, l_max = _family_bounds(params, n_max, l_max)
     # 1.5x the classical turning radius, floored at 4.5 w_z so the Gaussian
     # tail beyond the edge stays below 1e-17 even for the lowest modes
     turning = math.sqrt(2.0 * (2 * n_max + abs(l_max) + 1))

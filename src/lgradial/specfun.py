@@ -11,15 +11,35 @@ Legendre three-term recurrence, from Tricomi's initial guesses.  (The Gauss
 rule in u = 2 r^2/w_z^2 for Laguerre-type integrals is `lgmode._gauss_u`,
 built on the radial table.)
 
-Bessel functions of the first kind (series / continued-fraction evaluation,
-accurate to ~1e-15) are delegated to scipy; the integer reflection
-J_{-m} = (-1)^m J_m is applied explicitly.  Only the exact-wave module calls
-them, so scipy is imported on the first Bessel J call, not with the package.
+Bessel functions of the first kind J_0..J_M come from one numpy pass,
+`_bessel_jn`, which sorts x and gives each element one method:
+
+- x <= 5: the power series, as one matrix product.  It is relative-accurate,
+  which matters because J_m ~ x^m.
+- x > max(M, 5): J_0 and J_1, then upward recurrence, which is stable for
+  m < x.  J_0 and J_1 come from the 60-point periodic trapezoid rule on
+  Bessel's integral up to x = 25, and from Hankel's expansion above.  The
+  expansion's phase x - nu pi/2 - pi/4 is never formed in floating point: it
+  is folded into the coefficients, so only cos x and sin x reduce x.
+- 5 < x <= M: Miller's backward recurrence, normalized by
+  J_0 + 2 sum J_2k = 1, with an exact power-of-two rescaling of each element
+  at every step.
+
+Measured against mpmath over orders |m| <= 300 and 0 <= x <= 1e4, the error
+is at most 4e-14 of sqrt(2/(pi x)) where x > |m| + 1 and of |J_m(x)| where
+x <= |m| + 1.  The worst case is the upward recurrence near x = m = 300.
+A lone float x > max(M, 25), the common case of `rs_bessel_field`, runs
+Hankel's expansion in Python arithmetic.  The integer reflection
+J_{-m} = (-1)^m J_m is applied explicitly.
 """
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,29 +110,203 @@ def laguerre(n, alpha, x):
     return p[()] if scalar else p
 
 
-def bessel_j(m, x):
-    """Bessel function of the first kind J_m(x) for integer order m, x >= 0.
+# Bessel J_0..J_M (see the module docstring): x is sorted, so each method works
+# on one contiguous slice.  The tables are built in Python arithmetic: numpy's
+# complex loops, run at import, would page in 0.3 MiB that only Bessel calls need.
+_J_SERIES_X = 5.0     # x <= 5: the power series
+_J_SERIES_TERMS = 20  # the first term left out is 1.5e-21 at x = 5
+_J_HANKEL_X = 25.0    # x > max(M, 25): Hankel's expansion for J_0, J_1, then upward
+_J_HANKEL_TERMS = 20  # enough down to x = 20; `_hankel_terms` takes what x needs
+_J_TRAPEZOID_N = 60   # max(M, 5) < x <= 25: the N-point trapezoid rule, error 2 J_N(x) < 2e-17
 
-    Negative orders use the reflection J_{-m}(x) = (-1)^m J_m(x).
+
+def _hankel_coefficients():
+    """c_k(nu), nu = 0, 1, with J_nu(x) = Re[e^(ix) sum_k c_k(nu) x^-k] / sqrt(x).
+
+    This is Hankel's H_nu^(1)(x) = sqrt(2/(pi x)) e^(i(x - nu pi/2 - pi/4)) sum_k
+    i^k a_k(nu) x^-k with the constant phase folded into c_k, so the phase of a large
+    x is never formed: cos x and sin x reduce x exactly.
     """
-    from scipy.special import jv
+    rows = []
+    for nu in (0, 1):
+        c = (1 - 1j) * (-1j) ** nu / math.sqrt(math.pi)  # sqrt(2/pi) e^(-i(2 nu+1) pi/4)
+        rows.append([c])
+        for k in range(1, _J_HANKEL_TERMS):
+            c *= 1j * (4 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)
+            rows[-1].append(c)
+    return list(zip(*rows))
 
-    m = int(m)
-    if m < 0:
-        sign = -1.0 if (-m) % 2 else 1.0
-        return sign * jv(-m, x)
-    return jv(m, x)
+
+_HANKEL_POINT = _hankel_coefficients()  # (c_k(0), c_k(1)) as Python complexes
+# (4, terms): J_nu = ((R @ x^-k)_nu cos x - (R @ x^-k)_(nu+2) sin x) / sqrt(x)
+_HANKEL = np.array([[c.real for c in col] for col in zip(*_HANKEL_POINT)]
+                   + [[c.imag for c in col] for col in zip(*_HANKEL_POINT)])
+# term k is below 1e-17 of the leading one for every x above its reach; the reaches
+# fall with k, and are kept negated for `bisect`
+_HANKEL_REACH = [-math.inf] + [-(max(map(abs, c)) / abs(_HANKEL_POINT[0][0]) / 1e-17) ** (1 / k)
+                               for k, c in enumerate(_HANKEL_POINT) if k]
+
+
+def _hankel_terms(x):
+    """How many leading terms of Hankel's expansion reach 1e-17 anywhere above x."""
+    return bisect.bisect_right(_HANKEL_REACH, -x)
+
+
+def _trapezoid_table():
+    """Rows sin(theta_j) over the quarter period 0 <= j <= N/4 and the weights of
+    J_0 = <cos(x sin theta)> and of J_1 = <sin theta sin(x sin theta)>, which fold the
+    four quarters of the N-point periodic trapezoid rule onto it."""
+    q = _J_TRAPEZOID_N // 4
+    sin = [math.sin(0.5 * math.pi * j / q) for j in range(q + 1)]
+    w = [(2.0 if j in (0, q) else 4.0) / _J_TRAPEZOID_N for j in range(q + 1)]
+    return np.array([sin, w, [wj * sj for wj, sj in zip(w, sin)]])
+
+
+_TRAPEZOID = _trapezoid_table()
+
+
+def _series_matrix(M):
+    """(M+1, terms) matrix C with J_m(x) = (x/5)^m sum_k C[m, k] (x/5)^(2k): the terms
+    (-1)^k (x/2)^(m+2k) / (k! (m+k)!) of the power series with 5^(m+2k) folded into
+    each coefficient, which keeps it finite wherever J_m(5) is, even where (m+k)! is not.
+    """
+    rows, lead = [], 1.0
+    for m in range(M + 1):
+        lead *= 2.5 / m if m else 1.0
+        rows.append([lead])
+        for k in range(1, _J_SERIES_TERMS):
+            rows[-1].append(rows[-1][-1] * -6.25 / (k * (m + k)))
+    return np.array(rows)
+
+
+_SERIES_J01 = _series_matrix(1)  # J_0, J_1: the orders asked for most
+_POWERS = np.array([[float(k)] for k in range(max(_J_SERIES_TERMS, _J_HANKEL_TERMS))])
+
+
+def _j_series(M, x):
+    """J_0..J_M by the power series, as one matrix product."""
+    y = 0.2 * x
+    c = _SERIES_J01[:M + 1] if M <= 1 else _series_matrix(M)
+    j = c @ (y * y) ** _POWERS[:_J_SERIES_TERMS]
+    if M:
+        j[1:] *= y ** np.arange(1.0, M + 1)[:, None]
+    return j
+
+
+def _j01_trapezoid(x):
+    """J_0, J_1 by the periodic trapezoid rule on Bessel's integral."""
+    sx = _TRAPEZOID[0, :, None] * x
+    return _TRAPEZOID[1] @ np.cos(sx), _TRAPEZOID[2] @ np.sin(sx)
+
+
+def _j01_hankel(x):
+    """J_0, J_1 by Hankel's expansion (see `_hankel_coefficients`); x is ascending."""
+    terms = _hankel_terms(x[0])
+    w = 1.0 / x
+    h = _HANKEL[:, :terms] @ w ** _POWERS[:terms]
+    return (h[:2] * np.cos(x) - h[2:] * np.sin(x)) * np.sqrt(w)
+
+
+def _jn_hankel_point(M, x):
+    """`_j01_hankel` and the upward recurrence at one float x, by Horner's rule in
+    Python arithmetic: a fifth of the cost of numpy calls on a 0-d array."""
+    w, h0, h1 = 1.0 / x, 0j, 0j
+    for c0, c1 in reversed(_HANKEL_POINT[:_hankel_terms(x)]):
+        h0, h1 = h0 * w + c0, h1 * w + c1
+    e = cmath.exp(1j * x) * math.sqrt(w)
+    j = [(h0 * e).real, (h1 * e).real]
+    for m in range(1, M):
+        j.append(m * (2.0 / x) * j[m] - j[m - 1])
+    return np.array(j[:M + 1])
+
+
+def _j_miller(M, x):
+    """J_0..J_M for x <= M by Miller's backward recurrence, normalized by
+    J_0 + 2 sum J_2k = 1.
+
+    It starts at J_(s+1) = 0, J_s = 1 with s = M + 9 M^(1/3) + 10, past the Airy layer
+    above m = x, where J_s/Y_s is negligible, and rescales each element by a power of
+    two at every step, so no element overflows and no scaling rounds.
+    """
+    out = np.empty((M + 1, x.size))
+    exps = np.empty((M + 1, x.size), dtype=int)
+    above, j, norm = np.zeros_like(x), np.ones_like(x), np.zeros_like(x)
+    scale = np.zeros(x.size, dtype=int)  # log2 of the factor taken out so far
+    step = 2.0 / x
+    for k in range(math.ceil(M + 9.0 * M ** (1.0 / 3.0) + 10.0), 0, -1):
+        below = (k * step) * j - above
+        e = np.frexp(np.maximum(np.abs(j), np.abs(below)))[1]
+        above, j, norm = np.ldexp(j, -e), np.ldexp(below, -e), np.ldexp(norm, -e)
+        scale += e
+        if k % 2:
+            norm += j if k == 1 else 2.0 * j
+        if k <= M + 1:
+            out[k - 1], exps[k - 1] = j, scale
+    return np.ldexp(out, exps - scale) / norm
+
+
+def _bessel_jn(M, x):
+    """J_0(x), ..., J_M(x) for finite real x >= 0 of any shape, stacked on a new first
+    axis; each element takes the method of its regime (see the module docstring)."""
+    if isinstance(x, float) and max(M, _J_HANKEL_X) < x < math.inf:
+        return _jn_hankel_point(M, x)
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    order = flat.argsort()  # NaN sorts last
+    xs = flat.take(order)
+    if xs.size and not (xs[0] >= 0.0 and xs[-1] < np.inf):
+        bad = xs[0] if xs[0] < 0.0 else xs[-1]
+        raise DiagnosticError(f"Bessel J needs finite x >= 0, got {bad}")
+    a, b, c = xs.searchsorted((_J_SERIES_X, max(M, _J_SERIES_X), max(M, _J_HANKEL_X)),
+                              side="right")
+    j = np.empty((max(M, 1) + 1, xs.size))
+    if a:
+        j[:M + 1, :a] = _j_series(M, xs[:a])
+    if b > a:
+        j[:M + 1, a:b] = _j_miller(M, xs[a:b])
+    if c > b:
+        j[0, b:c], j[1, b:c] = _j01_trapezoid(xs[b:c])
+    if xs.size > c:
+        j[:2, c:] = _j01_hankel(xs[c:])
+    if xs.size > b and M > 1:
+        step = 2.0 / xs[b:]
+        for m in range(1, M):
+            j[m + 1, b:] = (m * step) * j[m, b:] - j[m - 1, b:]
+    return j[:M + 1].take(order.argsort(), axis=1).reshape((M + 1,) + x.shape)
+
+
+def _bessel_order(m):
+    """A Bessel order is an integer (numpy ones too): not a bool, a float or a string."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise DiagnosticError(f"Bessel order must be an integer, got {m!r}")
+    return int(m)
+
+
+def bessel_j(m, x):
+    """Bessel function of the first kind J_m(x) for integer order m, real x >= 0.
+
+    Negative orders use the reflection J_{-m}(x) = (-1)^m J_m(x).  Matches the
+    shape and scalar-ness of `x`.
+    """
+    m = _bessel_order(m)
+    j = _bessel_jn(abs(m), x)[-1]
+    return (-j if m < 0 and m % 2 else j)[()]
+
+
+def _bessel_j_and_derivative(m, x):
+    """(J_m(x), J_m'(x)) from one `_bessel_jn(|m|+1, x)`: J_m' = (J_{m-1} - J_{m+1}) / 2."""
+    m = _bessel_order(m)
+    a = abs(m)
+    j = _bessel_jn(a + 1, x)
+    jm, jp = j[a], 0.5 * ((j[a - 1] if a else -j[1]) - j[a + 1])
+    if m < 0 and a % 2:
+        jm, jp = -jm, -jp
+    return jm[()], jp[()]
 
 
 def bessel_j_derivative(m, x):
     """dJ_m/dx via the identity J_m' = (J_{m-1} - J_{m+1}) / 2."""
-    from scipy.special import jvp
-
-    m = int(m)
-    if m < 0:
-        sign = -1.0 if (-m) % 2 else 1.0
-        return sign * jvp(-m, x)
-    return jvp(m, x)
+    return _bessel_j_and_derivative(m, x)[1]
 
 
 @dataclass(frozen=True)

@@ -327,20 +327,25 @@ class TestDeterminism:
         assert (a / "lg_verify.json").read_bytes() == (b / "lg_verify.json").read_bytes()
 
 
-# scipy is only needed by exactwave (Bessel J); the package import, the
-# render/phexp/overlap commands and the synthesis quadrature rule must not load it
+# the runtime needs only numpy: the package import, every command (verify too) and
+# every Bessel J entry point must leave scipy unloaded
 IMPORT_GUARD = """
 import sys
 import lgradial, lgradial.cli
-from lgradial import lgmode, specfun
+from lgradial import exactwave, specfun
 for argv in (["render", "--grid.pixels", "16"],
              ["phexp", "--sweep.z_list_m", "[0.0,1.0]"],
-             ["overlap", "--sweep.dz_list_m", "[0.0,1.0]", "--sweep.n_max", "3"]):
+             ["overlap", "--sweep.dz_list_m", "[0.0,1.0]", "--sweep.n_max", "3"],
+             ["verify"]):
     assert lgradial.cli.main(argv + ["--output.dir", sys.argv[1]]) == 0, argv
-lgmode._gauss_u(128, 0)  # the rule synthesize_lg builds at its default order
-assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 specfun.bessel_j(0, 1.0)
-assert "scipy" in sys.modules
+specfun.bessel_j_derivative(-3, [0.5, 7.0, 40.0])
+omega, w = 2.9e15, 1e-3
+pp = exactwave.ExactMomentumParams(1, 1, -1, omega, w)
+exactwave.synthesize_lg(pp, exactwave.SpacetimePoint(r=w, phi=0.3, z=0.0), 96)
+bp = exactwave.BesselModeParams(m=1, sigma=1, k_t=5e5, k_z=1e7)
+exactwave.rs_bessel_field(bp, exactwave.SpacetimePoint(r=4e-4, phi=0.7, z=0.0))
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 """
 
 
@@ -351,4 +356,5 @@ def test_scipy_stays_off_the_import_path(tmp_path):
     result = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path)], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]
-    assert {"lg_phexp.csv", "lg_overlap.csv"} <= {p.name for p in tmp_path.iterdir()}
+    written = {p.name for p in tmp_path.iterdir()}
+    assert {"lg_phexp.csv", "lg_overlap.csv", "lg_verify.json"} <= written

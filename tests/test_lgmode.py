@@ -191,6 +191,22 @@ class TestSampling:
         with pytest.raises(DiagnosticError, match=re.escape(message)):
             quadrature_polar_grid(params21, 0.0, **kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_max": 4.5}, "n_max must be an integer >= 0, got 4.5"),
+        ({"n_max": -9}, "n_max must be an integer >= 0, got -9"),
+        ({"n_max": False}, "n_max must be an integer >= 0, got False"),
+        ({"l_max": 1.5}, "l_max must be an integer, got 1.5"),
+        ({"l_max": "3"}, "l_max must be an integer, got '3'"),
+    ])
+    def test_uniform_grid_family_bounds_named_as_passed(self, params21, kwargs, message):
+        with pytest.raises(DiagnosticError, match=re.escape(message)):
+            uniform_polar_grid(params21, 0.0, **kwargs)
+
+    def test_uniform_grid_numpy_integer_family_bounds_accepted(self, params21):
+        g = uniform_polar_grid(params21, 0.0, n_max=np.int64(4), l_max=np.int32(-3), nr=8)
+        assert g.r_nodes[-1] == pytest.approx(7.5 / 8 * 1.5 * math.sqrt(2.0 * (2 * 4 + 3 + 1))
+                                              * W0)
+
     def test_numpy_integer_family_bounds_accepted(self, params21):
         g = quadrature_polar_grid(params21, 0.0, n_max=np.int64(4), l_max=np.int32(-3))
         assert len(g.r_nodes) == 4 + 2 + 3 // 2

@@ -5,6 +5,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scipy.special import roots_legendre
 
@@ -112,6 +114,103 @@ class TestBesselJ:
         for m in (0, 1, 3):
             want = 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
             assert np.allclose(bessel_j_derivative(m, x), want, rtol=0, atol=1e-14)
+
+
+def _envelope_error(got, m, x):
+    """|got - J_m(x)| over sqrt(2/(pi x)) where x > |m|+1 (the oscillatory envelope) and
+    over |J_m(x)| where x <= |m|+1; below the normal doubles only the magnitude counts."""
+    with mpmath.workdps(30):
+        want = mpmath.besselj(m, mpmath.mpf(x))
+    if abs(want) < 1e-300:
+        return 0.0 if abs(got) < 2e-300 else math.inf
+    scale = math.sqrt(2.0 / (math.pi * x)) if x > abs(m) + 1 else abs(float(want))
+    return float(abs(mpmath.mpf(float(got)) - want)) / scale
+
+
+# where `_bessel_jn(M, x)` switches method, for a few M: the series ends at x = 5, the
+# trapezoid rule at 25, and Miller's recurrence at x = M
+BESSEL_BOUNDARIES = [(0, 5.0), (1, 5.0), (2, 5.0), (1, 25.0), (2, 25.0), (10, 5.0),
+                     (10, 10.0), (40, 25.0), (40, 40.0), (300, 300.0)]
+
+
+class TestBesselCore:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(m=st.integers(-300, 300), x=st.floats(0.0, 1e4))
+    @example(m=300, x=1e4)
+    @example(m=-299, x=300.5)
+    @example(m=7, x=1e-300)
+    def test_matches_mpmath_over_the_envelope(self, m, x):
+        assert _envelope_error(bessel_j(m, x), m, x) <= 1e-13
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(m=st.integers(-300, 300), offset=st.floats(-30.0, 30.0))
+    def test_matches_mpmath_near_the_turning_point(self, m, offset):
+        x = max(0.0, abs(m) + offset)
+        assert _envelope_error(bessel_j(m, x), m, x) <= 1e-13
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(m=st.integers(-40, 40), x=st.floats(1e-3, 200.0))
+    def test_derivative_matches_mpmath(self, m, x):
+        with mpmath.workdps(30):
+            want = float(mpmath.besselj(m, mpmath.mpf(x), derivative=1))
+        assert abs(bessel_j_derivative(m, x) - want) <= 1e-13 * max(abs(want), 1.0)
+
+    @pytest.mark.parametrize("M, edge", BESSEL_BOUNDARIES)
+    def test_one_ulp_either_side_of_each_method_boundary(self, M, edge):
+        xs = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
+        j = specfun._bessel_jn(M, xs)
+        for m in range(M + 1):
+            for i, x in enumerate(xs):
+                assert _envelope_error(j[m, i], m, float(x)) <= 1e-13, (m, x)
+
+    def test_every_method_in_one_array(self):
+        # the elements of one call take the series, Miller's recurrence, the trapezoid
+        # rule and Hankel's expansion, each on its own slice of the sorted x
+        x = np.array([1e4, 0.0, 60.1, 4.9, 1e-3, 26.0, 59.9, 5.1, 200.0, 30.0])
+        j = specfun._bessel_jn(60, x)
+        assert j.shape == (61, 10)
+        for m in (0, 1, 2, 30, 59, 60):
+            for i, xi in enumerate(x):
+                assert _envelope_error(j[m, i], m, float(xi)) <= 1e-13, (m, xi)
+
+    def test_origin_is_exact(self):
+        j = specfun._bessel_jn(5, 0.0)
+        assert j[0] == 1.0 and not np.any(j[1:])
+        assert bessel_j(-3, 0.0) == 0.0
+        assert [bessel_j_derivative(m, 0.0) for m in (-1, 0, 1, 2)] == [-0.5, 0.0, 0.5, 0.0]
+
+    def test_shape_and_scalar_ness_follow_x(self):
+        x = np.array([[0.5, 7.0, 40.0], [3.0, 25.0, 600.0]])
+        for f in (bessel_j, bessel_j_derivative):
+            got = f(-3, x)
+            assert got.shape == (2, 3)
+            for point in (40.0, 3.0, 3, np.float64(600.0)):
+                value = f(-3, point)
+                assert isinstance(value, np.float64)
+            assert np.allclose(got, [[f(-3, v) for v in row] for row in x], rtol=0, atol=1e-15)
+        assert specfun._bessel_jn(2, x).shape == (3, 2, 3)
+
+    @pytest.mark.parametrize("m", [0, 1, -1, 4, -5, 30])
+    def test_derivative_is_the_half_difference(self, m):
+        x = np.array([1e-3, 2.0, 5.0, 9.0, 24.0, 31.0, 90.0, 2000.0])
+        want = 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
+        assert np.allclose(bessel_j_derivative(m, x), want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("x", [-1.0, -1e-300, math.nan, math.inf, -math.inf,
+                                   [1.0, math.nan], np.array([[2.0], [-3.0]])])
+    def test_x_outside_the_domain_raises(self, x):
+        for f in (bessel_j, bessel_j_derivative):
+            with pytest.raises(DiagnosticError, match="finite x >= 0"):
+                f(1, x)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, True, "2", None])
+    def test_order_must_be_an_integer(self, m):
+        for f in (bessel_j, bessel_j_derivative):
+            with pytest.raises(DiagnosticError, match="Bessel order must be an integer"):
+                f(m, 1.0)
+
+    def test_numpy_integer_orders_accepted(self):
+        assert bessel_j(np.int64(-2), 3.0) == bessel_j(-2, 3.0)
 
 
 class TestConverged:
