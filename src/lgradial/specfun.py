@@ -14,7 +14,7 @@ built on the radial table.)
 Bessel functions of the first kind J_0..J_M come from one numpy pass,
 `_bessel_jn`, which sorts x and gives each element one method:
 
-- x <= 5: the power series, as one matrix product.  It is relative-accurate,
+- x <= 5: the power series, as matrix-vector products.  It is relative-accurate,
   which matters because J_m ~ x^m.
 - x > max(M, 5): J_0 and J_1, then upward recurrence, which is stable for
   m < x.  J_0 and J_1 come from the 60-point periodic trapezoid rule on
@@ -28,15 +28,11 @@ Bessel functions of the first kind J_0..J_M come from one numpy pass,
 Measured against mpmath over orders |m| <= 300 and 0 <= x <= 1e4, the error
 is at most 4e-14 of sqrt(2/(pi x)) where x > |m| + 1 and of |J_m(x)| where
 x <= |m| + 1.  The worst case is the upward recurrence near x = m = 300.
-A lone float x > max(M, 25), the common case of `rs_bessel_field`, runs
-Hankel's expansion in Python arithmetic.  The integer reflection
-J_{-m} = (-1)^m J_m is applied explicitly.
+The integer reflection J_{-m} = (-1)^m J_m is applied explicitly.
 """
 
 from __future__ import annotations
 
-import bisect
-import cmath
 import functools
 import math
 import numbers
@@ -111,17 +107,22 @@ def laguerre(n, alpha, x):
 
 
 # Bessel J_0..J_M (see the module docstring): x is sorted, so each method works
-# on one contiguous slice.  The tables are built in Python arithmetic: numpy's
-# complex loops, run at import, would page in 0.3 MiB that only Bessel calls need.
+# on one contiguous slice.  The numpy calls are chosen for the library code they
+# page in as well as for speed, since a Bessel call is often the only one that
+# needs it: the tables are built in Python arithmetic (numpy's complex loops, run
+# at import, would page in 0.3 MiB), the regime boundaries are counted with
+# `count_nonzero` (searchsorted would page in 64 KiB), and `_matvecs` stands in
+# for a matrix product (gemm would page in 0.19 MiB).
 _J_SERIES_X = 5.0     # x <= 5: the power series
 _J_SERIES_TERMS = 20  # the first term left out is 1.5e-21 at x = 5
 _J_HANKEL_X = 25.0    # x > max(M, 25): Hankel's expansion for J_0, J_1, then upward
-_J_HANKEL_TERMS = 20  # enough down to x = 20; `_hankel_terms` takes what x needs
+_J_HANKEL_TERMS = 20  # enough down to x = 20
 _J_TRAPEZOID_N = 60   # max(M, 5) < x <= 25: the N-point trapezoid rule, error 2 J_N(x) < 2e-17
 
 
 def _hankel_coefficients():
-    """c_k(nu), nu = 0, 1, with J_nu(x) = Re[e^(ix) sum_k c_k(nu) x^-k] / sqrt(x).
+    """(4, terms) matrix R with J_nu(x) = ((R @ x^-k)_nu cos x - (R @ x^-k)_(nu+2) sin x)
+    / sqrt(x), nu = 0, 1: rows 0, 1 are Re c_k(nu) and rows 2, 3 are Im c_k(nu).
 
     This is Hankel's H_nu^(1)(x) = sqrt(2/(pi x)) e^(i(x - nu pi/2 - pi/4)) sum_k
     i^k a_k(nu) x^-k with the constant phase folded into c_k, so the phase of a large
@@ -134,22 +135,10 @@ def _hankel_coefficients():
         for k in range(1, _J_HANKEL_TERMS):
             c *= 1j * (4 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)
             rows[-1].append(c)
-    return list(zip(*rows))
+    return np.array([[c.real for c in r] for r in rows] + [[c.imag for c in r] for r in rows])
 
 
-_HANKEL_POINT = _hankel_coefficients()  # (c_k(0), c_k(1)) as Python complexes
-# (4, terms): J_nu = ((R @ x^-k)_nu cos x - (R @ x^-k)_(nu+2) sin x) / sqrt(x)
-_HANKEL = np.array([[c.real for c in col] for col in zip(*_HANKEL_POINT)]
-                   + [[c.imag for c in col] for col in zip(*_HANKEL_POINT)])
-# term k is below 1e-17 of the leading one for every x above its reach; the reaches
-# fall with k, and are kept negated for `bisect`
-_HANKEL_REACH = [-math.inf] + [-(max(map(abs, c)) / abs(_HANKEL_POINT[0][0]) / 1e-17) ** (1 / k)
-                               for k, c in enumerate(_HANKEL_POINT) if k]
-
-
-def _hankel_terms(x):
-    """How many leading terms of Hankel's expansion reach 1e-17 anywhere above x."""
-    return bisect.bisect_right(_HANKEL_REACH, -x)
+_HANKEL = _hankel_coefficients()
 
 
 def _trapezoid_table():
@@ -183,11 +172,17 @@ _SERIES_J01 = _series_matrix(1)  # J_0, J_1: the orders asked for most
 _POWERS = np.array([[float(k)] for k in range(max(_J_SERIES_TERMS, _J_HANKEL_TERMS))])
 
 
+def _matvecs(c, p):
+    """c @ p for a (rows, terms) c and a (terms, n) p, as a stack of matrix-vector
+    products, which numpy hands to BLAS gemv rather than gemm."""
+    return (p.T @ c[:, :, None])[..., 0]
+
+
 def _j_series(M, x):
-    """J_0..J_M by the power series, as one matrix product."""
+    """J_0..J_M by the power series, as one `_matvecs` product."""
     y = 0.2 * x
     c = _SERIES_J01[:M + 1] if M <= 1 else _series_matrix(M)
-    j = c @ (y * y) ** _POWERS[:_J_SERIES_TERMS]
+    j = _matvecs(c, (y * y) ** _POWERS[:_J_SERIES_TERMS])
     if M:
         j[1:] *= y ** np.arange(1.0, M + 1)[:, None]
     return j
@@ -200,24 +195,10 @@ def _j01_trapezoid(x):
 
 
 def _j01_hankel(x):
-    """J_0, J_1 by Hankel's expansion (see `_hankel_coefficients`); x is ascending."""
-    terms = _hankel_terms(x[0])
+    """J_0, J_1 by Hankel's expansion (see `_hankel_coefficients`)."""
     w = 1.0 / x
-    h = _HANKEL[:, :terms] @ w ** _POWERS[:terms]
+    h = _matvecs(_HANKEL, w ** _POWERS[:_J_HANKEL_TERMS])
     return (h[:2] * np.cos(x) - h[2:] * np.sin(x)) * np.sqrt(w)
-
-
-def _jn_hankel_point(M, x):
-    """`_j01_hankel` and the upward recurrence at one float x, by Horner's rule in
-    Python arithmetic: a fifth of the cost of numpy calls on a 0-d array."""
-    w, h0, h1 = 1.0 / x, 0j, 0j
-    for c0, c1 in reversed(_HANKEL_POINT[:_hankel_terms(x)]):
-        h0, h1 = h0 * w + c0, h1 * w + c1
-    e = cmath.exp(1j * x) * math.sqrt(w)
-    j = [(h0 * e).real, (h1 * e).real]
-    for m in range(1, M):
-        j.append(m * (2.0 / x) * j[m] - j[m - 1])
-    return np.array(j[:M + 1])
 
 
 def _j_miller(M, x):
@@ -248,8 +229,6 @@ def _j_miller(M, x):
 def _bessel_jn(M, x):
     """J_0(x), ..., J_M(x) for finite real x >= 0 of any shape, stacked on a new first
     axis; each element takes the method of its regime (see the module docstring)."""
-    if isinstance(x, float) and max(M, _J_HANKEL_X) < x < math.inf:
-        return _jn_hankel_point(M, x)
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     order = flat.argsort()  # NaN sorts last
@@ -257,8 +236,8 @@ def _bessel_jn(M, x):
     if xs.size and not (xs[0] >= 0.0 and xs[-1] < np.inf):
         bad = xs[0] if xs[0] < 0.0 else xs[-1]
         raise DiagnosticError(f"Bessel J needs finite x >= 0, got {bad}")
-    a, b, c = xs.searchsorted((_J_SERIES_X, max(M, _J_SERIES_X), max(M, _J_HANKEL_X)),
-                              side="right")
+    a, b, c = (np.count_nonzero(xs <= t)
+               for t in (_J_SERIES_X, max(M, _J_SERIES_X), max(M, _J_HANKEL_X)))
     j = np.empty((max(M, 1) + 1, xs.size))
     if a:
         j[:M + 1, :a] = _j_series(M, xs[:a])
