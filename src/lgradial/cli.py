@@ -405,18 +405,11 @@ def _verify_checks(cfg):
 
     # synthesis vs closed form
     t_ray = w0**2 * omega / C_LIGHT**2
-    sample_pts = [SpacetimePoint(r=ri * w0, phi=fi, z=zi * w0, t=ti * t_ray)
-                  for ri, fi, zi, ti in zip(
-                      np.linspace(0.08, 2.6, 24),
-                      np.linspace(0.0, 6.0, 24),
-                      np.linspace(-2.0, 2.0, 24),
-                      np.linspace(-0.4, 0.4, 24))]
+    pts = SpacetimePoint(r=np.linspace(0.08, 2.6, 24) * w0, phi=np.linspace(0.0, 6.0, 24),
+                         z=np.linspace(-2.0, 2.0, 24) * w0, t=np.linspace(-0.4, 0.4, 24) * t_ray)
     for (n, m, s) in ((0, 0, 1), (1, 1, -1)):
         pp = ExactMomentumParams(n, m, s, omega, w0)
-        synth = np.array([synthesize_lg(pp, q, 96, check_convergence=(i == 0))
-                          for i, q in enumerate(sample_pts)])
-        closed = np.array([chi_closed_form(pp, q) for q in sample_pts])
-        _, resid = fit_global_scale(closed, synth)
+        _, resid = fit_global_scale(chi_closed_form(pp, pts), synthesize_lg(pp, pts, 96))
         checks.append(_check(f"synthesis/n{n}m{m}s{s:+d}", resid, 1e-6))
 
     # Maxwell residual of an exact Bessel mode

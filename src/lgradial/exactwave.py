@@ -7,6 +7,10 @@ exact Laguerre-Gauss-type scalar field with complex beam parameter
 a(t_plus) = w^2 + i sigma c^2 t_plus / Omega, and Gauss-rule synthesis
 of that field from its momentum-space weight.
 
+Every function takes a `SpacetimePoint` whose fields are floats or arrays of
+one broadcastable shape, and evaluates a single point and a batch by the same
+code: a batch returns values of the broadcast shape, a point a scalar.
+
 The scalar field of the closed form is
 
     chi = N r^|m| / a(t_plus)^(n+|m|+1) exp(-i sigma (Omega t_minus - m phi))
@@ -20,7 +24,6 @@ which the momentum-space synthesis reproduces the closed form.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -73,6 +76,12 @@ class BesselModeParams:
 
 @dataclass(frozen=True)
 class SpacetimePoint:
+    """Cylindrical coordinates (r, phi, z) and time t, SI units.
+
+    Each field is a float or an array; arrays must share one broadcastable
+    shape, and the point is then the batch of that shape.
+    """
+
     r: float
     phi: float
     z: float
@@ -89,14 +98,11 @@ class SpacetimePoint:
 
 @dataclass(frozen=True)
 class RSField:
-    """Cylindrical components of the Riemann-Silberstein vector at a point."""
+    """Cylindrical components of the Riemann-Silberstein vector at a point or a batch."""
 
     F_r: complex
     F_phi: complex
     F_z: complex
-
-    def as_array(self):
-        return np.array([self.F_r, self.F_phi, self.F_z])
 
 
 def chi_bessel(params: BesselModeParams, p: SpacetimePoint, k_phi=0.0):
@@ -118,14 +124,14 @@ def rs_bessel_field(params: BesselModeParams, p: SpacetimePoint) -> RSField:
 
     Satisfies dF/dt = -i c curl F and div F = 0 exactly; helicity sigma.
     """
-    if p.r <= 0:
+    if np.any(p.r <= 0):
         raise DiagnosticError("rs_bessel_field requires r > 0")
     s = params.sigma
     m, k, kt, kz = params.m, params.k, params.k_t, params.k_z
     u = kt * p.r
-    J, Jp = map(float, _bessel_j_and_derivative(m, u))
+    J, Jp = _bessel_j_and_derivative(m, u)
     pref = ((1j * s) ** m / (k * math.sqrt(2.0))
-            * cmath.exp(-1j * s * (params.omega_k * p.t - kz * p.z - m * p.phi)))
+            * np.exp(-1j * s * (params.omega_k * p.t - kz * p.z - m * p.phi)))
     F_r = pref * (1j * s * kz * Jp + 1j * (k * m / u) * J)
     F_phi = pref * (-s * k * Jp - (kz * m / u) * J)
     F_z = pref * kt * J
@@ -144,29 +150,21 @@ _OFFS = np.array([-2, -1, 0, 1, 2])
 _STEP_FRACTION = 2e-3
 
 
-def _fd1(values, h):
-    return np.dot(_D1_W, values) / h
+def _stencil(sampler, p: SpacetimePoint, wavenumber, frac):
+    """One sampler call on p shifted by -2..2 steps h along each of (r, phi, z, t): a
+    (4, 5) batch, axis by offset, whose column 2 is p.  Returns (samples, h).
 
-
-def _fd2(values, h):
-    return np.dot(_D2_W, values) / (h * h)
-
-
-def _sample_axis(sampler, p: SpacetimePoint, axis: str, h: float):
-    out = []
-    for o in _OFFS:
-        q = {"r": p.r, "phi": p.phi, "z": p.z, "t": p.t}
-        q[axis] = q[axis] + o * h
-        out.append(sampler(SpacetimePoint(**q)))
-    return out
-
-
-def _field_stencils(sampler, p, hr, hphi, hz, ht):
-    """Stack (5, 3) arrays of RSField components along each axis."""
-    stacks = {}
-    for axis, h in (("r", hr), ("phi", hphi), ("z", hz), ("t", ht)):
-        stacks[axis] = np.array([f.as_array() for f in _sample_axis(sampler, p, axis, h)])
-    return stacks
+    The steps are `frac` of a wavelength (r, z), a turn (phi) and a period (t).
+    """
+    if not (math.isfinite(wavenumber) and wavenumber > 0):
+        raise DiagnosticError(f"wavenumber must be finite and > 0, got {wavenumber}")
+    lam = 2.0 * math.pi / wavenumber
+    h = np.array([frac * lam, frac * 2.0 * math.pi, frac * lam, frac * lam / C_LIGHT])
+    if not p.r > 2.0 * h[0]:
+        raise DiagnosticError(f"the 1/r terms need r > 2 steps = {2.0 * h[0]:.3g} m, got {p.r}")
+    shifts = np.eye(4)[:, :, None] * h[:, None] * _OFFS  # [axis, coordinate, offset]
+    q = SpacetimePoint(*(x + shifts[:, i] for i, x in enumerate((p.r, p.phi, p.z, p.t))))
+    return sampler(q), h
 
 
 @dataclass(frozen=True)
@@ -177,16 +175,11 @@ class MaxwellResidual:
 
 
 def _maxwell_defects(sampler, p, wavenumber, frac):
-    lam = 2.0 * math.pi / wavenumber
-    hr = hz = frac * lam
-    hphi = frac * 2.0 * math.pi
-    ht = frac * lam / C_LIGHT
-    st = _field_stencils(sampler, p, hr, hphi, hz, ht)
-    F = st["r"][2]  # center point components
-    dFdr = _fd1(st["r"], hr)
-    dFdphi = _fd1(st["phi"], hphi)
-    dFdz = _fd1(st["z"], hz)
-    dFdt = _fd1(st["t"], ht)
+    f, h = _stencil(sampler, p, wavenumber, frac)
+    # [component, axis, offset]; a sampler may return scalars for a constant field
+    st = np.array([np.broadcast_to(c, (4, 5)) for c in (f.F_r, f.F_phi, f.F_z)])
+    dFdr, dFdphi, dFdz, dFdt = (st @ _D1_W / h).T
+    F = st[:, 0, 2]  # center point components
     r = p.r
     curl_r = dFdphi[2] / r - dFdz[1]
     curl_phi = dFdz[0] - dFdr[2]
@@ -203,11 +196,14 @@ def _maxwell_defects(sampler, p, wavenumber, frac):
 
 
 def maxwell_residual(sampler, p: SpacetimePoint, *, wavenumber) -> MaxwellResidual:
-    """Finite-difference Maxwell residuals of an RS field sampler at a point.
+    """Finite-difference Maxwell residuals of an RS field sampler at a single point p.
 
     Central 4th-order differences with steps of 2e-3 of the local wavelength;
     the result is confirmed by step halving and a warning is attached when
-    halving does not decrease the defect.
+    halving does not decrease the defect.  The sampler is called once per step
+    size, on an array-valued `SpacetimePoint` (the (4, 5) stencil), and must
+    broadcast: it returns an `RSField` of that shape (or of scalars).  Unless
+    `wavenumber` is finite and > 0 and p.r exceeds two radial steps, `DiagnosticError`.
     """
     c1, d1 = _maxwell_defects(sampler, p, wavenumber, _STEP_FRACTION)
     c2, d2 = _maxwell_defects(sampler, p, wavenumber, 0.5 * _STEP_FRACTION)
@@ -220,20 +216,17 @@ def maxwell_residual(sampler, p: SpacetimePoint, *, wavenumber) -> MaxwellResidu
 
 
 def wave_residual(sampler, p: SpacetimePoint, *, wavenumber) -> float:
-    """Relative residual of (1/c^2) d^2/dt^2 chi - laplacian chi at a point."""
-    lam = 2.0 * math.pi / wavenumber
-    hr = hz = _STEP_FRACTION * lam
-    hphi = _STEP_FRACTION * 2.0 * math.pi
-    ht = _STEP_FRACTION * lam / C_LIGHT
+    """Relative residual of (1/c^2) d^2/dt^2 chi - laplacian chi at a single point p.
 
-    def along(axis, h):
-        return np.array(_sample_axis(sampler, p, axis, h))
-
-    sr, sphi, sz, st = along("r", hr), along("phi", hphi), along("z", hz), along("t", ht)
-    chi = sr[2]
-    lap = (_fd2(sr, hr) + _fd1(sr, hr) / p.r + _fd2(sphi, hphi) / p.r**2
-           + _fd2(sz, hz))
-    dtt = _fd2(st, ht) / C_LIGHT**2
+    The sampler is called once, on the stencil of `maxwell_residual`, and must
+    broadcast over it; the same checks on `wavenumber` and p.r apply.
+    """
+    s, h = _stencil(sampler, p, wavenumber, _STEP_FRACTION)
+    s = np.broadcast_to(s, (4, 5))
+    d1, d2 = s @ _D1_W / h, s @ _D2_W / h**2
+    chi = s[0, 2]
+    lap = d2[0] + d1[0] / p.r + d2[1] / p.r**2 + d2[2]
+    dtt = d2[3] / C_LIGHT**2
     scale = max(abs(dtt), wavenumber**2 * abs(chi))
     if scale == 0.0:
         return 0.0
@@ -255,16 +248,18 @@ def chi_closed_form(params: ExactMomentumParams, p: SpacetimePoint):
 
 
 def _synthesis_radial(params: ExactMomentumParams, p: SpacetimePoint, order):
-    # the weight e^(-beta k_minus) becomes the rule's e^(-u), u = beta k_minus, and
-    # shares one complex exponential with the phase of t_plus
+    # one (points x nodes) evaluation, nodes on a new last axis; the weight
+    # e^(-beta k_minus) becomes the rule's e^(-u), u = beta k_minus, and shares one
+    # complex exponential with the phase of t_plus
     u, lam = _gauss_u(order, 0)
     beta, k_plus = params.beta, params.k_plus
     km = u / beta
+    t_plus, r = (np.asarray(x)[..., None] for x in (p.t_plus, p.r))
     weighted = (lam / beta * km ** (params.n + abs(params.m) / 2.0) * (k_plus + km)
-                * np.exp(-(1.0 + 1j * params.sigma * C_LIGHT * p.t_plus / beta) * u)
-                * bessel_j(params.m, 2.0 * p.r * math.sqrt(k_plus / beta) * np.sqrt(u)))
-    value = complex(weighted.sum())
-    return value, float(np.abs(weighted).sum()), value  # value, integrand mass, result
+                * np.exp(-(1.0 + 1j * params.sigma * C_LIGHT * t_plus / beta) * u)
+                * bessel_j(params.m, 2.0 * r * math.sqrt(k_plus / beta) * np.sqrt(u)))
+    value = weighted.sum(axis=-1)
+    return value, np.abs(weighted).sum(axis=-1), value  # value, integrand mass, result
 
 
 def synthesize_lg(params: ExactMomentumParams, p: SpacetimePoint,
@@ -277,27 +272,37 @@ def synthesize_lg(params: ExactMomentumParams, p: SpacetimePoint,
     (`lgmode._gauss_u`), which absorbs the physical exponent, so no truncation
     radius is ever chosen.  The azimuthal integral is resolved analytically to
     the exp(i sigma m phi) term.  `quad_order` is an integer >= 8.
-    With `check_convergence`, orders q and 2q must agree to 1e-8 relative or
-    1e-11 of the integrand mass (in oscillatory tails far above the value).
+    With `check_convergence`, orders q and 2q must agree at every point of p
+    to 1e-8 relative or 1e-11 of that point's integrand mass (in oscillatory
+    tails far above the value).
     """
     if _check_order(quad_order) < 8:
         raise DiagnosticError("quad_order must be >= 8")
     val = (_converge("synthesis integral", lambda q: _synthesis_radial(params, p, q),
                      (quad_order, 2 * quad_order), 1e-8, 1e-11) if check_convergence
            else _synthesis_radial(params, p, quad_order)[0])
-    return cmath.exp(-1j * params.sigma * (params.Omega * p.t_minus - params.m * p.phi)) * val
+    return np.exp(-1j * params.sigma * (params.Omega * p.t_minus - params.m * p.phi)) * val
 
 
 def fit_global_scale(reference, values):
     """Least-squares complex scale s minimizing ||values - s reference||.
 
-    Returns (scale, relative L2 residual of the fit).
+    Returns (scale, relative L2 residual of the fit).  Samples of different
+    sizes, non-finite samples and an identically zero reference or `values`
+    raise `DiagnosticError`.
     """
     reference = np.asarray(reference, dtype=complex).ravel()
     values = np.asarray(values, dtype=complex).ravel()
+    if reference.size != values.size:
+        raise DiagnosticError(f"reference has {reference.size} samples, values {values.size}")
+    if not (np.all(np.isfinite(reference)) and np.all(np.isfinite(values))):
+        raise DiagnosticError("samples must be finite")
     denom = np.vdot(reference, reference)
     if denom == 0:
         raise DiagnosticError("reference sample is identically zero")
+    norm = np.linalg.norm(values)
+    if norm == 0:
+        raise DiagnosticError("values are identically zero")
     scale = complex(np.vdot(reference, values) / denom)
-    resid = np.linalg.norm(values - scale * reference) / np.linalg.norm(values)
+    resid = np.linalg.norm(values - scale * reference) / norm
     return scale, float(resid)

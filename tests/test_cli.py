@@ -327,10 +327,11 @@ class TestDeterminism:
         assert (a / "lg_verify.json").read_bytes() == (b / "lg_verify.json").read_bytes()
 
 
-# the runtime needs only numpy: the package import, every command (verify too) and
-# every Bessel J entry point must leave scipy unloaded
+# the runtime needs only numpy: the package import, every command (verify too), every
+# Bessel J entry point and the batched exact-wave paths must leave scipy unloaded
 IMPORT_GUARD = """
 import sys
+import numpy as np
 import lgradial, lgradial.cli
 from lgradial import exactwave, specfun
 for argv in (["render", "--grid.pixels", "16"],
@@ -343,8 +344,13 @@ specfun.bessel_j_derivative(-3, [0.5, 7.0, 40.0])
 omega, w = 2.9e15, 1e-3
 pp = exactwave.ExactMomentumParams(1, 1, -1, omega, w)
 exactwave.synthesize_lg(pp, exactwave.SpacetimePoint(r=w, phi=0.3, z=0.0), 96)
+exactwave.synthesize_lg(pp, exactwave.SpacetimePoint(r=np.array([w, 2 * w]), phi=0.3, z=0.0), 96)
 bp = exactwave.BesselModeParams(m=1, sigma=1, k_t=5e5, k_z=1e7)
-exactwave.rs_bessel_field(bp, exactwave.SpacetimePoint(r=4e-4, phi=0.7, z=0.0))
+pt = exactwave.SpacetimePoint(r=4e-4, phi=0.7, z=0.0)
+exactwave.rs_bessel_field(bp, pt)
+exactwave.maxwell_residual(lambda q: exactwave.rs_bessel_field(bp, q), pt, wavenumber=bp.k)
+exactwave.wave_residual(lambda q: exactwave.chi_closed_form(pp, q), pt,
+                        wavenumber=omega / lgradial.C_LIGHT)
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 """
 

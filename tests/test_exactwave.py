@@ -124,7 +124,7 @@ class TestRSBesselField:
 
         def rough(q):
             f = rs_bessel_field(bp, q)
-            ripple = 1e-5 * math.sin(q.r * 1e9 + q.z * 7.7e8)
+            ripple = 1e-5 * np.sin(q.r * 1e9 + q.z * 7.7e8)
             return RSField(f.F_r * (1 + ripple), f.F_phi, f.F_z)
 
         res = maxwell_residual(rough, _point(omega=bp.omega_k), wavenumber=bp.k)
@@ -226,6 +226,115 @@ class TestSynthesis:
         assert np.isfinite(v.real) and np.isfinite(v.imag)
 
 
+class TestBatch:
+    """A SpacetimePoint of arrays is a batch: one call equals the per-point calls."""
+
+    BATCH = SpacetimePoint(r=np.linspace(0.08, 2.6, 24) * W0, phi=np.linspace(0.0, 6.0, 24),
+                           z=np.linspace(-2.0, 2.0, 24) * W0,
+                           t=np.linspace(-0.4, 0.4, 24) * T_RAY)
+
+    def _assert_batch_matches_points(self, f):
+        batch = f(self.BATCH)
+        points = [SpacetimePoint(*map(float, q)) for q in
+                  zip(self.BATCH.r, self.BATCH.phi, self.BATCH.z, self.BATCH.t)]
+        single = [f(q) for q in points]
+        assert all(np.ndim(v) == 0 for v in single)
+        np.testing.assert_allclose(batch, single, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("gated", [True, False])
+    @pytest.mark.parametrize("n,m,sigma", [(0, 0, 1), (1, 1, -1), (3, 2, 1)])
+    def test_synthesis(self, n, m, sigma, gated):
+        p = ExactMomentumParams(n, m, sigma, OMEGA, W0)
+        self._assert_batch_matches_points(
+            lambda q: synthesize_lg(p, q, 96, check_convergence=gated))
+
+    def test_closed_form(self):
+        p = ExactMomentumParams(2, -1, -1, OMEGA, W0)
+        self._assert_batch_matches_points(lambda q: chi_closed_form(p, q))
+
+    def test_chi_bessel(self):
+        bp = _bessel_params(m=3, sigma=-1)
+        self._assert_batch_matches_points(lambda q: chi_bessel(bp, q))
+
+    def test_rs_bessel_field(self):
+        bp = _bessel_params(m=1, tilt=0.4)
+        for part in ("F_r", "F_phi", "F_z"):
+            self._assert_batch_matches_points(lambda q: getattr(rs_bessel_field(bp, q), part))
+
+    def test_fields_broadcast(self):
+        # a radial profile at one time: r is an array, the other fields floats
+        p = ExactMomentumParams(1, 1, 1, OMEGA, W0)
+        r = np.linspace(0.1, 2.0, 7) * W0
+        got = synthesize_lg(p, SpacetimePoint(r=r, phi=0.4, z=0.0, t=0.1 * T_RAY), 96)
+        assert got.shape == (7,)
+        assert got[3] == pytest.approx(
+            synthesize_lg(p, SpacetimePoint(r=float(r[3]), phi=0.4, z=0.0, t=0.1 * T_RAY), 96),
+            rel=1e-13)
+
+    def test_gate_holds_at_every_point(self):
+        # order 8 resolves a point near the axis at the focus but not one far out
+        # at 0.4 Rayleigh times; a batch holding both must fail
+        p = ExactMomentumParams(1, 1, -1, OMEGA, W0)
+        synthesize_lg(p, SpacetimePoint(r=0.5 * W0, phi=0.0, z=0.0, t=0.0), 8)
+        both = SpacetimePoint(r=np.array([0.5, 2.6]) * W0, phi=0.0, z=0.0,
+                              t=np.array([0.0, 0.4]) * T_RAY)
+        with pytest.raises(QuadratureConvergenceError):
+            synthesize_lg(p, both, 8)
+
+    def test_gate_tolerance_is_per_point(self):
+        # at order 12 the change at 2.7 w0 misses 1e-11 of its own integrand mass
+        # but not 1e-11 of the axis point's, 3.4x larger: a tolerance taken from the
+        # batch's largest mass would pass it
+        p = ExactMomentumParams(0, 0, 1, OMEGA, W0)
+        synthesize_lg(p, SpacetimePoint(r=0.0, phi=0.0, z=0.0, t=0.0), 12)
+        both = SpacetimePoint(r=np.array([0.0, 2.7]) * W0, phi=0.0, z=0.0, t=0.0)
+        with pytest.raises(QuadratureConvergenceError):
+            synthesize_lg(p, both, 12)
+
+
+class TestResidualStencil:
+    @staticmethod
+    def _counting(sampler):
+        def counted(q):
+            counted.calls += 1
+            assert np.shape(q.r) == (4, 5)
+            return sampler(q)
+        counted.calls = 0
+        return counted
+
+    def test_one_sampler_call_per_step_size(self):
+        bp = _bessel_params(m=1)
+        rs = self._counting(lambda q: rs_bessel_field(bp, q))
+        maxwell_residual(rs, _point(omega=bp.omega_k), wavenumber=bp.k)
+        assert rs.calls == 2
+        chi = self._counting(lambda q: chi_bessel(bp, q))
+        wave_residual(chi, _point(omega=bp.omega_k), wavenumber=bp.k)
+        assert chi.calls == 1
+
+    def test_scalar_sampler(self):
+        # a constant solves the wave equation; what is left is stencil roundoff
+        assert wave_residual(lambda q: 1.0 + 0j, _point(), wavenumber=K) < 1e-9
+
+    @pytest.mark.parametrize("residual", ["maxwell", "wave"])
+    @pytest.mark.parametrize("r,wavenumber", [
+        (0.0, K),             # the 1/r terms are undefined on the axis
+        (1e-9, K),            # the stencil would sample at r < 0
+        (0.4e-3, -K),         # a negative wavenumber flips the sign of the defects
+        (0.4e-3, 0.0),        # no wavelength to take the steps from
+        (0.4e-3, math.nan),
+        (0.4e-3, math.inf),
+    ], ids=["axis", "below_two_steps", "negative_k", "zero_k", "nan_k", "inf_k"])
+    def test_rejects_bad_point_or_wavenumber(self, residual, r, wavenumber):
+        p = ExactMomentumParams(2, 1, 1, OMEGA, W0)
+        bp = _bessel_params(m=0)
+        pt = SpacetimePoint(r=r, phi=0.3, z=0.0, t=0.0)
+        with pytest.raises(DiagnosticError):
+            if residual == "maxwell":
+                maxwell_residual(lambda q: rs_bessel_field(bp, q), pt, wavenumber=wavenumber)
+            else:
+                wave_residual(lambda q: chi_closed_form(p, q), pt, wavenumber=wavenumber)
+
+
 class TestParaxialBridge:
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_zero_node_modes_match_paraxial_lg(self, m):
@@ -253,3 +362,19 @@ class TestGlobalScaleFit:
     def test_zero_reference_rejected(self):
         with pytest.raises(DiagnosticError):
             fit_global_scale(np.zeros(5), np.ones(5))
+
+    def test_zero_values_rejected(self):
+        with pytest.raises(DiagnosticError):
+            fit_global_scale(np.ones(5), np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("side", ["reference", "values"])
+    def test_non_finite_rejected(self, bad, side):
+        ref, vals = np.ones(5, dtype=complex), np.arange(1.0, 6.0) + 0j
+        (ref if side == "reference" else vals)[2] = bad
+        with pytest.raises(DiagnosticError):
+            fit_global_scale(ref, vals)
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(DiagnosticError):
+            fit_global_scale(np.ones(5), np.ones(4))
