@@ -160,8 +160,8 @@ def _stencil(sampler, p: SpacetimePoint, wavenumber, frac):
         raise DiagnosticError(f"wavenumber must be finite and > 0, got {wavenumber}")
     lam = 2.0 * math.pi / wavenumber
     h = np.array([frac * lam, frac * 2.0 * math.pi, frac * lam, frac * lam / C_LIGHT])
-    if not p.r > 2.0 * h[0]:
-        raise DiagnosticError(f"the 1/r terms need r > 2 steps = {2.0 * h[0]:.3g} m, got {p.r}")
+    if not (p.r > 2.0 * h[0] and all(map(math.isfinite, (p.r, p.phi, p.z, p.t)))):
+        raise DiagnosticError(f"need a finite point with r > 2 steps = {2.0 * h[0]:.3g} m, got {p}")
     shifts = np.eye(4)[:, :, None] * h[:, None] * _OFFS  # [axis, coordinate, offset]
     q = SpacetimePoint(*(x + shifts[:, i] for i, x in enumerate((p.r, p.phi, p.z, p.t))))
     return sampler(q), h
@@ -202,8 +202,8 @@ def maxwell_residual(sampler, p: SpacetimePoint, *, wavenumber) -> MaxwellResidu
     the result is confirmed by step halving and a warning is attached when
     halving does not decrease the defect.  The sampler is called once per step
     size, on an array-valued `SpacetimePoint` (the (4, 5) stencil), and must
-    broadcast: it returns an `RSField` of that shape (or of scalars).  Unless
-    `wavenumber` is finite and > 0 and p.r exceeds two radial steps, `DiagnosticError`.
+    broadcast: it returns an `RSField` of that shape (or of scalars).  Unless `wavenumber`
+    is finite and > 0 and p is finite with p.r beyond two radial steps, `DiagnosticError`.
     """
     c1, d1 = _maxwell_defects(sampler, p, wavenumber, _STEP_FRACTION)
     c2, d2 = _maxwell_defects(sampler, p, wavenumber, 0.5 * _STEP_FRACTION)
@@ -219,7 +219,7 @@ def wave_residual(sampler, p: SpacetimePoint, *, wavenumber) -> float:
     """Relative residual of (1/c^2) d^2/dt^2 chi - laplacian chi at a single point p.
 
     The sampler is called once, on the stencil of `maxwell_residual`, and must
-    broadcast over it; the same checks on `wavenumber` and p.r apply.
+    broadcast over it; the same checks on `wavenumber` and p apply.
     """
     s, h = _stencil(sampler, p, wavenumber, _STEP_FRACTION)
     s = np.broadcast_to(s, (4, 5))

@@ -117,7 +117,7 @@ class PolarGrid:
             raise GridError("r_nodes must be positive and strictly increasing")
         if len(p) > 1:
             dp = np.diff(p)
-            if not np.allclose(dp, dp[0], rtol=1e-12, atol=1e-15):
+            if not np.max(np.abs(dp - dp[0])) <= 1e-15 + 1e-12 * abs(dp[0]):
                 raise GridError("phi_nodes must be uniformly spaced")
         if self.r_weights is not None:
             w = np.asarray(self.r_weights, dtype=float)
@@ -139,7 +139,7 @@ class PolarGrid:
         """True when phi_nodes are j*dphi for j = 0..N-1 (full circle)."""
         n = len(self.phi_nodes)
         expect = np.arange(n) * (2.0 * math.pi / n) + self.phi_nodes[0]
-        return bool(np.allclose(self.phi_nodes, expect, rtol=0, atol=1e-12))
+        return bool(np.max(np.abs(self.phi_nodes - expect), initial=0.0) <= 1e-12)
 
     def mesh(self):
         return np.meshgrid(self.r_nodes, self.phi_nodes, indexing="ij")

@@ -238,15 +238,16 @@ def hermiticity_defect(psi, operator="Nk_paraxial", *, w, sigma=1, kt_max) -> He
 
     def evaluate(n_rad):
         rule = make_rule("legendre", n_rad, interval=(0.0, kt_max))
-        kt = rule.nodes
-        KT, KP = np.meshgrid(kt, kphi, indexing="ij")
-        vals = np.asarray(psi(KT, KP), dtype=complex)
-        a_vals = KT * _radial_derivative(kt, vals, 1)
+        kt = rule.nodes[:, None]  # the (k_t, k_phi) mesh lives only for the psi call
+        vals = np.asarray(psi(*np.meshgrid(rule.nodes, kphi, indexing="ij")), dtype=complex)
+        a_vals = kt * _radial_derivative(rule.nodes, vals, 1)
         if operator == "Nk_paraxial":
-            a_vals = 0.5 * (a_vals + (1j / sigma) * phi_derivative(vals, 1) + w**2 * KT**2 * vals)
-        mu = rule.weights[:, None] * kt[:, None] * (2.0 * math.pi / 64)
+            a_vals = 0.5 * (a_vals + (1j / sigma) * phi_derivative(vals, 1) + w**2 * kt**2 * vals)
+        mu = rule.weights[:, None] * kt * (2.0 * math.pi / 64)
         defect = complex(np.sum(np.conj(a_vals) * vals * mu) - np.sum(np.conj(vals) * a_vals * mu))
         nrm = float(np.sum(np.abs(vals) ** 2 * mu).real)
+        if nrm == 0.0:
+            raise DiagnosticError("hermiticity_defect needs a psi that is not identically zero")
         return defect, nrm, HermiticityDefect(defect=defect, norm_sq=nrm)
 
     return _converge("hermiticity defect", evaluate, (192, 384), 1e-6, 1e-6)

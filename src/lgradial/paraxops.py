@@ -11,9 +11,9 @@ Every operator has two application paths, and both return a FieldGrid:
                 exp(i l phi): the radial derivatives are read off the
                 overflow-safe radial table on the radial nodes only, and
                 the phi parts are exact (Lz -> l, d2_phi -> -l^2, |Lz| -> |l|);
-  * fd        - 7-point banded stencils in r (N x 7 weights, no dense
-                matrix) and spectral (Fourier) differentiation in the
-                periodic phi direction, for arbitrary sampled fields.
+  * fd        - 7-point banded stencils in r (N x 7 weights; real batched
+                matmuls contract both radial orders at once) and one forward
+                FFT shared by the spectral phi parts, for arbitrary sampled fields.
 
 Both paths only supply the derivatives; one dispatch defines every operator.
 
@@ -96,61 +96,68 @@ def _stencils(nodes, m):
         raise GridError(f"need at least {npts} radial nodes, got {n}")
     lo = np.clip(np.arange(n) - npts // 2, 0, n - npts)
     idx = lo[:, None] + np.arange(npts)
-    xs = x[idx]
-    c = np.zeros((m + 1, n, npts))
-    c[0, :, 0] = 1.0
+    xs = x[idx].T
+    c = np.zeros((m + 1, npts, n))  # [order, stencil point, row]: rows contiguous
+    c[0, 0] = 1.0
     c1 = np.ones(n)
-    c4 = xs[:, 0] - x
+    c4 = xs[0] - x
     for i in range(1, npts):
         c2 = np.ones(n)
         c5 = c4
-        c4 = xs[:, i] - x
+        c4 = xs[i] - x
         for j in range(i):
-            c3 = xs[:, i] - xs[:, j]
+            c3 = xs[i] - xs[j]
             c2 = c2 * c3
             if j == i - 1:
                 for s in range(min(i, m), 0, -1):
-                    c[s, :, i] = c1 * (s * c[s - 1, :, i - 1] - c5 * c[s, :, i - 1]) / c2
-                c[0, :, i] = -c1 * c5 * c[0, :, i - 1] / c2
+                    c[s, i] = c1 * (s * c[s - 1, i - 1] - c5 * c[s, i - 1]) / c2
+                c[0, i] = -c1 * c5 * c[0, i - 1] / c2
             for s in range(min(i, m), 0, -1):
-                c[s, :, j] = (c4 * c[s, :, j] - s * c[s - 1, :, j]) / c3
-            c[0, :, j] = c4 * c[0, :, j] / c3
+                c[s, j] = (c4 * c[s, j] - s * c[s - 1, j]) / c3
+            c[0, j] = c4 * c[0, j] / c3
         c1 = c2
-    return idx, c
+    return idx, c.transpose(0, 2, 1)
+
+
+def _radial_derivatives(nodes, values, m):
+    """d^s/dr^s along axis 0 of `values` on `nodes` for s = 1..m, stacked on a new axis 0.
+
+    One stencil build serves every order.  Real matmuls, batched over orders and rows,
+    contract the weights with `values` (complex ones through their float view) gathered
+    in blocks of 32 float columns, and write into the float view of the result.
+    """
+    values = np.ascontiguousarray(values, dtype=complex if np.iscomplexobj(values) else float)
+    idx, c = _stencils(nodes, m)
+    out = np.empty((m,) + values.shape, dtype=values.dtype)
+    v, o = values.reshape(len(idx), -1).view(float), out.reshape(m, len(idx), 1, -1).view(float)
+    for j in range(0, v.shape[1], 32):  # 32-column blocks cap the gather at N x 7 x 32 floats
+        np.matmul(c[1:, :, None, :], v[idx, j:j + 32], out=o[..., j:j + 32])
+    return out
 
 
 def _radial_derivative(nodes, values, m):
     """d^m/dr^m along axis 0 of `values` sampled on `nodes`, by 7-point stencils."""
-    idx, c = _stencils(nodes, m)
-    return np.einsum("ij,ij...->i...", c[m], values[idx])
+    return _radial_derivatives(nodes, values, m)[m - 1]
 
 
-def _check_phi(grid: PolarGrid, minimum=8):
-    if len(grid.phi_nodes) < minimum:
-        raise GridError(f"spectral phi derivatives need >= {minimum} nodes")
-    if not grid.phi_uniform_period:
-        raise GridError("phi nodes must uniformly cover a full period")
-
-
-def _phi_wavenumbers(nphi):
-    return np.fft.fftfreq(nphi, d=1.0 / nphi)
+def _phi_multiplier(nphi, part):
+    """Real spectral multiplier of d2_phi, Lz = -i d/dphi or |Lz| ("d2_phi", "lz", "abs_lz")."""
+    m = np.fft.fftfreq(nphi, d=1.0 / nphi)
+    if part == "lz" and nphi % 2 == 0:
+        m[nphi // 2] = 0.0  # odd derivative has no well-defined Nyquist mode
+    return {"d2_phi": -(m**2), "lz": m, "abs_lz": np.abs(m)}[part]
 
 
 def phi_derivative(values, order):
     """Spectral d^order/dphi^order along axis 1 of an (r, phi) array."""
-    nphi = values.shape[1]
-    m = _phi_wavenumbers(nphi)
-    mult = (1j * m) ** order
-    if order % 2 == 1 and nphi % 2 == 0:
-        mult[nphi // 2] = 0.0  # odd derivative has no well-defined Nyquist mode
-    return np.fft.ifft(np.fft.fft(values, axis=1) * mult, axis=1)
+    m = _phi_multiplier(values.shape[1], "lz" if order % 2 else "abs_lz")  # |m|^2k = m^2k
+    return np.fft.ifft(np.fft.fft(values, axis=1) * (1j * m) ** order, axis=1)
 
 
 def phi_abs_multiplier(values):
     """Apply |Lz| spectrally: multiply each azimuthal harmonic m by |m|."""
-    nphi = values.shape[1]
-    m = np.abs(_phi_wavenumbers(nphi))
-    return np.fft.ifft(np.fft.fft(values, axis=1) * m, axis=1)
+    mult = _phi_multiplier(values.shape[1], "abs_lz")
+    return np.fft.ifft(np.fft.fft(values, axis=1) * mult, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +205,18 @@ def _apply(op: Operator, z, r, f, radial, azimuthal):
 def apply_to_field(op: Operator, field: FieldGrid) -> FieldGrid:
     """Apply an operator to a sampled field: 7-point stencils in r, FFT in phi."""
     grid, f = field.grid, field.values
+    spectrum = None
 
-    def radial():  # both orders from one stencil pass and one gather
-        idx, c = _stencils(grid.r_nodes, 2)
-        fi = f[idx]
-        return [np.einsum("ij,ij...->i...", c[m], fi) for m in (1, 2)]
+    def azimuthal(part):  # one phi check and one forward FFT per apply
+        nonlocal spectrum
+        if spectrum is None:
+            if len(grid.phi_nodes) < 8 or not grid.phi_uniform_period:
+                raise GridError("phi derivatives need >= 8 phi nodes uniformly covering a period")
+            spectrum = np.fft.fft(f, axis=1)
+        return np.fft.ifft(spectrum * _phi_multiplier(f.shape[1], part), axis=1)
 
-    def azimuthal(part):
-        _check_phi(grid)
-        if part == "d2_phi":
-            return phi_derivative(f, 2)
-        return -1j * phi_derivative(f, 1) if part == "lz" else phi_abs_multiplier(f)
-
-    return FieldGrid(grid, _apply(op, grid.z, grid.r_nodes[:, None], f, radial, azimuthal))
+    return FieldGrid(grid, _apply(op, grid.z, grid.r_nodes[:, None], f,
+                                  lambda: _radial_derivatives(grid.r_nodes, f, 2), azimuthal))
 
 
 def _mode_apply(op: Operator, params: LGParams, z, r):
@@ -318,6 +324,9 @@ _EXPECTED_COMMUTATORS = {
 
 def commutator_residual(op_a: Operator, op_b: Operator, field: FieldGrid) -> float:
     """|| (AB - BA) f - C f || / || f || against the expected commutator C."""
+    nf = norm(field)
+    if not 0.0 < nf < math.inf:
+        raise DiagnosticError(f"commutator_residual needs a nonzero, finite field, got norm {nf}")
     ab = apply_to_field(op_a, apply_to_field(op_b, field)).values
     ba = apply_to_field(op_b, apply_to_field(op_a, field)).values
     comm = ab - ba
@@ -325,4 +334,4 @@ def commutator_residual(op_a: Operator, op_b: Operator, field: FieldGrid) -> flo
     if tag != "zero":
         lap = apply_to_field(Operator("laplacian_t"), field).values
         comm -= (-2j if tag == "lap_scaled" else 2j) * lap
-    return norm(FieldGrid(field.grid, comm)) / norm(field)
+    return norm(FieldGrid(field.grid, comm)) / nf

@@ -8,6 +8,8 @@ exception is `overlap_matrix_quadrature`, which integrates the library's
 radial table on its Gauss-Legendre rule: it shares only that table and the
 rule with the library, and test_lgmode checks the table (test_specfun the
 rule) against mpmath.  The library's own overlap matrices take no integral.
+Finite-difference weights come from one Vandermonde solve per row, not from
+Fornberg's recurrence.
 """
 
 import math
@@ -107,3 +109,24 @@ def overlap_matrix_quadrature(l, n_max, z, z_prime, w0, w0_prime, k, atol=1e-13)
             return cur
         prev = cur
     raise AssertionError(f"quadrature overlap not converged at order {m}")
+
+
+def fd_matrix_vandermonde(nodes, m, width=7):
+    """Dense N x N matrix of d^m/dx^m by `width`-point stencils, one linear solve per row.
+
+    Row i uses the `width` nodes centred on node i (one-sided near either end,
+    like the library's stencils).  Its weights w solve sum_j w_j d_j^k = m! delta_km,
+    k = 0..width-1, with d_j the node offsets from node i scaled to [-1, 1].
+    """
+    x = np.asarray(nodes, dtype=float)
+    n = len(x)
+    rhs = np.zeros(width)
+    rhs[m] = math.factorial(m)
+    out = np.zeros((n, n))
+    for i in range(n):
+        lo = min(max(i - width // 2, 0), n - width)
+        d = x[lo:lo + width] - x[i]
+        scale = np.max(np.abs(d))
+        vander = (d / scale)[None, :] ** np.arange(width)[:, None]
+        out[i, lo:lo + width] = np.linalg.solve(vander, rhs) / scale**m
+    return out

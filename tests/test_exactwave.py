@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -333,6 +334,21 @@ class TestResidualStencil:
                 maxwell_residual(lambda q: rs_bessel_field(bp, q), pt, wavenumber=wavenumber)
             else:
                 wave_residual(lambda q: chi_closed_form(p, q), pt, wavenumber=wavenumber)
+
+    @pytest.mark.parametrize("residual", ["maxwell", "wave"])
+    @pytest.mark.parametrize("coord,value", [
+        ("r", math.inf), ("phi", math.nan), ("phi", math.inf),
+        ("z", math.nan), ("z", -math.inf), ("t", math.nan), ("t", math.inf),
+    ])
+    def test_rejects_non_finite_coordinate(self, residual, coord, value):
+        # unchecked, a non-finite coordinate gives a NaN residual with no warning
+        bp = _bessel_params(m=1)
+        pt = dataclasses.replace(_point(omega=bp.omega_k), **{coord: value})
+        with pytest.raises(DiagnosticError, match="finite point"):
+            if residual == "maxwell":
+                maxwell_residual(lambda q: rs_bessel_field(bp, q), pt, wavenumber=bp.k)
+            else:
+                wave_residual(lambda q: chi_bessel(bp, q), pt, wavenumber=bp.k)
 
 
 class TestParaxialBridge:

@@ -352,6 +352,17 @@ class TestGridValidation:
     def test_rejects_nonuniform_phi(self):
         with pytest.raises(GridError):
             PolarGrid(np.array([1.0, 2.0]), np.array([0.0, 0.1, 0.5]))
+        with pytest.raises(GridError):
+            PolarGrid(np.array([1.0, 2.0]), np.array([0.0, math.nan, 0.5]))
+
+    def test_phi_uniform_period(self):
+        r = np.array([1.0, 2.0])
+        full = np.arange(16) * (2 * math.pi / 16)
+        assert PolarGrid(r, full).phi_uniform_period
+        assert PolarGrid(r, full + 0.3).phi_uniform_period
+        assert not PolarGrid(r, full / 2).phi_uniform_period
+        # uniform, but the last node is 6e-11 rad off the period
+        assert not PolarGrid(r, full * (1 + 1e-11)).phi_uniform_period
 
     def test_field_shape_must_match(self, params21):
         g = quadrature_polar_grid(params21, 0.0, order=32)

@@ -215,9 +215,10 @@ class TestHermiticity:
         assert abs(hd.defect) > 1e-3 * hd.norm_sq
 
     def test_zero_wavefunction(self):
+        # norm_sq = 0 leaves nothing to compare the defect against
         psi = lambda kt, kphi: np.zeros_like(kt, dtype=complex)
-        hd = hermiticity_defect(psi, w=W0, sigma=1, kt_max=5.0 / W0)
-        assert hd.defect == 0.0
+        with pytest.raises(DiagnosticError, match="identically zero"):
+            hermiticity_defect(psi, w=W0, sigma=1, kt_max=5.0 / W0)
 
     def test_isolated_first_term_not_hermitian(self):
         # k_t d/dk_t without the i is not hermitian on generic wavefunctions

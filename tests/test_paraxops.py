@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from lgradial.errors import DiagnosticError, GridError
-from lgradial.lgmode import (FieldGrid, LGParams, PolarGrid,
+from lgradial.lgmode import (FieldGrid, LGParams, PolarGrid, beam_geometry,
                              quadrature_polar_grid, inner, norm, sample,
                              uniform_polar_grid)
-from lgradial.paraxops import (Operator, _radial_derivative, _stencils,
-                               apply_to_field, apply_to_mode,
+from lgradial.paraxops import (Operator, _radial_derivative, _radial_derivatives,
+                               _stencils, apply_to_field, apply_to_mode,
                                commutator_residual, dilation_check,
                                eigen_residual, expected_eigenvalue)
 
 from conftest import K, W0, ZR
+from oracles import fd_matrix_vandermonde
 
 
 def _plain_grid(rmax=8.0, nr=1024, nphi=16):
@@ -261,6 +262,17 @@ class TestCommutators:
         f = FieldGrid(g, np.exp(-r**2) * np.exp(1j * phi))
         assert commutator_residual(Operator("Lz"), Operator("Lz"), f) == 0.0
 
+    @pytest.mark.parametrize("bad", [None, math.nan, math.inf], ids=["zero", "nan", "inf"])
+    def test_rejects_zero_or_non_finite_field(self, bad):
+        g = _plain_grid(nr=64)
+        r, _ = g.mesh()
+        values = np.zeros(g.shape, dtype=complex)
+        if bad is not None:
+            values = np.exp(-r**2).astype(complex)
+            values[10, 3] = bad
+        with pytest.raises(DiagnosticError, match="nonzero, finite field"):
+            commutator_residual(Operator("Lz"), Operator("PH"), FieldGrid(g, values))
+
 
 class TestPathAgreementAndSymmetry:
     def test_analytic_and_fd_paths_agree(self):
@@ -352,3 +364,72 @@ class TestDiffMatrix:
     def test_needs_seven_nodes(self):
         with pytest.raises(GridError):
             _stencils(np.linspace(0.1, 1.0, 6), 1)
+
+
+class TestFDContraction:
+    """apply_to_field against dense Vandermonde-solve stencils and a plain FFT in phi."""
+
+    @staticmethod
+    def _random_field(nr=96, nphi=24):  # 48 float columns: a full and a partial block
+        rng = np.random.default_rng(13)
+        r = W0 * 4.0 / nr * np.cumsum(rng.uniform(0.5, 1.5, nr))  # non-uniform nodes
+        g = PolarGrid(r, np.arange(nphi) * (2 * math.pi / nphi), z=0.7 * ZR)
+        return FieldGrid(g, rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+
+    @staticmethod
+    def _oracle(kind, policy, field, p):
+        g, f = field.grid, field.values
+        r = g.r_nodes[:, None]
+        d1 = fd_matrix_vandermonde(g.r_nodes, 1) @ f
+        d2 = fd_matrix_vandermonde(g.r_nodes, 2) @ f
+        m = np.fft.fftfreq(f.shape[1], d=1.0 / f.shape[1])
+        spectrum = np.fft.fft(f, axis=1)
+        d2_phi = np.fft.ifft(-(m**2) * spectrum, axis=1)
+        lz_mult = np.abs(m) if policy == "symmetrized" else np.where(m == -len(m) / 2, 0.0, m)
+        lz_part = np.fft.ifft(lz_mult * spectrum, axis=1)  # Lz has no Nyquist mode
+        if kind == "PH":
+            return -1j * (r * d1 + f)
+        lap = d2 + d1 / r + d2_phi / r**2
+        if kind == "laplacian_t":
+            return lap
+        z = g.z if kind == "Nz" else 0.0
+        out = (-(beam_geometry(p, z).w_z**2 / 8) * lap - 0.5 * lz_part
+               + 0.5 * (r**2 / p.w0**2 - 1.0) * f)
+        return out + 1j * z / (p.k * p.w0**2) * (f + r * d1)
+
+    @pytest.mark.parametrize("kind,policy", [("N0", "symmetrized"), ("N0", "verbatim"),
+                                             ("Nz", "symmetrized"), ("PH", None),
+                                             ("laplacian_t", None)])
+    def test_matches_vandermonde_oracle(self, kind, policy):
+        field = self._random_field()
+        p = LGParams(1, 2, K, W0)
+        if kind == "N0":  # N0 acts on its focal plane only
+            field = FieldGrid(PolarGrid(field.grid.r_nodes, field.grid.phi_nodes), field.values)
+        op = Operator(kind, params=p, z=field.grid.z if kind == "Nz" else None,
+                      sign_policy=policy or "symmetrized")
+        got = apply_to_field(op, field).values
+        want = self._oracle(kind, policy, field, p)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_real_1d_and_complex_2d_input_agree(self):
+        rng = np.random.default_rng(5)
+        x = np.cumsum(rng.uniform(0.5, 1.5, 40))
+        f, g = rng.normal(size=40), rng.normal(size=40)
+        real = [_radial_derivatives(x, v, 2) for v in (f, g)]
+        both = _radial_derivatives(x, np.asfortranarray(np.stack([f + 1j * g, g - 1j * f], 1)), 2)
+        assert both.shape == (2, 40, 2) and real[0].shape == (2, 40)
+        tol = 1e-14 * max(np.max(np.abs(v)) for v in real)
+        assert np.max(np.abs(both[..., 0] - (real[0] + 1j * real[1]))) <= tol
+        assert np.max(np.abs(both[..., 1] - (real[1] - 1j * real[0]))) <= tol
+        for s in (1, 2):
+            want = fd_matrix_vandermonde(x, s) @ f
+            assert np.max(np.abs(real[0][s - 1] - want)) <= 1e-10 * np.max(np.abs(want))
+            assert np.max(np.abs(_radial_derivative(x, f, s) - real[0][s - 1])) <= tol
+
+    def test_one_forward_fft_per_apply(self, monkeypatch):
+        field = self._random_field()
+        calls = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda *a, **k: calls.append(1) or fft(*a, **k))
+        apply_to_field(Operator("Nz", params=LGParams(1, 2, K, W0), z=field.grid.z), field)
+        assert len(calls) == 1
