@@ -260,19 +260,22 @@ def decompose(field_grid: FieldGrid, l, n_set, z, w0, k) -> Decomposition:
 
     c_n = <LG_n | field> on the field's own quadrature grid: exp(i l phi)
     projection, then one radial table-vector product.  The reconstruction
-    residual ||field - sum c_n LG_n|| / ||field|| is attached.
+    residual ||field - sum c_n LG_n|| / ||field|| is attached; a field whose norm is
+    zero or non-finite raises DiagnosticError.
     """
     grid = field_grid.grid
     if not math.isclose(grid.z, z, rel_tol=0, abs_tol=1e-12 * (1 + abs(z))):
         raise DiagnosticError("field and basis must share the plane z")
     weights = _require_weights(grid)
     n_set = _radial_indices(n_set)
+    nf = norm(field_grid)
+    if not 0.0 < nf < math.inf:
+        raise DiagnosticError(f"decompose needs a nonzero, finite field, got norm {nf}")
     table, curvature, gouy = _radial_profiles(max(n_set, default=0), l, k, w0, z, grid.r_nodes)
     basis = (table * curvature * gouy[:, None])[list(n_set)]
     azimuthal = np.exp(1j * l * grid.phi_nodes)
     projected = field_grid.values @ np.conj(azimuthal) * grid.dphi
     coeffs = np.conj(basis) @ (weights * grid.r_nodes * projected)
     recon = (coeffs @ basis)[:, None] * azimuthal[None, :]
-    nf = norm(field_grid)
-    resid = norm(FieldGrid(grid, field_grid.values - recon)) / nf if nf > 0 else 0.0
+    resid = norm(FieldGrid(grid, field_grid.values - recon)) / nf
     return Decomposition(n_set=n_set, coefficients=coeffs, reconstruction_residual=float(resid))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one quadrature-order check."""
+"""Exception types shared across the package, and the one order and size check."""
 
 import numbers
 
@@ -15,8 +15,8 @@ class GridError(DiagnosticError):
     """A grid does not satisfy the requirements of the requested operation."""
 
 
-def _check_order(order):
-    """A quadrature order is an integer >= 1: not a bool, a float or a string."""
+def _check_order(order, name="quadrature order"):
+    """A quadrature order or grid size is an integer >= 1: not a bool, a float or a string."""
     if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
-        raise DiagnosticError(f"quadrature order must be an integer >= 1, got {order!r}")
+        raise DiagnosticError(f"{name} must be an integer >= 1, got {order!r}")
     return int(order)

@@ -62,8 +62,8 @@ class BesselModeParams:
     def __post_init__(self):
         if self.sigma not in (1, -1):
             raise DiagnosticError("sigma must be +1 or -1")
-        if self.k_t <= 0:
-            raise DiagnosticError("k_t must be > 0 (the 1/(k k_t) prefactor)")
+        if not (0 < self.k_t < math.inf and math.isfinite(self.k_z)):
+            raise DiagnosticError(f"k_t must be finite > 0, k_z finite: {self.k_t}, {self.k_z}")
 
     @property
     def k(self):

@@ -53,8 +53,8 @@ class LGParams:
             raise DiagnosticError(f"mode numbers must be integers, got n={self.n!r}, l={self.l!r}")
         if self.n < 0:
             raise DiagnosticError(f"radial index must be >= 0, got {self.n}")
-        if self.k <= 0 or self.w0 <= 0:
-            raise DiagnosticError("k and w0 must be positive")
+        if not (0 < self.k < math.inf and 0 < self.w0 < math.inf):
+            raise DiagnosticError(f"k and w0 must be finite and > 0, got {self.k}, {self.w0}")
 
     @property
     def rayleigh_range(self):
@@ -81,7 +81,9 @@ class BeamGeometry:
 
 
 def beam_geometry(params: LGParams, z: float) -> BeamGeometry:
-    """Waist, inverse curvature and Gouy phase at propagation distance z."""
+    """Waist, inverse curvature and Gouy phase at propagation distance z (finite)."""
+    if not math.isfinite(z):
+        raise DiagnosticError(f"plane z must be finite, got {z}")
     zr = params.rayleigh_range
     w_z = params.w0 * math.sqrt(1.0 + (z / zr) ** 2)
     inv_r = z / (z * z + zr * zr)
@@ -111,8 +113,8 @@ class PolarGrid:
         object.__setattr__(self, "phi_nodes", p)
         r.setflags(write=False)
         p.setflags(write=False)
-        if r.ndim != 1 or p.ndim != 1:
-            raise GridError("grid node arrays must be 1-D")
+        if r.ndim != 1 or p.ndim != 1 or not (r.size and p.size):
+            raise GridError("grid node arrays must be 1-D and nonempty")
         if np.any(r <= 0) or np.any(np.diff(r) <= 0):
             raise GridError("r_nodes must be positive and strictly increasing")
         if len(p) > 1:
@@ -346,6 +348,7 @@ def quadrature_polar_grid(params: LGParams, z=0.0, *, n_max=None, l_max=None,
     integrates <A f, B g> exactly.  Nodes r = w_z sqrt(u/2), dr-weights w_z^2 lam/(4 r).
     """
     n_max, l_max = _family_bounds(params, n_max, l_max)
+    nphi = _check_order(nphi, "nphi")
     u, lam = _gauss_u(_check_order(n_max + 2 + abs(l_max) // 2 if order is None else order), 0)
     w_z = beam_geometry(params, z).w_z
     r = w_z * np.sqrt(0.5 * u)
@@ -361,6 +364,7 @@ def uniform_polar_grid(params: LGParams, z=0.0, *, n_max=None, l_max=None, nr=76
     order, ample for the norm ratios the FD paths need.
     """
     n_max, l_max = _family_bounds(params, n_max, l_max)
+    nr, nphi = _check_order(nr, "nr"), _check_order(nphi, "nphi")
     # 1.5x the classical turning radius, floored at 4.5 w_z so the Gaussian
     # tail beyond the edge stays below 1e-17 even for the lowest modes
     turning = math.sqrt(2.0 * (2 * n_max + abs(l_max) + 1))

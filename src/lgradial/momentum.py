@@ -27,7 +27,7 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .errors import DiagnosticError
-from .paraxops import _radial_derivative, phi_derivative
+from .paraxops import _radial_derivatives, phi_derivative
 from .specfun import _converge, make_rule
 
 __all__ = [
@@ -63,8 +63,8 @@ class ExactMomentumParams:
             raise DiagnosticError("n must be >= 0")
         if self.sigma not in (1, -1):
             raise DiagnosticError("sigma must be +1 or -1")
-        if self.Omega <= 0 or self.w <= 0:
-            raise DiagnosticError("Omega and w must be positive")
+        if not (0 < self.Omega < math.inf and 0 < self.w < math.inf):
+            raise DiagnosticError(f"Omega and w must be finite and > 0, got {self.Omega}, {self.w}")
 
     @property
     def k_plus(self):
@@ -240,7 +240,7 @@ def hermiticity_defect(psi, operator="Nk_paraxial", *, w, sigma=1, kt_max) -> He
         rule = make_rule("legendre", n_rad, interval=(0.0, kt_max))
         kt = rule.nodes[:, None]  # the (k_t, k_phi) mesh lives only for the psi call
         vals = np.asarray(psi(*np.meshgrid(rule.nodes, kphi, indexing="ij")), dtype=complex)
-        a_vals = kt * _radial_derivative(rule.nodes, vals, 1)
+        a_vals = kt * _radial_derivatives(rule.nodes, vals, 1)[0]
         if operator == "Nk_paraxial":
             a_vals = 0.5 * (a_vals + (1j / sigma) * phi_derivative(vals, 1) + w**2 * kt**2 * vals)
         mu = rule.weights[:, None] * kt * (2.0 * math.pi / 64)

@@ -11,9 +11,11 @@ Every operator has two application paths, and both return a FieldGrid:
                 exp(i l phi): the radial derivatives are read off the
                 overflow-safe radial table on the radial nodes only, and
                 the phi parts are exact (Lz -> l, d2_phi -> -l^2, |Lz| -> |l|);
-  * fd        - 7-point banded stencils in r (N x 7 weights; real batched
-                matmuls contract both radial orders at once) and one forward
-                FFT shared by the spectral phi parts, for arbitrary sampled fields.
+  * fd        - 7-point banded stencils in r (N x 7 weights in closed
+                barycentric form; real batched matmuls contract both radial
+                orders at once with 7-row windows of the field, read in
+                place) and one forward FFT shared by the spectral phi parts,
+                for arbitrary sampled fields.
 
 Both paths only supply the derivatives; one dispatch defines every operator.
 
@@ -30,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DiagnosticError, GridError
 from .lgmode import (FieldGrid, LGParams, PolarGrid, _mode_derivatives,
@@ -39,7 +42,6 @@ from .specfun import make_rule
 __all__ = [
     "Operator",
     "phi_derivative",
-    "phi_abs_multiplier",
     "apply_to_field",
     "apply_to_mode",
     "expected_eigenvalue",
@@ -81,63 +83,60 @@ class Operator:
 # finite-difference machinery
 
 def _stencils(nodes, m):
-    """Banded 7-point finite-difference weights of derivative orders 0..m on sorted nodes.
+    """Banded 7-point finite-difference weights of derivative orders 0..m <= 2 on sorted nodes.
 
     Returns (idx, c): N x 7 stencil indices and (m+1) x N x 7 weights with
     f^(s)(nodes[i]) ~= sum_j c[s, i, j] f(nodes[idx[i, j]]).  Each row is
-    centred on its node, and the rows near either end are one-sided.
-    Fornberg's recurrence (Math. Comp. 51, 699, 1988) runs on all N rows at
-    once, so it also serves non-uniform nodes; c[s] does not depend on m.
+    centred on its node, and the rows near either end are one-sided.  The
+    weights are the derivatives at the row's node x_p of the Lagrange
+    interpolant through its stencil nodes x_j, in closed barycentric form
+    (Berrut & Trefethen, SIAM Rev. 46, 501, 2004): with lam_j = 1/prod_(k!=j)
+    (x_j - x_k), c[1, j] = (lam_j/lam_p)/(x_p - x_j) and c[2, j] =
+    2 c[1, j] (c[1, p] - 1/(x_p - x_j)) for j != p; the own-node entries make
+    each row sum to 0.  All rows at once, on any nodes; c[s] does not depend on m.
     """
     npts = 7
     x = np.asarray(nodes, dtype=float)
     n = len(x)
     if n < npts:
         raise GridError(f"need at least {npts} radial nodes, got {n}")
-    lo = np.clip(np.arange(n) - npts // 2, 0, n - npts)
+    rows = np.arange(n)
+    lo = np.clip(rows - npts // 2, 0, n - npts)
     idx = lo[:, None] + np.arange(npts)
-    xs = x[idx].T
-    c = np.zeros((m + 1, npts, n))  # [order, stencil point, row]: rows contiguous
-    c[0, 0] = 1.0
-    c1 = np.ones(n)
-    c4 = xs[0] - x
-    for i in range(1, npts):
-        c2 = np.ones(n)
-        c5 = c4
-        c4 = xs[i] - x
-        for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 = c2 * c3
-            if j == i - 1:
-                for s in range(min(i, m), 0, -1):
-                    c[s, i] = c1 * (s * c[s - 1, i - 1] - c5 * c[s, i - 1]) / c2
-                c[0, i] = -c1 * c5 * c[0, i - 1] / c2
-            for s in range(min(i, m), 0, -1):
-                c[s, j] = (c4 * c[s, j] - s * c[s - 1, j]) / c3
-            c[0, j] = c4 * c[0, j] / c3
-        c1 = c2
-    return idx, c.transpose(0, 2, 1)
+    p = rows - lo  # each row's own node within its stencil
+    xs = x[lo + np.arange(npts)[:, None]]  # idx.T, rows contiguous
+    diff = xs[:, None] - xs  # x_j - x_k as [j, k, row]
+    diff.reshape(npts * npts, n)[::npts + 1] = 1.0  # k = j: the product runs over k != j
+    lam = 1.0 / diff.prod(axis=1)
+    dx = x - xs
+    dx[p, rows] = np.inf
+    inv = 1.0 / dx  # 1/(x_p - x_j), 0 at j = p
+    c = np.zeros((3, npts, n))
+    c[1] = lam / lam[p, rows] * inv  # 0 at j = p, as inv is
+    c[2] = 2.0 * c[1] * (-c[1].sum(axis=0) - inv)  # minus the row sum is c[1] at j = p
+    c[0, p, rows] = 1.0
+    c[1:, p, rows] = -c[1:].sum(axis=1)  # each derivative row sums to 0
+    return idx, c[:m + 1].transpose(0, 2, 1)
 
 
 def _radial_derivatives(nodes, values, m):
     """d^s/dr^s along axis 0 of `values` on `nodes` for s = 1..m, stacked on a new axis 0.
 
     One stencil build serves every order.  Real matmuls, batched over orders and rows,
-    contract the weights with `values` (complex ones through their float view) gathered
-    in blocks of 32 float columns, and write into the float view of the result.
+    contract the weights with 7-row windows of `values` (complex ones through their float
+    view), read in place rather than gathered, and write into the float view of the
+    result.  Row i's stencil is window clip(i - 3, 0, N - 7): the interior rows take the
+    windows in order, and the three rows at either end share the first or the last one.
     """
     values = np.ascontiguousarray(values, dtype=complex if np.iscomplexobj(values) else float)
-    idx, c = _stencils(nodes, m)
+    c, n = _stencils(nodes, m)[1], len(values)
     out = np.empty((m,) + values.shape, dtype=values.dtype)
-    v, o = values.reshape(len(idx), -1).view(float), out.reshape(m, len(idx), 1, -1).view(float)
-    for j in range(0, v.shape[1], 32):  # 32-column blocks cap the gather at N x 7 x 32 floats
-        np.matmul(c[1:, :, None, :], v[idx, j:j + 32], out=o[..., j:j + 32])
+    v, o = values.reshape(n, -1).view(float), out.reshape(m, n, 1, -1).view(float)
+    win = sliding_window_view(v, 7, axis=0).swapaxes(1, 2)  # win[i] = v[i:i + 7]
+    np.matmul(c[1:, :3, None, :], win[0], out=o[:, :3])
+    np.matmul(c[1:, 3:n - 3, None, :], win, out=o[:, 3:n - 3])
+    np.matmul(c[1:, n - 3:, None, :], win[-1], out=o[:, n - 3:])
     return out
-
-
-def _radial_derivative(nodes, values, m):
-    """d^m/dr^m along axis 0 of `values` sampled on `nodes`, by 7-point stencils."""
-    return _radial_derivatives(nodes, values, m)[m - 1]
 
 
 def _phi_multiplier(nphi, part):
@@ -152,12 +151,6 @@ def phi_derivative(values, order):
     """Spectral d^order/dphi^order along axis 1 of an (r, phi) array."""
     m = _phi_multiplier(values.shape[1], "lz" if order % 2 else "abs_lz")  # |m|^2k = m^2k
     return np.fft.ifft(np.fft.fft(values, axis=1) * (1j * m) ** order, axis=1)
-
-
-def phi_abs_multiplier(values):
-    """Apply |Lz| spectrally: multiply each azimuthal harmonic m by |m|."""
-    mult = _phi_multiplier(values.shape[1], "abs_lz")
-    return np.fft.ifft(np.fft.fft(values, axis=1) * mult, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +265,14 @@ class DilationCheck:
     generator_defect: float
 
 
-def _radial_norm(rule, values):
-    return math.sqrt(float(rule.integrate(np.abs(values) ** 2 * rule.nodes)))
+def _norm_ratio(rule, values, ref):
+    """||values|| / ||ref|| under r dr; a non-finite norm or a zero ||ref|| raises."""
+    num, den = (math.sqrt(float(rule.integrate(np.abs(v) ** 2 * rule.nodes)))
+                for v in (values, ref))
+    if not (math.isfinite(num) and 0.0 < den < math.inf):
+        raise DiagnosticError(f"dilation_check needs finite norms and a nonzero reference norm, "
+                              f"got {num} over {den}")
+    return num / den
 
 
 def dilation_check(f, gamma) -> DilationCheck:
@@ -282,18 +281,17 @@ def dilation_check(f, gamma) -> DilationCheck:
     Verifies on a 384-node Gauss-Legendre rule over (0, 32) that D_g is unitary
     under r dr, that D_0 is the identity, and that the central difference
     (D_d f - D_{-d} f) / (2 d), d = 1e-4, matches the generator (r d/dr + 1) f,
-    i.e. i PH f with hbar = 1.
+    i.e. i PH f with hbar = 1.  A gamma that is not finite or beyond +-700, a
+    non-finite norm or a zero denominator norm raises DiagnosticError.
     """
+    if not abs(gamma) <= 700.0:  # e^gamma stays a finite float
+        raise DiagnosticError(f"dilation_check needs a finite gamma, |gamma| <= 700, got {gamma}")
     rule, delta = make_rule("legendre", 384, interval=(0.0, 32.0)), 1e-4
     r = rule.nodes
     base = np.asarray(f(r), dtype=complex)
-    nf = _radial_norm(rule, base)
-    if nf == 0.0:
-        raise DiagnosticError("dilation_check requires a nonzero test function")
-
     dilated = math.exp(gamma) * np.asarray(f(math.exp(gamma) * r), dtype=complex)
-    unitarity = _radial_norm(rule, dilated) / nf
-    identity_defect = _radial_norm(rule, dilated - base) / nf
+    unitarity = _norm_ratio(rule, dilated, base)
+    identity_defect = _norm_ratio(rule, dilated - base, base)
 
     cd = (math.exp(delta) * np.asarray(f(math.exp(delta) * r), dtype=complex)
           - math.exp(-delta) * np.asarray(f(math.exp(-delta) * r), dtype=complex)) / (2.0 * delta)
@@ -303,23 +301,16 @@ def dilation_check(f, gamma) -> DilationCheck:
     fprime = sum(wj * np.asarray(f(r + oj * h), dtype=complex)
                  for wj, oj in zip(w, offsets))
     gen = r * fprime + base
-    denom = _radial_norm(rule, gen)
-    generator_defect = _radial_norm(rule, cd - gen) / denom if denom > 0 else 0.0
     return DilationCheck(gamma=gamma, unitarity_ratio=unitarity,
                          identity_defect=identity_defect,
-                         generator_defect=generator_defect)
+                         generator_defect=_norm_ratio(rule, cd - gen, gen))
 
 
 # ---------------------------------------------------------------------------
 # commutators
 
-_EXPECTED_COMMUTATORS = {
-    ("N0", "Lz"): "zero",
-    ("Lz", "N0"): "zero",
-    ("Lz", "Lz"): "zero",
-    ("laplacian_t", "PH"): "lap_scaled",   # [lap, PH] = -2i lap
-    ("PH", "laplacian_t"): "lap_scaled_neg",
-}
+# [lap, PH] = -2i lap; every other pair is expected to commute
+_EXPECTED_COMMUTATORS = {("laplacian_t", "PH"): -2j, ("PH", "laplacian_t"): 2j}
 
 
 def commutator_residual(op_a: Operator, op_b: Operator, field: FieldGrid) -> float:
@@ -330,8 +321,7 @@ def commutator_residual(op_a: Operator, op_b: Operator, field: FieldGrid) -> flo
     ab = apply_to_field(op_a, apply_to_field(op_b, field)).values
     ba = apply_to_field(op_b, apply_to_field(op_a, field)).values
     comm = ab - ba
-    tag = _EXPECTED_COMMUTATORS.get((op_a.kind, op_b.kind), "zero")
-    if tag != "zero":
-        lap = apply_to_field(Operator("laplacian_t"), field).values
-        comm -= (-2j if tag == "lap_scaled" else 2j) * lap
+    coeff = _EXPECTED_COMMUTATORS.get((op_a.kind, op_b.kind))
+    if coeff:
+        comm -= coeff * apply_to_field(Operator("laplacian_t"), field).values
     return norm(FieldGrid(field.grid, comm)) / nf

@@ -9,7 +9,7 @@ radial table on its Gauss-Legendre rule: it shares only that table and the
 rule with the library, and test_lgmode checks the table (test_specfun the
 rule) against mpmath.  The library's own overlap matrices take no integral.
 Finite-difference weights come from one Vandermonde solve per row, not from
-Fornberg's recurrence.
+the library's closed barycentric formulas.
 """
 
 import math

@@ -8,8 +8,8 @@ import lgradial.analysis as analysis
 from lgradial.analysis import (decompose, expectation, overlap, overlap_matrix,
                                ph_vs_w0, ph_vs_z, raw_expectation)
 from lgradial.errors import DiagnosticError, QuadratureConvergenceError
-from lgradial.lgmode import (FieldGrid, LGParams, norm, quadrature_polar_grid,
-                             sample)
+from lgradial.lgmode import (FieldGrid, LGParams, beam_geometry, lg_field, norm,
+                             quadrature_polar_grid, sample)
 from lgradial.paraxops import Operator
 
 from conftest import K, W0, ZR
@@ -95,6 +95,15 @@ class TestPhVsZ:
     def test_empty_sweep_rejected(self):
         with pytest.raises(DiagnosticError):
             ph_vs_z(LGParams(0, 0, K, W0), [])
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_plane_rejected(self, z):
+        p = LGParams(2, 1, K, W0)
+        for call in (lambda: beam_geometry(p, z), lambda: expectation("PH", p, z),
+                     lambda: ph_vs_z(p, [0.0, z]), lambda: lg_field(p, W0, 0.0, z),
+                     lambda: quadrature_polar_grid(p, z)):
+            with pytest.raises(DiagnosticError, match="plane z must be finite"):
+                call()
 
     def test_quadratic_scaling_of_curvature_term(self):
         # the whole radius-of-curvature term -(z / k w0^2) <PH> grows as a z^2
@@ -366,6 +375,14 @@ class TestDecompose:
         f = FieldGrid(g, vals)
         d = decompose(f, 0, range(6), 0.0, W0, K)
         assert abs(np.sum(np.abs(d.coefficients) ** 2) - norm(f) ** 2) < 1e-7
+
+    @pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+    def test_zero_or_non_finite_field_rejected(self, value):
+        # a NaN norm once failed `nf > 0` and reported reconstruction_residual 0.0
+        g = quadrature_polar_grid(LGParams(2, 1, K, W0), 0.0, n_max=2, l_max=1)
+        f = FieldGrid(g, np.full(g.shape, value, dtype=complex))
+        with pytest.raises(DiagnosticError, match="nonzero, finite field"):
+            decompose(f, 1, range(3), 0.0, W0, K)
 
     def test_plane_mismatch_rejected(self):
         g = quadrature_polar_grid(LGParams(0, 0, K, W0), 0.5, order=64)

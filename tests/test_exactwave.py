@@ -56,6 +56,16 @@ class TestChiBessel:
         with pytest.raises(DiagnosticError):
             BesselModeParams(m=0, sigma=1, k_t=0.0, k_z=K)
 
+    @pytest.mark.parametrize("k_t", [math.nan, math.inf, -math.inf])
+    def test_transverse_wavenumber_must_be_finite_and_positive(self, k_t):
+        with pytest.raises(DiagnosticError, match="k_t must be finite > 0, k_z finite"):
+            BesselModeParams(m=1, sigma=1, k_t=k_t, k_z=K)
+
+    @pytest.mark.parametrize("k_z", [math.nan, math.inf, -math.inf])
+    def test_longitudinal_wavenumber_must_be_finite(self, k_z):
+        with pytest.raises(DiagnosticError, match="k_t must be finite > 0, k_z finite"):
+            BesselModeParams(m=1, sigma=1, k_t=0.05 * K, k_z=k_z)
+
     def test_momentum_azimuth_folds_as_phase(self):
         # chi(k_phi) = chi(0) * exp(sigma i m k_phi)
         bp = _bessel_params(m=3, sigma=-1)

@@ -99,6 +99,16 @@ class TestLGField:
         p = LGParams(np.int64(2), np.int32(-1), K, W0)
         assert (p.n, p.l) == (2, -1)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 0.0])
+    def test_wavenumber_must_be_finite_and_positive(self, k):
+        with pytest.raises(DiagnosticError, match="k and w0 must be finite and > 0"):
+            LGParams(0, 0, k, W0)
+
+    @pytest.mark.parametrize("w0", [math.nan, math.inf, -math.inf, 0.0])
+    def test_waist_must_be_finite_and_positive(self, w0):
+        with pytest.raises(DiagnosticError, match="k and w0 must be finite and > 0"):
+            LGParams(0, 0, K, w0)
+
     def test_paraxiality_flag(self):
         assert not LGParams(0, 0, K, W0).paraxial_strained
         assert LGParams(0, 0, K, 1e-6).paraxial_strained
@@ -363,6 +373,31 @@ class TestGridValidation:
         assert not PolarGrid(r, full / 2).phi_uniform_period
         # uniform, but the last node is 6e-11 rad off the period
         assert not PolarGrid(r, full * (1 + 1e-11)).phi_uniform_period
+
+    def test_rejects_empty_node_arrays(self):
+        with pytest.raises(GridError, match="nonempty"):
+            PolarGrid(np.array([]), np.array([0.0]))
+        with pytest.raises(GridError, match="nonempty"):
+            PolarGrid(np.array([1.0, 2.0]), np.array([]))
+
+    @pytest.mark.parametrize("builder, kwargs, message", [
+        (quadrature_polar_grid, {"nphi": 0}, "nphi must be an integer >= 1, got 0"),
+        (quadrature_polar_grid, {"nphi": -3}, "nphi must be an integer >= 1, got -3"),
+        (quadrature_polar_grid, {"nphi": 2.5}, "nphi must be an integer >= 1, got 2.5"),
+        (uniform_polar_grid, {"nr": 0}, "nr must be an integer >= 1, got 0"),
+        (uniform_polar_grid, {"nr": 2.5}, "nr must be an integer >= 1, got 2.5"),
+        (uniform_polar_grid, {"nr": True}, "nr must be an integer >= 1, got True"),
+        (uniform_polar_grid, {"nphi": -3}, "nphi must be an integer >= 1, got -3"),
+        (uniform_polar_grid, {"nphi": "8"}, "nphi must be an integer >= 1, got '8'"),
+    ])
+    def test_grid_sizes_must_be_positive_integers(self, params21, builder, kwargs, message):
+        with pytest.raises(DiagnosticError, match=re.escape(message)):
+            builder(params21, 0.0, **kwargs)
+
+    def test_numpy_integer_grid_sizes_accepted(self, params21):
+        g = uniform_polar_grid(params21, 0.0, nr=np.int64(16), nphi=np.int32(8))
+        assert g.shape == (16, 8)
+        assert quadrature_polar_grid(params21, 0.0, nphi=np.int16(1)).shape[1] == 1
 
     def test_field_shape_must_match(self, params21):
         g = quadrature_polar_grid(params21, 0.0, order=32)

@@ -245,6 +245,16 @@ class TestParams:
         with pytest.raises(DiagnosticError):
             ExactMomentumParams(1, 0.5, 1, OMEGA, W0)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, 0.0])
+    def test_frequency_must_be_finite_and_positive(self, omega):
+        with pytest.raises(DiagnosticError, match="Omega and w must be finite and > 0"):
+            ExactMomentumParams(0, 0, 1, omega, W0)
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf, 0.0])
+    def test_width_must_be_finite_and_positive(self, w):
+        with pytest.raises(DiagnosticError, match="Omega and w must be finite and > 0"):
+            ExactMomentumParams(0, 0, 1, OMEGA, w)
+
     def test_numpy_integers_accepted(self):
         p = ExactMomentumParams(np.int64(2), np.int32(-1), 1, OMEGA, W0)
         assert (p.n, p.m) == (2, -1)

@@ -7,10 +7,10 @@ from lgradial.errors import DiagnosticError, GridError
 from lgradial.lgmode import (FieldGrid, LGParams, PolarGrid, beam_geometry,
                              quadrature_polar_grid, inner, norm, sample,
                              uniform_polar_grid)
-from lgradial.paraxops import (Operator, _radial_derivative, _radial_derivatives,
-                               _stencils, apply_to_field, apply_to_mode,
-                               commutator_residual, dilation_check,
+from lgradial.paraxops import (Operator, _radial_derivatives, _stencils, apply_to_field,
+                               apply_to_mode, commutator_residual, dilation_check,
                                eigen_residual, expected_eigenvalue)
+from lgradial.specfun import make_rule
 
 from conftest import K, W0, ZR
 from oracles import fd_matrix_vandermonde
@@ -242,6 +242,20 @@ class TestDilation:
         dc = dilation_check(lambda r: r**2 * np.exp(-r**2), 0.0)
         assert dc.generator_defect < 1e-6
 
+    @pytest.mark.parametrize("f, gamma, message", [
+        (lambda r: np.full_like(r, np.nan), 0.3, "finite norms"),
+        (lambda r: np.where(r < 40.0, np.exp(-r**2), np.nan), 0.5, "finite norms"),
+        (np.zeros_like, 0.3, "nonzero reference norm"),
+        (lambda r: np.exp(-r**2), math.nan, "finite gamma"),
+        (lambda r: np.exp(-r**2), -math.inf, "finite gamma"),
+        (lambda r: np.exp(-r**2), 800.0, "finite gamma"),  # e^800 overflows a float
+    ], ids=["nan", "nan-beyond-dilated-edge", "zero", "gamma-nan", "gamma-minus-inf",
+            "gamma-800"])
+    def test_no_silent_nan(self, f, gamma, message):
+        # an all-NaN f once returned unitarity_ratio=nan and generator_defect=0.0
+        with pytest.raises(DiagnosticError, match=message):
+            dilation_check(f, gamma)
+
 
 class TestCommutators:
     def test_radial_operator_commutes_with_oam(self):
@@ -340,23 +354,29 @@ class TestDiffMatrix:
         f = nodes**5 - 2 * nodes**3 + nodes
         want1 = 5 * nodes**4 - 6 * nodes**2 + 1
         want2 = 20 * nodes**3 - 12 * nodes
-        d1 = _radial_derivative(nodes, f, 1)
-        d2 = _radial_derivative(nodes, f, 2)
+        d1 = _radial_derivatives(nodes, f, 1)[0]
+        d2 = _radial_derivatives(nodes, f, 2)[1]
         assert np.max(np.abs(d1 - want1)) < 1e-8 * np.max(np.abs(want1))
         assert np.max(np.abs(d2 - want2)) < 1e-7 * np.max(np.abs(want2))
 
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_banded_weights_match_sympy(self, m):
+    @pytest.mark.parametrize("m,legendre", [(1, False), (2, False), (1, True), (2, True)],
+                             ids=["1", "2", "legendre-1", "legendre-2"])
+    def test_banded_weights_match_sympy(self, m, legendre):
         from sympy import Rational
         from sympy.calculus.finite_diff import finite_diff_weights
-        nodes = np.cumsum(np.random.default_rng(7).uniform(0.05, 0.3, 40))
+        if legendre:  # hermiticity_defect's rule: spacing ~100x finer at the ends than mid-rule
+            nodes = make_rule("legendre", 384, interval=(0.0, 1.0)).nodes
+            rows = [*range(10), *range(190, 195), *range(374, 384)]
+        else:
+            nodes = np.cumsum(np.random.default_rng(7).uniform(0.05, 0.3, 40))
+            rows = range(len(nodes))
         idx, c = _stencils(nodes, m)
         w = c[m]
         n = len(nodes)
         # interior rows centred on their node, three one-sided rows at each end
         assert np.array_equal(idx[:, 0], np.clip(np.arange(n) - 3, 0, n - 7))
         assert np.array_equal(idx, idx[:, :1] + np.arange(7))
-        for i in range(n):
+        for i in rows:
             xs = [Rational(x) for x in nodes[idx[i]]]
             want = np.array(finite_diff_weights(m, xs, Rational(nodes[i]))[m][-1], dtype=float)
             assert np.max(np.abs(w[i] - want)) <= 1e-10 * np.max(np.abs(want)), i
@@ -370,7 +390,7 @@ class TestFDContraction:
     """apply_to_field against dense Vandermonde-solve stencils and a plain FFT in phi."""
 
     @staticmethod
-    def _random_field(nr=96, nphi=24):  # 48 float columns: a full and a partial block
+    def _random_field(nr=96, nphi=24):
         rng = np.random.default_rng(13)
         r = W0 * 4.0 / nr * np.cumsum(rng.uniform(0.5, 1.5, nr))  # non-uniform nodes
         g = PolarGrid(r, np.arange(nphi) * (2 * math.pi / nphi), z=0.7 * ZR)
@@ -424,7 +444,6 @@ class TestFDContraction:
         for s in (1, 2):
             want = fd_matrix_vandermonde(x, s) @ f
             assert np.max(np.abs(real[0][s - 1] - want)) <= 1e-10 * np.max(np.abs(want))
-            assert np.max(np.abs(_radial_derivative(x, f, s) - real[0][s - 1])) <= tol
 
     def test_one_forward_fft_per_apply(self, monkeypatch):
         field = self._random_field()
