@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DiagnosticError
+from .errors import DiagnosticError, _check_int
 from .lgmode import (_RESCALE, FieldGrid, LGParams, _gauss_u, _radial_profiles,
                      _require_weights, beam_geometry, norm)
 from .paraxops import Operator, _mode_apply
@@ -38,17 +37,6 @@ __all__ = [
 ]
 
 
-def _as_operator(op, params: LGParams, z: float) -> Operator:
-    if isinstance(op, Operator):
-        return op
-    kwargs = {}
-    if op in ("N0", "Nz", "curvature_term"):
-        kwargs["params"] = params
-    if op in ("Nz", "curvature_term"):
-        kwargs["z"] = z
-    return Operator(op, **kwargs)
-
-
 def raw_expectation(op, params: LGParams, z=0.0) -> complex:
     """<f, A f> / <f, f> on the mode, as a raw complex number.
 
@@ -58,7 +46,8 @@ def raw_expectation(op, params: LGParams, z=0.0) -> complex:
     """
     u, lam = _gauss_u(params.n + 1, abs(params.l))
     r = beam_geometry(params, z).w_z * np.sqrt(0.5 * u)
-    f, out = _mode_apply(_as_operator(op, params, z), params, z, r)
+    op = op if isinstance(op, Operator) else Operator(op, params=params, z=z)
+    f, out = _mode_apply(op, params, z, r)
     return complex(np.sum(lam * np.conj(f) * out) / np.sum(lam * np.abs(f) ** 2))
 
 
@@ -207,9 +196,11 @@ def _su11_magnitudes(n_max, a, rho):
 def _radial_indices(n_set):
     """n_set as a tuple of ints; an entry that is not an integer >= 0 raises DiagnosticError."""
     n_set = tuple(n_set)
-    if not all(isinstance(n, numbers.Integral) and n >= 0 for n in n_set):
-        raise DiagnosticError(f"n_set must hold integer radial indices n >= 0, got {n_set}")
-    return tuple(int(n) for n in n_set)
+    try:
+        return tuple(_check_int(n, "n", 0) for n in n_set)
+    except DiagnosticError:
+        raise DiagnosticError(
+            f"n_set must hold integer radial indices n >= 0, got {n_set}") from None
 
 
 def overlap_matrix(l, n_set, z, z_prime, w0, w0_prime, k) -> OverlapMatrix:

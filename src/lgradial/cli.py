@@ -48,43 +48,26 @@ from .momentum import (ExactMomentumParams, hermiticity_defect,
 from .paraxops import (SIGN_POLICIES, Operator, commutator_residual,
                        dilation_check, eigen_residual)
 
-DEFAULT_CONFIG = {
-    "command": None,
-    "mode": {
-        "n": 0,
-        "l": 0,
-        "wavelength_nm": 633.0,
-        "w0_m": 1e-3,
-    },
-    "grid": {
-        "window_diameter_m": 6e-3,
-        "pixels": 256,
-        "z_m": 0.0,
-    },
-    "sweep": {
-        "z_list_m": None,
-        "w0_list_m": None,
-        "dz_list_m": None,
-        "n_list": None,
-        "n_max": 9,
-        "completeness_threshold": 0.99,
-    },
-    "render": {"n_list": None, "l_list": None},
-    "output": {"dir": ".", "basename": "lg"},
-    "policy": "symmetrized",
+# Every config key once: a section is a dict, a leaf a (default, type) pair; a type
+# names an entry of _LEAF_TYPES, "[]" marks a list of them and "?" allows null.
+_CONFIG = {
+    "command": (None, "command"),
+    "mode": {"n": (0, "count"), "l": (0, "int"), "wavelength_nm": (633.0, "positive"),
+             "w0_m": (1e-3, "positive")},
+    "grid": {"window_diameter_m": (6e-3, "positive"), "pixels": (256, "size"),
+             "z_m": (0.0, "number")},
+    "sweep": {"z_list_m": (None, "number[]?"), "w0_list_m": (None, "positive[]?"),
+              "dz_list_m": (None, "number[]?"), "n_list": (None, "count[]?"),
+              "n_max": (9, "count"), "completeness_threshold": (0.99, "number")},
+    "render": {"n_list": (None, "count[]?"), "l_list": (None, "int[]?")},
+    "output": {"dir": (".", "str"), "basename": ("lg", "str")},
+    "policy": ("symmetrized", "policy"),
 }
 
-# Leaf types of DEFAULT_CONFIG (see _LEAF_TYPES); "[]" marks a list, "?" allows null.
-CONFIG_TYPES = {
-    "command": "command",
-    "mode": {"n": "count", "l": "int", "wavelength_nm": "positive", "w0_m": "positive"},
-    "grid": {"window_diameter_m": "positive", "pixels": "size", "z_m": "number"},
-    "sweep": {"z_list_m": "number[]?", "w0_list_m": "positive[]?", "dz_list_m": "number[]?",
-              "n_list": "count[]?", "n_max": "count", "completeness_threshold": "number"},
-    "render": {"n_list": "count[]?", "l_list": "int[]?"},
-    "output": {"dir": "str", "basename": "str"},
-    "policy": "policy",
-}
+
+def _defaults(tree=_CONFIG):
+    """The config of every default, as a fresh tree of plain values."""
+    return {key: _defaults(v) if isinstance(v, dict) else v[0] for key, v in tree.items()}
 
 
 def _is_int(v):
@@ -132,7 +115,7 @@ def parse_config(argv):
     command = None
     if args and not args[0].startswith("-"):
         command = args.pop(0)
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg = _defaults()
     overrides = []
     it = iter(args)
     for a in it:
@@ -166,16 +149,16 @@ def parse_config(argv):
     return cfg
 
 
-def _validate(cfg, types=CONFIG_TYPES, prefix=""):
+def _validate(cfg, tree=_CONFIG, prefix=""):
     """Raise ConfigError for an unknown key, a wrong type or an out-of-range size."""
     for key, value in cfg.items():
         path = prefix + key
-        if key not in types:
+        if key not in tree:
             raise ConfigError(f"unknown key {path!r}")
-        want = types[key]
-        if isinstance(want, dict):  # _merge keeps every section an object
-            _validate(value, want, path + ".")
+        if isinstance(tree[key], dict):  # _merge keeps every section an object
+            _validate(value, tree[key], path + ".")
             continue
+        want = tree[key][1]
         if value is None and want.endswith("?"):
             continue
         leaf = want.rstrip("?")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT
-from .errors import DiagnosticError, _check_order
+from .errors import DiagnosticError, _check_helicity, _check_int, _check_order
 from .lgmode import _gauss_u
 from .momentum import ExactMomentumParams
 from .specfun import _bessel_j_and_derivative, _converge, bessel_j, laguerre
@@ -60,8 +60,8 @@ class BesselModeParams:
     k_z: float   # longitudinal wavenumber, rad/m
 
     def __post_init__(self):
-        if self.sigma not in (1, -1):
-            raise DiagnosticError("sigma must be +1 or -1")
+        _check_int(self.m, "m")
+        _check_helicity(self.sigma)
         if not (0 < self.k_t < math.inf and math.isfinite(self.k_z)):
             raise DiagnosticError(f"k_t must be finite > 0, k_z finite: {self.k_t}, {self.k_z}")
 

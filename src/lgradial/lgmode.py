@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagnosticError, GridError, _check_order
+from .errors import DiagnosticError, GridError, _check_int, _check_order
 
 __all__ = [
     "LGParams",
@@ -49,10 +49,8 @@ class LGParams:
     w0: float    # waist at z = 0, m
 
     def __post_init__(self):
-        if not (isinstance(self.n, numbers.Integral) and isinstance(self.l, numbers.Integral)):
-            raise DiagnosticError(f"mode numbers must be integers, got n={self.n!r}, l={self.l!r}")
-        if self.n < 0:
-            raise DiagnosticError(f"radial index must be >= 0, got {self.n}")
+        _check_int(self.n, "n", 0)
+        _check_int(self.l, "l")
         if not (0 < self.k < math.inf and 0 < self.w0 < math.inf):
             raise DiagnosticError(f"k and w0 must be finite and > 0, got {self.k}, {self.w0}")
 
@@ -80,12 +78,30 @@ class BeamGeometry:
     z: float         # m
 
 
+# x^2 is a finite, normal float exactly when _SQ_MIN <= |x| < _SQ_MAX
+_SQ_MIN, _SQ_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
+
+
+def _check_square(name, value):
+    """value, when its square is a finite, normal float; else DiagnosticError naming it."""
+    if not _SQ_MIN <= abs(value) < _SQ_MAX:
+        raise DiagnosticError(f"{name} must lie in [{_SQ_MIN:.4g}, {_SQ_MAX:.4g}), got {value}")
+    return value
+
+
 def beam_geometry(params: LGParams, z: float) -> BeamGeometry:
-    """Waist, inverse curvature and Gouy phase at propagation distance z (finite)."""
-    if not math.isfinite(z):
-        raise DiagnosticError(f"plane z must be finite, got {z}")
-    zr = params.rayleigh_range
-    w_z = params.w0 * math.sqrt(1.0 + (z / zr) ** 2)
+    """Waist, inverse curvature and Gouy phase at propagation distance z.
+
+    Callers square w0, zR, w_z, z and z/zR, so the squares of w0, zR and w_z must be
+    finite, normal floats and those of z and z/zR finite: anything else raises
+    DiagnosticError before it is squared.
+    """
+    _check_square("w0", params.w0)
+    zr = _check_square("zR", params.rayleigh_range)
+    if not (abs(z) < _SQ_MAX and abs(z / zr) < _SQ_MAX):
+        raise DiagnosticError(f"plane z must be finite, with |z| and |z|/zR below "
+                              f"{_SQ_MAX:.4g}, got z = {z} for zR = {zr}")
+    w_z = _check_square("w_z", params.w0 * math.sqrt(1.0 + (z / zr) ** 2))
     inv_r = z / (z * z + zr * zr)
     phi_g = math.atan2(z, zr)
     return BeamGeometry(w_z=w_z, inv_R_z=inv_r, phi_g=phi_g, z=z)
@@ -327,15 +343,9 @@ def lg_partials(params: LGParams, r, phi, z):
 
 
 def _family_bounds(params: LGParams, n_max, l_max):
-    """A grid's mode family (n_max, l_max), the mode's own (n, l) by default: integers,
-    numpy ones too, with n_max >= 0; anything else is named as passed."""
-    n_max = params.n if n_max is None else n_max
-    l_max = params.l if l_max is None else l_max
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 0:
-        raise DiagnosticError(f"n_max must be an integer >= 0, got {n_max!r}")
-    if isinstance(l_max, bool) or not isinstance(l_max, numbers.Integral):
-        raise DiagnosticError(f"l_max must be an integer, got {l_max!r}")
-    return n_max, l_max
+    """A grid's mode family (n_max, l_max), the mode's own (n, l) by default, with n_max >= 0."""
+    return (_check_int(params.n if n_max is None else n_max, "n_max", 0),
+            _check_int(params.l if l_max is None else l_max, "l_max"))
 
 
 def quadrature_polar_grid(params: LGParams, z=0.0, *, n_max=None, l_max=None,

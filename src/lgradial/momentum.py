@@ -20,14 +20,13 @@ every m.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C_LIGHT
-from .errors import DiagnosticError
-from .paraxops import _radial_derivatives, phi_derivative
+from .errors import DiagnosticError, _check_helicity, _check_int
+from .paraxops import _angular_number, _radial_derivatives, _radial_eigenvalue, phi_derivative
 from .specfun import _converge, make_rule
 
 __all__ = [
@@ -57,12 +56,9 @@ class ExactMomentumParams:
     w: float      # m; width parameter of the exponential factor
 
     def __post_init__(self):
-        if not (isinstance(self.n, numbers.Integral) and isinstance(self.m, numbers.Integral)):
-            raise DiagnosticError(f"mode numbers must be integers, got n={self.n!r}, m={self.m!r}")
-        if self.n < 0:
-            raise DiagnosticError("n must be >= 0")
-        if self.sigma not in (1, -1):
-            raise DiagnosticError("sigma must be +1 or -1")
+        _check_int(self.n, "n", 0)
+        _check_int(self.m, "m")
+        _check_helicity(self.sigma)
         if not (0 < self.Omega < math.inf and 0 < self.w < math.inf):
             raise DiagnosticError(f"Omega and w must be finite and > 0, got {self.Omega}, {self.w}")
 
@@ -128,11 +124,7 @@ def _dpsi_dkminus(params, k_minus, k_phi):
 
 def _angular_eigenterm(params, psi, sign_policy):
     """(i / 2 sigma) d/dk_phi acting on exp(i sigma m k_phi), or its |m| variant."""
-    if sign_policy == "verbatim":
-        return -0.5 * params.m * psi
-    if sign_policy == "symmetrized":
-        return -0.5 * abs(params.m) * psi
-    raise DiagnosticError(f"unknown sign policy {sign_policy!r}")
+    return -0.5 * _angular_number(params.m, sign_policy) * psi
 
 
 def apply_nk(params: ExactMomentumParams, k_minus, k_phi, sign_policy="symmetrized"):
@@ -156,7 +148,7 @@ def nk_eigen_residual(params: ExactMomentumParams, k_minus, k_phi,
     """max |N_k psi - n psi| / |psi| over the sample points."""
     psi = psi_exact(params, k_minus, k_phi)
     out = apply_nk(params, k_minus, k_phi, sign_policy)
-    expected = params.n if sign_policy == "symmetrized" else params.n + (abs(params.m) - params.m) / 2
+    expected = _radial_eigenvalue(params.n, params.m, sign_policy)
     return float(np.max(np.abs(out - expected * psi) / np.abs(psi)))
 
 
@@ -229,11 +221,14 @@ def hermiticity_defect(psi, operator="Nk_paraxial", *, w, sigma=1, kt_max) -> He
     psi : callable (k_t, k_phi) -> complex, vectorized
     operator : "Nk_paraxial" for the full paraxial radial-momentum operator,
         "kt_ddkt" for its isolated (non-hermitian) first term k_t d/dk_t.
-    w, sigma : operator context (w enters N'_k; sigma scales the angular term)
-    kt_max : radial cutoff of the quadrature
+    w, sigma : operator context (w > 0 enters N'_k; sigma = +-1 scales the angular term)
+    kt_max : radial cutoff of the quadrature, finite and > 0
     """
     if operator not in ("Nk_paraxial", "kt_ddkt"):
         raise DiagnosticError(f"unknown operator {operator!r}")
+    sigma = _check_helicity(sigma)
+    if not 0 < w < math.inf:
+        raise DiagnosticError(f"w must be finite and > 0, got {w}")
     kphi = np.arange(64) * (2.0 * math.pi / 64)
 
     def evaluate(n_rad):

@@ -71,12 +71,23 @@ class Operator:
     def __post_init__(self):
         if self.kind not in OPERATOR_KINDS:
             raise DiagnosticError(f"unknown operator kind {self.kind!r}")
-        if self.sign_policy not in SIGN_POLICIES:
-            raise DiagnosticError(f"unknown sign policy {self.sign_policy!r}")
+        _angular_number(0, self.sign_policy)  # raises for an unknown policy
         if self.kind in ("N0", "Nz", "curvature_term") and self.params is None:
             raise DiagnosticError(f"{self.kind} requires beam params for (k, w0)")
         if self.kind in ("Nz", "curvature_term") and self.z is None:
             raise DiagnosticError(f"{self.kind} requires a plane z")
+
+
+def _angular_number(l, sign_policy):
+    """The l that -Lz/2 sees: l under the "verbatim" sign policy, |l| under "symmetrized"."""
+    if sign_policy not in SIGN_POLICIES:
+        raise DiagnosticError(f"unknown sign policy {sign_policy!r}")
+    return l if sign_policy == "verbatim" else abs(l)
+
+
+def _radial_eigenvalue(n, l, sign_policy):
+    """The eigenvalue of N0, Nz and N_k on mode (n, l): n + (|l| - l)/2 verbatim, n symmetrized."""
+    return n + (abs(l) - _angular_number(l, sign_policy)) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +242,7 @@ def expected_eigenvalue(op: Operator, params: LGParams) -> float:
     if op.kind == "Lz":
         return float(params.l)
     if op.kind in ("N0", "Nz"):
-        if op.sign_policy == "verbatim":
-            return float(params.n + (abs(params.l) - params.l) / 2)
-        return float(params.n)
+        return float(_radial_eigenvalue(params.n, params.l, op.sign_policy))
     raise DiagnosticError(f"{op.kind} has no mode eigenvalue")
 
 

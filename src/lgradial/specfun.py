@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagnosticError, QuadratureConvergenceError, _check_order
+from .errors import DiagnosticError, QuadratureConvergenceError, _check_int, _check_order
 
 __all__ = [
     "laguerre",
@@ -254,27 +253,20 @@ def _bessel_jn(M, x):
     return j[:M + 1].take(order.argsort(), axis=1).reshape((M + 1,) + x.shape)
 
 
-def _bessel_order(m):
-    """A Bessel order is an integer (numpy ones too): not a bool, a float or a string."""
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
-        raise DiagnosticError(f"Bessel order must be an integer, got {m!r}")
-    return int(m)
-
-
 def bessel_j(m, x):
     """Bessel function of the first kind J_m(x) for integer order m, real x >= 0.
 
     Negative orders use the reflection J_{-m}(x) = (-1)^m J_m(x).  Matches the
     shape and scalar-ness of `x`.
     """
-    m = _bessel_order(m)
+    m = _check_int(m, "Bessel order")
     j = _bessel_jn(abs(m), x)[-1]
     return (-j if m < 0 and m % 2 else j)[()]
 
 
 def _bessel_j_and_derivative(m, x):
     """(J_m(x), J_m'(x)) from one `_bessel_jn(|m|+1, x)`: J_m' = (J_{m-1} - J_{m+1}) / 2."""
-    m = _bessel_order(m)
+    m = _check_int(m, "Bessel order")
     a = abs(m)
     j = _bessel_jn(a + 1, x)
     jm, jp = j[a], 0.5 * ((j[a - 1] if a else -j[1]) - j[a + 1])
@@ -367,8 +359,8 @@ def make_rule(kind, order, *, interval=None):
     if interval is None:
         raise DiagnosticError("legendre rule requires an interval")
     a, b = float(interval[0]), float(interval[1])
-    if not b > a:
-        raise DiagnosticError(f"empty interval ({a}, {b})")
+    if not 0.0 < b - a < math.inf:  # also false for a NaN or infinite end
+        raise DiagnosticError(f"interval must be finite and nonempty, got ({a}, {b})")
     x, w = _roots(order)
     nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
     weights = 0.5 * (b - a) * w

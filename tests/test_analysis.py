@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -103,6 +104,17 @@ class TestPhVsZ:
                      lambda: ph_vs_z(p, [0.0, z]), lambda: lg_field(p, W0, 0.0, z),
                      lambda: quadrature_polar_grid(p, z)):
             with pytest.raises(DiagnosticError, match="plane z must be finite"):
+                call()
+
+    @pytest.mark.parametrize("params, z, message", [
+        (LGParams(2, 1, 1e7, 1e-3), 1e200, "|z|/zR below 1.341e+154, got z = 1e+200 for zR = 5.0"),
+        (LGParams(2, 1, K, 1e-300), 0.0, "w0 must lie in"),
+        (LGParams(2, 1, 1e-300, W0), 1.0, "zR must lie in"),
+    ], ids=["z-squared-overflows", "w0-tiny", "k-tiny"])
+    def test_unrepresentable_geometry_rejected(self, params, z, message):
+        # once a bare OverflowError, ZeroDivisionError and OverflowError
+        for call in (lambda: beam_geometry(params, z), lambda: expectation("PH", params, z)):
+            with pytest.raises(DiagnosticError, match=re.escape(message)):
                 call()
 
     def test_quadratic_scaling_of_curvature_term(self):
@@ -255,6 +267,8 @@ class TestOverlapMatrix:
         # int() would truncate [0, 1.7] to (0, 1)
         with pytest.raises(DiagnosticError, match="integer radial indices"):
             overlap_matrix(0, [0, 1.7], 0.0, 0.0, W0, W0, K)
+        with pytest.raises(DiagnosticError, match="integer radial indices"):
+            overlap_matrix(0, [0, True], 0.0, 0.0, W0, W0, K)
         M = overlap_matrix(0, np.arange(3), 0.0, 0.0, W0, W0, K)
         assert M.n_set == (0, 1, 2) and all(type(n) is int for n in M.n_set)
 

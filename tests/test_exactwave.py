@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,19 @@ class TestChiBessel:
     def test_longitudinal_wavenumber_must_be_finite(self, k_z):
         with pytest.raises(DiagnosticError, match="k_t must be finite > 0, k_z finite"):
             BesselModeParams(m=1, sigma=1, k_t=0.05 * K, k_z=k_z)
+
+    @pytest.mark.parametrize("m, sigma, message", [
+        (1.5, 1, "m must be an integer, got 1.5"),  # once accepted until chi_bessel
+        (True, 1, "m must be an integer, got True"),
+        (1, True, "sigma must be an integer, got True"),
+        (1, 0, "sigma must be +1 or -1, got 0"),
+    ], ids=["m-half", "m-true", "sigma-true", "sigma-0"])
+    def test_mode_numbers_checked(self, m, sigma, message):
+        with pytest.raises(DiagnosticError, match=re.escape(message)):
+            _bessel_params(m=m, sigma=sigma)
+        bp = _bessel_params(m=np.int64(-2), sigma=np.int32(-1))
+        assert chi_bessel(bp, SpacetimePoint(r=1e-4, phi=0.3, z=0.0, t=0.0)) == chi_bessel(
+            _bessel_params(m=-2, sigma=-1), SpacetimePoint(r=1e-4, phi=0.3, z=0.0, t=0.0))
 
     def test_momentum_azimuth_folds_as_phase(self):
         # chi(k_phi) = chi(0) * exp(sigma i m k_phi)

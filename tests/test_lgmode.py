@@ -96,6 +96,10 @@ class TestLGField:
             LGParams(2.5, 0, K, W0)
         with pytest.raises(DiagnosticError):
             LGParams(1, 1.5, K, W0)
+        with pytest.raises(DiagnosticError, match="n must be an integer >= 0, got True"):
+            LGParams(True, 0, K, W0)
+        with pytest.raises(DiagnosticError, match="l must be an integer, got False"):
+            LGParams(1, False, K, W0)
         p = LGParams(np.int64(2), np.int32(-1), K, W0)
         assert (p.n, p.l) == (2, -1)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,20 @@ class TestHermiticity:
         with pytest.raises(QuadratureConvergenceError):
             hermiticity_defect(psi, w=W0, sigma=1, kt_max=5.0 / W0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"sigma": 0}, "sigma must be +1 or -1, got 0"),  # once a bare ZeroDivisionError
+        ({"sigma": 2}, "sigma must be +1 or -1, got 2"),
+        ({"sigma": 0.5}, "sigma must be an integer, got 0.5"),
+        ({"sigma": True}, "sigma must be an integer, got True"),
+        ({"kt_max": math.inf}, "interval must be finite"),  # once "not converged ... nan"
+        ({"w": math.nan}, "w must be finite and > 0, got nan"),
+    ], ids=["sigma-0", "sigma-2", "sigma-half", "sigma-true", "kt_max-inf", "w-nan"])
+    def test_operator_context_checked(self, kwargs, message):
+        psi = lambda kt, kphi: psi_paraxial(_params(1, 2), kt, kphi)
+        args = {"w": W0, "sigma": 1, "kt_max": 14.0 / W0, **kwargs}
+        with pytest.raises(DiagnosticError, match=re.escape(message)):
+            hermiticity_defect(psi, **args)
+
     def test_unknown_operator_rejected(self):
         with pytest.raises(DiagnosticError):
             hermiticity_defect(lambda a, b: a, operator="nope", w=W0, sigma=1, kt_max=1.0)
@@ -244,6 +259,15 @@ class TestParams:
             ExactMomentumParams(1.5, 0, 1, OMEGA, W0)
         with pytest.raises(DiagnosticError):
             ExactMomentumParams(1, 0.5, 1, OMEGA, W0)
+        with pytest.raises(DiagnosticError, match="n must be an integer >= 0, got False"):
+            ExactMomentumParams(False, 0, 1, OMEGA, W0)
+        with pytest.raises(DiagnosticError, match="m must be an integer, got True"):
+            ExactMomentumParams(1, True, 1, OMEGA, W0)
+
+    @pytest.mark.parametrize("sigma", [0, 2, 0.5, -1.0, True])
+    def test_helicity_must_be_plus_or_minus_one(self, sigma):
+        with pytest.raises(DiagnosticError, match="sigma must be"):
+            ExactMomentumParams(1, 0, sigma, OMEGA, W0)
 
     @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, 0.0])
     def test_frequency_must_be_finite_and_positive(self, omega):
@@ -256,5 +280,5 @@ class TestParams:
             ExactMomentumParams(0, 0, 1, OMEGA, w)
 
     def test_numpy_integers_accepted(self):
-        p = ExactMomentumParams(np.int64(2), np.int32(-1), 1, OMEGA, W0)
-        assert (p.n, p.m) == (2, -1)
+        p = ExactMomentumParams(np.int64(2), np.int32(-1), np.int8(-1), OMEGA, W0)
+        assert (p.n, p.m, p.sigma) == (2, -1, -1)

@@ -335,6 +335,9 @@ class TestQuadrature:
             make_rule("legendre", 0, interval=(0, 1))
         with pytest.raises(DiagnosticError):
             make_rule("legendre", 4, interval=(1, 1))
+        for interval in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan), (-1e308, 1e308)):
+            with pytest.raises(DiagnosticError, match="interval must be finite"):
+                make_rule("legendre", 4, interval=interval)
         with pytest.raises(DiagnosticError):
             make_rule("chebyshev", 4, interval=(0, 1))
 
