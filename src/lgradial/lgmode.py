@@ -111,8 +111,8 @@ def beam_geometry(params: LGParams, z: float) -> BeamGeometry:
 class PolarGrid:
     """Polar sampling of a transverse plane at fixed z.
 
-    r_nodes must be strictly increasing and positive; phi_nodes uniformly
-    spaced on [0, 2pi).  r_weights, when present, are quadrature weights for
+    r_nodes must be finite, positive and strictly increasing; phi_nodes uniformly
+    spaced on [0, 2pi).  r_weights, when present, are finite quadrature weights for
     integrals in dr (the r of the area measure r dr dphi is applied by the
     norm/inner routines, not folded into the weights).
     """
@@ -123,26 +123,21 @@ class PolarGrid:
     r_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        r = np.asarray(self.r_nodes, dtype=float)
-        p = np.asarray(self.phi_nodes, dtype=float)
-        object.__setattr__(self, "r_nodes", r)
-        object.__setattr__(self, "phi_nodes", p)
-        r.setflags(write=False)
-        p.setflags(write=False)
+        r, p = (np.asarray(v, dtype=float) for v in (self.r_nodes, self.phi_nodes))
+        w = None if self.r_weights is None else np.asarray(self.r_weights, dtype=float)
+        for name, v in (("r_nodes", r), ("phi_nodes", p), ("r_weights", w)):
+            object.__setattr__(self, name, v)
+            if v is not None:
+                v.setflags(write=False)
         if r.ndim != 1 or p.ndim != 1 or not (r.size and p.size):
             raise GridError("grid node arrays must be 1-D and nonempty")
-        if np.any(r <= 0) or np.any(np.diff(r) <= 0):
-            raise GridError("r_nodes must be positive and strictly increasing")
-        if len(p) > 1:
-            dp = np.diff(p)
-            if not np.max(np.abs(dp - dp[0])) <= 1e-15 + 1e-12 * abs(dp[0]):
-                raise GridError("phi_nodes must be uniformly spaced")
-        if self.r_weights is not None:
-            w = np.asarray(self.r_weights, dtype=float)
-            object.__setattr__(self, "r_weights", w)
-            w.setflags(write=False)
-            if w.shape != r.shape:
-                raise GridError("r_weights shape must match r_nodes")
+        if not (np.isfinite(r).all() and (r > 0).all() and (np.diff(r) > 0).all()):
+            raise GridError("r_nodes must be finite, positive and strictly increasing")
+        dp = np.diff(p)
+        if len(p) > 1 and not np.max(np.abs(dp - dp[0])) <= 1e-15 + 1e-12 * abs(dp[0]):
+            raise GridError("phi_nodes must be uniformly spaced")
+        if w is not None and (w.shape != r.shape or not np.isfinite(w).all()):
+            raise GridError("r_weights must be finite, one per r_node")
 
     @property
     def shape(self):
@@ -179,6 +174,7 @@ class FieldGrid:
 
 _RESCALE = 2.0**600  # no recurrence step carries a mantissa below this past 1e308
 _LOG_TINY = math.log(np.finfo(float).tiny)  # below this, exp gives a subnormal or 0
+_GAUSS_U_MAX_ORDER = 1024  # a dense m x m eigenproblem; twice the largest order any caller passes
 
 
 def _scale_rows(rows, log_scale):
@@ -240,8 +236,10 @@ def _gauss_u(m, a):
     matrix (diagonal 2j+a+1, off-diagonal sqrt(j(j+a))), and lam_j = 1/sum_(k<m)
     phi_k(u_j)^2 are the Christoffel weights with the weight function folded in, read
     off the overflow-safe `_radial_profiles` table at w_z = sqrt(2), where r = sqrt(u).
-    The arrays are read-only, because every caller shares the cached ones.
+    The arrays are read-only (every caller shares them); m > _GAUSS_U_MAX_ORDER raises.
     """
+    if m > _GAUSS_U_MAX_ORDER:
+        raise DiagnosticError(f"Gauss rule order {m} exceeds the cap of {_GAUSS_U_MAX_ORDER}")
     jacobi = np.zeros((m, m))
     j = np.arange(m, dtype=float)
     jacobi.flat[::m + 1] = 2 * j + a + 1

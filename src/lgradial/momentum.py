@@ -26,7 +26,8 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .errors import DiagnosticError, _check_helicity, _check_int
-from .paraxops import _angular_number, _radial_derivatives, _radial_eigenvalue, phi_derivative
+from .paraxops import (_angular_number, _fd_apply, _radial_eigenvalue, _spectral_sq, _stencils,
+                       _wavenumbers)
 from .specfun import _converge, make_rule
 
 __all__ = [
@@ -214,11 +215,12 @@ def hermiticity_defect(psi, operator="Nk_paraxial", *, w, sigma=1, kt_max) -> He
     """Hermiticity defect of a momentum operator on a sampled wavefunction.
 
     Gauss-Legendre in k_t on (0, kt_max) times 64 k_phi nodes; the defects at
-    192 and 384 k_t nodes must agree to 1e-6 relative or 1e-6 ||psi||^2.
+    192 and 384 k_t nodes must agree to 1e-6 relative or 1e-6 ||psi||^2, each taken
+    on psi's k_phi spectrum (Parseval) by one FFT and 7-point stencils in k_t.
 
     Parameters
     ----------
-    psi : callable (k_t, k_phi) -> complex, vectorized
+    psi : callable (k_t, k_phi) -> complex, broadcasting a k_t column and a k_phi row
     operator : "Nk_paraxial" for the full paraxial radial-momentum operator,
         "kt_ddkt" for its isolated (non-hermitian) first term k_t d/dk_t.
     w, sigma : operator context (w > 0 enters N'_k; sigma = +-1 scales the angular term)
@@ -233,14 +235,15 @@ def hermiticity_defect(psi, operator="Nk_paraxial", *, w, sigma=1, kt_max) -> He
 
     def evaluate(n_rad):
         rule = make_rule("legendre", n_rad, interval=(0.0, kt_max))
-        kt = rule.nodes[:, None]  # the (k_t, k_phi) mesh lives only for the psi call
-        vals = np.asarray(psi(*np.meshgrid(rule.nodes, kphi, indexing="ij")), dtype=complex)
-        a_vals = kt * _radial_derivatives(rule.nodes, vals, 1)[0]
-        if operator == "Nk_paraxial":
-            a_vals = 0.5 * (a_vals + (1j / sigma) * phi_derivative(vals, 1) + w**2 * kt**2 * vals)
-        mu = rule.weights[:, None] * kt * (2.0 * math.pi / 64)
-        defect = complex(np.sum(np.conj(a_vals) * vals * mu) - np.sum(np.conj(vals) * a_vals * mu))
-        nrm = float(np.sum(np.abs(vals) ** 2 * mu).real)
+        kt = rule.nodes[:, None]  # psi takes a k_t column and the k_phi row, and broadcasts them
+        s = np.fft.fft(np.broadcast_to(psi(kt, kphi), (n_rad, 64)), axis=1)
+        b, c_r, c_m = ((0.5 * kt, 0.5 * w**2 * kt**2, -0.5 / sigma * _wavenumbers(64)[1])
+                       if operator == "Nk_paraxial" else (kt, 0.0, 0.0))
+        a_s = _fd_apply(b * _stencils(rule.nodes, 1)[1][1], c_r, c_m, s)
+        mu = rule.weights * rule.nodes * (2.0 * math.pi / 64)
+        a_s *= mu[:, None] / 64  # Parseval: sum over k_phi = (1/64) sum over the spectrum
+        inner, nrm = complex(np.vdot(s, a_s)), _spectral_sq(s, mu)  # <psi, A psi>, ||psi||^2
+        defect = inner.conjugate() - inner
         if nrm == 0.0:
             raise DiagnosticError("hermiticity_defect needs a psi that is not identically zero")
         return defect, nrm, HermiticityDefect(defect=defect, norm_sq=nrm)

@@ -5,19 +5,18 @@ transverse Laplacian, the hyperbolic momentum PH = -i (r d/dr + 1) that
 generates dilations, and the radial-index operators N0 (focal plane) and Nz
 (any plane), with hbar = 1 throughout.
 
-Every operator has two application paths, and both return a FieldGrid:
-
-  * analytic  - a closed-form LG mode is its radial profile times
-                exp(i l phi): the radial derivatives are read off the
-                overflow-safe radial table on the radial nodes only, and
-                the phi parts are exact (Lz -> l, d2_phi -> -l^2, |Lz| -> |l|);
-  * fd        - 7-point banded stencils in r (N x 7 weights in closed
-                barycentric form; real batched matmuls contract both radial
-                orders at once with 7-row windows of the field, read in
-                place) and one forward FFT shared by the spectral phi parts,
-                for arbitrary sampled fields.
-
-Both paths only supply the derivatives; one dispatch defines every operator.
+Every operator commutes with Lz, so on each azimuthal number m it is one radial
+operator A = a d2_r + b(r) d_r + c(r, m) (Trefethen, Spectral Methods in MATLAB,
+SIAM 2000, ch. 11), defined once by `_coefficients`; two paths evaluate it and
+return a FieldGrid.  The analytic path takes A at m = l on a closed-form mode,
+with the radial derivatives read off the overflow-safe radial table on the
+radial nodes only.  The fd path takes a sampled field to its phi spectrum by one
+forward FFT and takes A at the FFT wavenumbers: 7-point banded stencils in r
+(N x 7 closed barycentric weights, built once per public call; a c2 + b c1 is
+one weight set) plus c s.  FD norms and inner products are taken on the
+spectrum, where Parseval holds exactly for the uniform phi rule; only
+apply_to_field transforms back.  N0 and Lz are both diagonal in m, so the FD
+[N0, Lz] of a pure mode is zero but for FFT roundoff at m != l (about 1e-28).
 
 Sign policy for negative azimuthal index: the operators as written act on
 exp(i l phi) through -Lz/2 and return eigenvalue n + (|l|-l)/2, i.e. n only
@@ -36,12 +35,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DiagnosticError, GridError
 from .lgmode import (FieldGrid, LGParams, PolarGrid, _mode_derivatives,
-                     _require_weights, beam_geometry, norm, sample)
+                     _require_weights, beam_geometry, sample)
 from .specfun import make_rule
 
 __all__ = [
     "Operator",
-    "phi_derivative",
     "apply_to_field",
     "apply_to_mode",
     "expected_eigenvalue",
@@ -91,144 +89,143 @@ def _radial_eigenvalue(n, l, sign_policy):
 
 
 # ---------------------------------------------------------------------------
+# operator definitions, shared by both paths
+
+def _coefficients(op: Operator, z, r, m, lz):
+    """(a, b, c_r, c_m) with A = a d2_r + b d_r + c_r + c_m on radial nodes r, for a field at z.
+
+    c_m(r, m) holds the Laplacian's -m^2/r^2 and the Lz or |Lz| part; lz is Lz at m (0 at
+    an FFT's Nyquist mode, where an odd derivative is undefined).  N0 (z = 0) and Nz are
+    -(w_z^2/8) lap - lz/2 (|m|/2 symmetrized) + (r^2/w0^2 - 1)/2, plus off focus the
+    curvature term (i z/(k w0^2)) (1 + r d_r).
+    """
+    if op.kind == "Lz":
+        return 0.0, 0.0, 0.0, lz
+    if op.kind == "PH":
+        return 0.0, -1j * r, -1j, 0.0
+    if op.kind == "curvature_term":
+        kappa = 1j * op.z / (op.params.k * op.params.w0**2)
+        return 0.0, kappa * r, kappa, 0.0
+    if op.kind == "laplacian_t":
+        return 1.0, 1.0 / r, 0.0, -(m**2) / r**2
+    z_op = 0.0 if op.kind == "N0" else op.z
+    if not math.isclose(z, z_op, rel_tol=0, abs_tol=1e-12 * (1 + abs(z_op))):
+        raise GridError(f"field at z={z} but operator built for z={z_op}")
+    params = op.params
+    s = (beam_geometry(params, z_op).w_z if z_op != 0.0 else params.w0) ** 2 / 8.0
+    b, c_r = -s / r, 0.5 * (r**2 / params.w0**2 - 1.0)
+    if z_op != 0.0:
+        _, b_z, c_z, _ = _coefficients(Operator("curvature_term", params, z_op), z, r, m, lz)
+        b, c_r = b + b_z, c_r + c_z
+    c_m = s * m**2 / r**2
+    c_m -= 0.5 * (lz if op.sign_policy == "verbatim" else abs(m))
+    return -s, b, c_r, c_m
+
+
+# ---------------------------------------------------------------------------
 # finite-difference machinery
 
 def _stencils(nodes, m):
     """Banded 7-point finite-difference weights of derivative orders 0..m <= 2 on sorted nodes.
 
     Returns (idx, c): N x 7 stencil indices and (m+1) x N x 7 weights with
-    f^(s)(nodes[i]) ~= sum_j c[s, i, j] f(nodes[idx[i, j]]).  Each row is
-    centred on its node, and the rows near either end are one-sided.  The
-    weights are the derivatives at the row's node x_p of the Lagrange
-    interpolant through its stencil nodes x_j, in closed barycentric form
-    (Berrut & Trefethen, SIAM Rev. 46, 501, 2004): with lam_j = 1/prod_(k!=j)
-    (x_j - x_k), c[1, j] = (lam_j/lam_p)/(x_p - x_j) and c[2, j] =
-    2 c[1, j] (c[1, p] - 1/(x_p - x_j)) for j != p; the own-node entries make
-    each row sum to 0.  All rows at once, on any nodes; c[s] does not depend on m.
+    f^(s)(nodes[i]) ~= sum_j c[s, i, j] f(nodes[idx[i, j]]).  Each row is centred on its
+    node, and the rows near either end are one-sided.  The weights are the derivatives at
+    the row's node x_p of the Lagrange interpolant through its stencil nodes x_j, in closed
+    barycentric form (Berrut & Trefethen, SIAM Rev. 46, 501, 2004): with P_j = prod_(k!=j)
+    (x_j - x_k), c[1, j] = (P_p/P_j)/(x_p - x_j) and c[2, j] = 2 c[1, j] (c[1, p] -
+    1/(x_p - x_j)) for j != p; the own-node entries make each row sum to 0.  All rows at
+    once, on any nodes, with 7 x N temporaries only.
     """
-    npts = 7
     x = np.asarray(nodes, dtype=float)
     n = len(x)
-    if n < npts:
-        raise GridError(f"need at least {npts} radial nodes, got {n}")
-    rows = np.arange(n)
-    lo = np.clip(rows - npts // 2, 0, n - npts)
-    idx = lo[:, None] + np.arange(npts)
+    if n < 7:
+        raise GridError(f"need at least 7 radial nodes, got {n}")
+    rows, lo = np.arange(n), np.clip(np.arange(n) - 3, 0, n - 7)
     p = rows - lo  # each row's own node within its stencil
-    xs = x[lo + np.arange(npts)[:, None]]  # idx.T, rows contiguous
-    diff = xs[:, None] - xs  # x_j - x_k as [j, k, row]
-    diff.reshape(npts * npts, n)[::npts + 1] = 1.0  # k = j: the product runs over k != j
-    lam = 1.0 / diff.prod(axis=1)
-    dx = x - xs
-    dx[p, rows] = np.inf
-    inv = 1.0 / dx  # 1/(x_p - x_j), 0 at j = p
-    c = np.zeros((3, npts, n))
-    c[1] = lam / lam[p, rows] * inv  # 0 at j = p, as inv is
-    c[2] = 2.0 * c[1] * (-c[1].sum(axis=0) - inv)  # minus the row sum is c[1] at j = p
+    xs = x[lo + np.arange(7)[:, None]]  # [j, row], rows contiguous
+    prod, d = np.ones_like(xs), np.empty_like(xs)
+    for k in range(7):
+        np.subtract(xs, xs[k], out=d)
+        d[k] = 1.0  # the product runs over j != k
+        prod *= d
+    inv = np.subtract(x, xs, out=xs)
+    inv[p, rows] = np.inf
+    np.divide(1.0, inv, out=inv)  # 1/(x_p - x_j), 0 at j = p
+    c = np.zeros((m + 1, 7, n))
+    np.divide(prod[p, rows], prod, out=c[1])
+    c[1] *= inv  # 0 at j = p, as inv is
+    if m == 2:  # minus the row sum is c[1, p]
+        np.subtract(-c[1].sum(axis=0), inv, out=c[2])
+        c[2] *= 2.0 * c[1]
     c[0, p, rows] = 1.0
     c[1:, p, rows] = -c[1:].sum(axis=1)  # each derivative row sums to 0
-    return idx, c[:m + 1].transpose(0, 2, 1)
+    return lo[:, None] + np.arange(7), c.transpose(0, 2, 1)
 
 
-def _radial_derivatives(nodes, values, m):
-    """d^s/dr^s along axis 0 of `values` on `nodes` for s = 1..m, stacked on a new axis 0.
-
-    One stencil build serves every order.  Real matmuls, batched over orders and rows,
-    contract the weights with 7-row windows of `values` (complex ones through their float
-    view), read in place rather than gathered, and write into the float view of the
-    result.  Row i's stencil is window clip(i - 3, 0, N - 7): the interior rows take the
-    windows in order, and the three rows at either end share the first or the last one.
-    """
-    values = np.ascontiguousarray(values, dtype=complex if np.iscomplexobj(values) else float)
-    c, n = _stencils(nodes, m)[1], len(values)
-    out = np.empty((m,) + values.shape, dtype=values.dtype)
-    v, o = values.reshape(n, -1).view(float), out.reshape(m, n, 1, -1).view(float)
-    win = sliding_window_view(v, 7, axis=0).swapaxes(1, 2)  # win[i] = v[i:i + 7]
-    np.matmul(c[1:, :3, None, :], win[0], out=o[:, :3])
-    np.matmul(c[1:, 3:n - 3, None, :], win, out=o[:, 3:n - 3])
-    np.matmul(c[1:, n - 3:, None, :], win[-1], out=o[:, n - 3:])
-    return out
-
-
-def _phi_multiplier(nphi, part):
-    """Real spectral multiplier of d2_phi, Lz = -i d/dphi or |Lz| ("d2_phi", "lz", "abs_lz")."""
+def _wavenumbers(nphi):
+    """The FFT's azimuthal numbers m, and Lz on them: m with the Nyquist mode at 0."""
     m = np.fft.fftfreq(nphi, d=1.0 / nphi)
-    if part == "lz" and nphi % 2 == 0:
-        m[nphi // 2] = 0.0  # odd derivative has no well-defined Nyquist mode
-    return {"d2_phi": -(m**2), "lz": m, "abs_lz": np.abs(m)}[part]
+    return m, np.where(m == -nphi / 2, 0.0, m)
 
 
-def phi_derivative(values, order):
-    """Spectral d^order/dphi^order along axis 1 of an (r, phi) array."""
-    m = _phi_multiplier(values.shape[1], "lz" if order % 2 else "abs_lz")  # |m|^2k = m^2k
-    return np.fft.ifft(np.fft.fft(values, axis=1) * (1j * m) ** order, axis=1)
+def _spectrum(field: FieldGrid):
+    """The field's phi spectrum, by one forward FFT; its phi nodes must cover a period uniformly."""
+    if len(field.grid.phi_nodes) < 8 or not field.grid.phi_uniform_period:
+        raise GridError("phi derivatives need >= 8 phi nodes uniformly covering a period")
+    return np.fft.fft(field.values, axis=1)
 
 
-# ---------------------------------------------------------------------------
-# operator definitions, shared by both paths
-
-def _curvature_term(params: LGParams, z, r, f, d_r):
-    """(i z / (k w0^2)) d/dr (r f) = -(z / (k w0^2)) PH f."""
-    coeff = z / (params.k * params.w0**2)
-    if coeff == 0.0:
-        return np.zeros_like(f)
-    return 1j * coeff * (f + r * d_r)
+def _spectral_sq(s, w):
+    """sum_i w_i sum_phi |f_i|^2 from the phi spectrum s of f: Parseval, on s's float view."""
+    v = np.ascontiguousarray(s).view(float)  # an F-ordered field gives an F-ordered spectrum
+    return float(np.einsum("ij,ij->i", v, v) @ w) / s.shape[1]
 
 
-def _apply(op: Operator, z, r, f, radial, azimuthal):
-    """The operator on a field f at plane z, given its derivatives.
+def _fd_terms(grid: PolarGrid, *ops):
+    """(w, c_r, c_m) per op at the FFT wavenumbers: w = a c2 + b c1, from one stencil build."""
+    st = None if all(op.kind == "Lz" for op in ops) else _stencils(grid.r_nodes, 2)[1]
+    r, (m, lz), terms = grid.r_nodes[:, None], _wavenumbers(len(grid.phi_nodes)), []
+    for op in ops:
+        a, b, c_r, c_m = _coefficients(op, grid.z, r, m, lz)
+        w = None if op.kind == "Lz" else b * st[1]
+        if a:
+            w += a * st[2]
+        terms.append((w, c_r, c_m))
+    return terms
 
-    radial() returns (d_r f, d2_r f); azimuthal(part) returns d2_phi f, Lz f
-    or |Lz| f for part "d2_phi", "lz" or "abs_lz".  N0 (z = 0) and Nz are
-    -(w_z^2/8) lap f - lz_part/2 + (r^2/w0^2 - 1) f/2, plus the curvature term
-    off focus; lz_part is Lz f ("verbatim") or |Lz| f ("symmetrized").
+
+def _fd_apply(w, c_r, c_m, s):
+    """The operator on a phi spectrum s (rows r, columns m): w contracted with s, plus c s.
+
+    One batched matmul reads the 7-row windows of s in place (row i takes window
+    clip(i - 3, 0, N - 7)); (c_r + c_m) s is then added into the same output in row blocks.
     """
-    if op.kind == "Lz":
-        return azimuthal("lz")
-    d_r, d2_r = radial()
-    if op.kind == "PH":
-        return -1j * (r * d_r + f)
-    if op.kind == "curvature_term":
-        return _curvature_term(op.params, op.z, r, f, d_r)
-    lap = d2_r + d_r / r + azimuthal("d2_phi") / r**2
-    if op.kind == "laplacian_t":
-        return lap
-    z_op = 0.0 if op.kind == "N0" else op.z
-    if not math.isclose(z, z_op, rel_tol=0, abs_tol=1e-12 * (1 + abs(z_op))):
-        raise GridError(f"field at z={z} but operator built for z={z_op}")
-    params = op.params
-    w_eff = beam_geometry(params, z_op).w_z if z_op != 0.0 else params.w0
-    out = -(w_eff**2 / 8.0) * lap
-    out -= 0.5 * azimuthal("lz" if op.sign_policy == "verbatim" else "abs_lz")
-    out += 0.5 * (r**2 / params.w0**2 - 1.0) * f
-    if z_op != 0.0:
-        out += _curvature_term(params, z_op, r, f, d_r)
+    if w is None:
+        return (c_r + c_m) * s
+    n, out = len(s), np.empty(s.shape, dtype=complex)
+    np.matmul(w[:3], s[:7], out=out[:3])
+    np.matmul(w[3:n - 3, None, :], sliding_window_view(s, 7, axis=0).swapaxes(1, 2),
+              out=out[3:n - 3, None, :])
+    np.matmul(w[n - 3:], s[n - 7:], out=out[n - 3:])
+    c_r, c_m = np.broadcast_to(c_r, (n, 1)), np.broadcast_to(c_m, s.shape)
+    step = max(1, 2048 // s.shape[1])  # 32 KiB temporaries
+    for i in range(0, n, step):
+        out[i:i + step] += (c_r[i:i + step] + c_m[i:i + step]) * s[i:i + step]
     return out
 
 
 def apply_to_field(op: Operator, field: FieldGrid) -> FieldGrid:
-    """Apply an operator to a sampled field: 7-point stencils in r, FFT in phi."""
-    grid, f = field.grid, field.values
-    spectrum = None
-
-    def azimuthal(part):  # one phi check and one forward FFT per apply
-        nonlocal spectrum
-        if spectrum is None:
-            if len(grid.phi_nodes) < 8 or not grid.phi_uniform_period:
-                raise GridError("phi derivatives need >= 8 phi nodes uniformly covering a period")
-            spectrum = np.fft.fft(f, axis=1)
-        return np.fft.ifft(spectrum * _phi_multiplier(f.shape[1], part), axis=1)
-
-    return FieldGrid(grid, _apply(op, grid.z, grid.r_nodes[:, None], f,
-                                  lambda: _radial_derivatives(grid.r_nodes, f, 2), azimuthal))
+    """Apply an operator to a sampled field: 7-point stencils in r on its phi spectrum."""
+    out = _fd_apply(*_fd_terms(field.grid, op)[0], _spectrum(field))
+    return FieldGrid(field.grid, np.fft.ifft(out, axis=1))
 
 
 def _mode_apply(op: Operator, params: LGParams, z, r):
     """(f, A f) for the closed-form mode along phi = 0, on radial nodes r only."""
     f, d_r, d2_r = _mode_derivatives(params, z, r)
-    l = params.l
-    parts = {"d2_phi": -(l**2) * f, "lz": l * f, "abs_lz": abs(l) * f}
-    return f, _apply(op, z, r, f, lambda: (d_r, d2_r), parts.__getitem__)
+    a, b, c_r, c_m = _coefficients(op, z, r, params.l, params.l)
+    return f, a * d2_r + b * d_r + (c_r + c_m) * f
 
 
 def apply_to_mode(op: Operator, params: LGParams, grid: PolarGrid) -> FieldGrid:
@@ -249,16 +246,16 @@ def expected_eigenvalue(op: Operator, params: LGParams) -> float:
 def eigen_residual(params: LGParams, op: Operator, grid: PolarGrid, method="analytic") -> float:
     """|| A f - a f || / || f || for the expected eigenvalue a.
 
-    The analytic path integrates the radial factor with the grid's weights
-    (the phi integral, 2 pi, cancels); the fd path works on the sampled grid.
+    The analytic path integrates the radial factor with the grid's weights (the phi
+    integral cancels); the fd path applies A - a to the sampled mode's phi spectrum.
     """
-    a = expected_eigenvalue(op, params)
+    a, w_r = expected_eigenvalue(op, params), _require_weights(grid) * grid.r_nodes
     if method == "analytic":
         f, out = _mode_apply(op, params, grid.z, grid.r_nodes)
-        w = _require_weights(grid) * grid.r_nodes
-        return math.sqrt(np.sum(w * np.abs(out - a * f) ** 2) / np.sum(w * np.abs(f) ** 2))
-    f = sample(params, grid)
-    return norm(FieldGrid(grid, apply_to_field(op, f).values - a * f.values)) / norm(f)
+        return math.sqrt(np.sum(w_r * np.abs(out - a * f) ** 2) / np.sum(w_r * np.abs(f) ** 2))
+    s = _spectrum(sample(params, grid))
+    (w, c_r, c_m), = _fd_terms(grid, op)
+    return math.sqrt(_spectral_sq(_fd_apply(w, c_r - a, c_m, s), w_r) / _spectral_sq(s, w_r))
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +320,16 @@ _EXPECTED_COMMUTATORS = {("laplacian_t", "PH"): -2j, ("PH", "laplacian_t"): 2j}
 
 
 def commutator_residual(op_a: Operator, op_b: Operator, field: FieldGrid) -> float:
-    """|| (AB - BA) f - C f || / || f || against the expected commutator C."""
-    nf = norm(field)
+    """|| (AB - BA) f - C f || / || f || against the expected commutator C, on f's phi spectrum."""
+    grid, s = field.grid, _spectrum(field)
+    w_r = _require_weights(grid) * grid.r_nodes * grid.dphi
+    nf = math.sqrt(_spectral_sq(s, w_r))
     if not 0.0 < nf < math.inf:
         raise DiagnosticError(f"commutator_residual needs a nonzero, finite field, got norm {nf}")
-    ab = apply_to_field(op_a, apply_to_field(op_b, field)).values
-    ba = apply_to_field(op_b, apply_to_field(op_a, field)).values
-    comm = ab - ba
     coeff = _EXPECTED_COMMUTATORS.get((op_a.kind, op_b.kind))
-    if coeff:
-        comm -= coeff * apply_to_field(Operator("laplacian_t"), field).values
-    return norm(FieldGrid(field.grid, comm)) / nf
+    ta, tb, *lap = _fd_terms(grid, op_a, op_b, *([Operator("laplacian_t")] if coeff else []))
+    comm = _fd_apply(*ta, _fd_apply(*tb, s))
+    comm -= _fd_apply(*tb, _fd_apply(*ta, s))
+    for w, c_r, c_m in lap:
+        comm -= _fd_apply(coeff * w, coeff * c_r, coeff * c_m, s)
+    return math.sqrt(_spectral_sq(comm, w_r)) / nf

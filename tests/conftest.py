@@ -22,6 +22,17 @@ settings.register_profile("envelope", derandomize=True, database=None, deadline=
 ENVELOPE = settings.get_profile("envelope")
 
 
+def count_calls(monkeypatch, stencils_owner):
+    """Count np.fft.fft, np.fft.ifft and the `_stencils` builds seen by module `stencils_owner`."""
+    calls = {"fft": 0, "ifft": 0, "_stencils": 0}
+    for owner, name in ((np.fft, "fft"), (np.fft, "ifft"), (stencils_owner, "_stencils")):
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240613)

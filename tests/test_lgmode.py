@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from lgradial.errors import DiagnosticError, GridError
-from lgradial.lgmode import (FieldGrid, LGParams, PolarGrid, _radial_profiles, beam_geometry,
+from lgradial.lgmode import (_GAUSS_U_MAX_ORDER, FieldGrid, LGParams, PolarGrid, _gauss_u,
+                             _radial_profiles, beam_geometry,
                              inner, lg_field, lg_partials, norm,
                              quadrature_polar_grid, sample,
                              uniform_polar_grid)
@@ -369,6 +370,19 @@ class TestGridValidation:
         with pytest.raises(GridError):
             PolarGrid(np.array([1.0, 2.0]), np.array([0.0, math.nan, 0.5]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_radius(self, bad):
+        with pytest.raises(GridError, match="finite"):
+            PolarGrid(np.array([0.5, bad, 2.0]), np.arange(8) * np.pi / 4, r_weights=np.ones(3))
+        with pytest.raises(GridError, match="finite"):
+            PolarGrid(np.array([0.5, 1.0, bad]), np.arange(8) * np.pi / 4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(GridError, match="finite"):
+            PolarGrid(np.array([0.5, 1.0, 2.0]), np.arange(8) * np.pi / 4,
+                      r_weights=np.array([1.0, bad, 1.0]))
+
     def test_phi_uniform_period(self):
         r = np.array([1.0, 2.0])
         full = np.arange(16) * (2 * math.pi / 16)
@@ -397,6 +411,14 @@ class TestGridValidation:
     def test_grid_sizes_must_be_positive_integers(self, params21, builder, kwargs, message):
         with pytest.raises(DiagnosticError, match=re.escape(message)):
             builder(params21, 0.0, **kwargs)
+
+    def test_gauss_rule_order_is_capped(self):
+        # a typed error, not numpy's "array is too big" or a dense eigenproblem of any size
+        with pytest.raises(DiagnosticError, match="exceeds the cap of 1024"):
+            quadrature_polar_grid(LGParams(2, 1, 1e7, 1e-3), 0.0, n_max=10**18)
+        with pytest.raises(DiagnosticError, match="exceeds the cap"):
+            _gauss_u(_GAUSS_U_MAX_ORDER + 1, 0)
+        assert quadrature_polar_grid(LGParams(2, 1, K, W0), 0.0, order=512).shape == (512, 32)
 
     def test_numpy_integer_grid_sizes_accepted(self, params21):
         g = uniform_polar_grid(params21, 0.0, nr=np.int64(16), nphi=np.int32(8))

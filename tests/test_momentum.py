@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from lgradial import momentum
 from lgradial.errors import DiagnosticError, QuadratureConvergenceError
 from lgradial.momentum import (ExactMomentumParams, apply_nk,
                                apply_nk_paraxial, hermiticity_defect,
@@ -12,7 +13,8 @@ from lgradial.momentum import (ExactMomentumParams, apply_nk,
                                psi_exact, psi_paraxial)
 from lgradial.specfun import make_rule
 
-from conftest import K, OMEGA, W0
+from conftest import K, OMEGA, W0, count_calls
+from oracles import fd_matrix_vandermonde
 
 
 def _params(n, m, sigma=1):
@@ -198,6 +200,51 @@ class TestParaxialOperator:
         par = psi_paraxial(p, kt, 0.7)
         scale = np.vdot(par, exact) / np.vdot(par, par)
         assert np.max(np.abs(exact - scale * par) / np.abs(par * scale)) < 1e-3
+
+
+def _verify_wavefunctions():
+    """The two wavefunctions `lg-radial verify` checks: the LG one and its complex variant."""
+    p = _params(1, 2)
+    nrm = math.sqrt(paraxial_norm_sq(p))
+    good = lambda kt, kphi: psi_paraxial(p, kt, kphi) / nrm
+    return {"good": good, "bad": lambda kt, kphi: good(kt, kphi) * np.exp(1j * kt * W0)}
+
+
+def _direct_space_defect(psi, w, sigma, kt_max, n_rad=384):
+    """<A psi, psi> - <psi, A psi> and ||psi||^2 of N'_k on the (k_t, k_phi) mesh, in direct space.
+
+    k_t d/dk_t by dense Vandermonde stencils, d/dk_phi by a plain FFT round trip (no
+    Nyquist mode); the library returns its finer order, 384, once the pair agrees.
+    """
+    rule = make_rule("legendre", n_rad, interval=(0.0, kt_max))
+    kt = rule.nodes[:, None]
+    vals = np.asarray(psi(*np.meshgrid(rule.nodes, np.arange(64) * (2 * math.pi / 64),
+                                       indexing="ij")), dtype=complex)
+    m = np.fft.fftfreq(64, d=1.0 / 64)
+    m[32] = 0.0
+    d_phi = np.fft.ifft(1j * m * np.fft.fft(vals, axis=1), axis=1)
+    a_vals = 0.5 * (kt * (fd_matrix_vandermonde(rule.nodes, 1) @ vals) + (1j / sigma) * d_phi
+                    + w**2 * kt**2 * vals)
+    mu = rule.weights[:, None] * kt * (2 * math.pi / 64)
+    defect = np.sum(np.conj(a_vals) * vals * mu) - np.sum(np.conj(vals) * a_vals * mu)
+    return complex(defect), float(np.sum(np.abs(vals) ** 2 * mu))
+
+
+class TestHermiticitySpectral:
+    @pytest.mark.parametrize("name", ["good", "bad"])
+    def test_matches_direct_space_formula(self, name):
+        psi = _verify_wavefunctions()[name]
+        hd = hermiticity_defect(psi, w=W0, sigma=1, kt_max=14.0 / W0)
+        defect, norm_sq = _direct_space_defect(psi, W0, 1, 14.0 / W0)
+        assert abs(hd.norm_sq - norm_sq) <= 1e-10 * norm_sq
+        assert abs(hd.defect - defect) <= 1e-10 * norm_sq
+        if name == "bad":  # there the defect is O(||psi||^2), so the check is relative
+            assert abs(defect) > 1e-3 * norm_sq
+
+    def test_one_fft_and_one_stencil_build_per_order(self, monkeypatch):
+        calls = count_calls(monkeypatch, momentum)
+        hermiticity_defect(_verify_wavefunctions()["good"], w=W0, sigma=1, kt_max=14.0 / W0)
+        assert calls == {"fft": 2, "ifft": 0, "_stencils": 2}
 
 
 class TestHermiticity:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from lgradial.errors import DiagnosticError, GridError
 from lgradial.lgmode import (FieldGrid, LGParams, PolarGrid, beam_geometry,
                              quadrature_polar_grid, inner, norm, sample,
                              uniform_polar_grid)
-from lgradial.paraxops import (Operator, _radial_derivatives, _stencils, apply_to_field,
+from lgradial import paraxops
+from lgradial.paraxops import (Operator, _fd_apply, _stencils, apply_to_field,
                                apply_to_mode, commutator_residual, dilation_check,
                                eigen_residual, expected_eigenvalue)
 from lgradial.specfun import make_rule
 
-from conftest import K, W0, ZR
+from conftest import K, W0, ZR, count_calls
 from oracles import fd_matrix_vandermonde
 
 
@@ -21,6 +23,13 @@ def _plain_grid(rmax=8.0, nr=1024, nphi=16):
     r = (np.arange(nr) + 0.5) * h
     phi = np.arange(nphi) * (2 * math.pi / nphi)
     return PolarGrid(r, phi, r_weights=np.full(nr, h))
+
+
+def _radial_derivatives(nodes, values):
+    """(d_r, d2_r) of the columns of `values` by the FD contraction on one stencil build."""
+    c = _stencils(nodes, 2)[1]
+    cols = np.asarray(values, dtype=complex).reshape(len(nodes), -1)
+    return [_fd_apply(c[s], 0.0, 0.0, cols).reshape(np.shape(values)) for s in (1, 2)]
 
 
 def _interior(grid, lo_frac=0.08, hi_frac=0.9):
@@ -354,8 +363,7 @@ class TestDiffMatrix:
         f = nodes**5 - 2 * nodes**3 + nodes
         want1 = 5 * nodes**4 - 6 * nodes**2 + 1
         want2 = 20 * nodes**3 - 12 * nodes
-        d1 = _radial_derivatives(nodes, f, 1)[0]
-        d2 = _radial_derivatives(nodes, f, 2)[1]
+        d1, d2 = (d.real for d in _radial_derivatives(nodes, f))
         assert np.max(np.abs(d1 - want1)) < 1e-8 * np.max(np.abs(want1))
         assert np.max(np.abs(d2 - want2)) < 1e-7 * np.max(np.abs(want2))
 
@@ -435,9 +443,11 @@ class TestFDContraction:
         rng = np.random.default_rng(5)
         x = np.cumsum(rng.uniform(0.5, 1.5, 40))
         f, g = rng.normal(size=40), rng.normal(size=40)
-        real = [_radial_derivatives(x, v, 2) for v in (f, g)]
-        both = _radial_derivatives(x, np.asfortranarray(np.stack([f + 1j * g, g - 1j * f], 1)), 2)
+        real = [np.stack(_radial_derivatives(x, v)) for v in (f, g)]
+        both = np.asfortranarray(np.stack([f + 1j * g, g - 1j * f], 1))
+        both = np.stack(_radial_derivatives(x, both))
         assert both.shape == (2, 40, 2) and real[0].shape == (2, 40)
+        assert np.max(np.abs(real[0].imag)) == 0.0
         tol = 1e-14 * max(np.max(np.abs(v)) for v in real)
         assert np.max(np.abs(both[..., 0] - (real[0] + 1j * real[1]))) <= tol
         assert np.max(np.abs(both[..., 1] - (real[1] - 1j * real[0]))) <= tol
@@ -452,3 +462,105 @@ class TestFDContraction:
         monkeypatch.setattr(np.fft, "fft", lambda *a, **k: calls.append(1) or fft(*a, **k))
         apply_to_field(Operator("Nz", params=LGParams(1, 2, K, W0), z=field.grid.z), field)
         assert len(calls) == 1
+
+
+def _n0_field(nr=96, nphi=24):
+    """A random complex field on non-uniform radial nodes with weights, at the focal plane."""
+    field = TestFDContraction._random_field(nr, nphi)
+    r = field.grid.r_nodes
+    return FieldGrid(PolarGrid(r, field.grid.phi_nodes, r_weights=np.gradient(r)), field.values)
+
+
+class TestSpectralCounts:
+    """Each public FD call: forward FFTs, inverse FFTs and stencil builds."""
+
+    P = LGParams(1, 2, K, W0)
+
+    @pytest.mark.parametrize("kind", ["N0", "Nz"])
+    def test_apply_to_field(self, monkeypatch, kind):
+        field = TestFDContraction._random_field()
+        if kind == "N0":
+            field = _n0_field()
+        op = Operator(kind, params=self.P, z=field.grid.z if kind == "Nz" else None)
+        calls = count_calls(monkeypatch, paraxops)
+        apply_to_field(op, field)
+        assert calls == {"fft": 1, "ifft": 1, "_stencils": 1}
+
+    def test_lz_alone_builds_no_weights(self, monkeypatch):
+        calls = count_calls(monkeypatch, paraxops)
+        apply_to_field(Operator("Lz"), _n0_field())
+        commutator_residual(Operator("Lz"), Operator("Lz"), _n0_field())
+        assert calls == {"fft": 2, "ifft": 1, "_stencils": 0}
+
+    def test_eigen_residual_fd(self, monkeypatch):
+        g = uniform_polar_grid(self.P, 0.0, n_max=4, l_max=3, nr=256, nphi=16)
+        calls = count_calls(monkeypatch, paraxops)
+        eigen_residual(self.P, Operator("N0", params=self.P), g, method="fd")
+        assert calls == {"fft": 1, "ifft": 0, "_stencils": 1}
+
+    @pytest.mark.parametrize("kinds", [("N0", "Lz"), ("laplacian_t", "PH")])
+    def test_commutator_residual(self, monkeypatch, kinds):
+        calls = count_calls(monkeypatch, paraxops)
+        commutator_residual(*(Operator(k, params=self.P) for k in kinds), _n0_field())
+        assert calls == {"fft": 1, "ifft": 0, "_stencils": 1}
+
+
+class TestSpectralOracles:
+    """commutator_residual on the spectrum against the direct-space composition."""
+
+    P = LGParams(1, 2, K, W0)
+
+    def _direct(self, kind, values, grid):
+        if kind == "Lz":
+            nphi = values.shape[1]
+            m = np.fft.fftfreq(nphi, d=1.0 / nphi)
+            lz = np.where(m == -nphi / 2, 0.0, m)  # no Nyquist mode
+            return np.fft.ifft(lz * np.fft.fft(values, axis=1), axis=1)
+        return TestFDContraction._oracle(kind, "symmetrized", FieldGrid(grid, values), self.P)
+
+    @pytest.mark.parametrize("kinds,coeff", [(("N0", "Lz"), 0), (("laplacian_t", "PH"), -2j)])
+    def test_matches_direct_space_composition(self, kinds, coeff):
+        field = _n0_field()
+        g, f = field.grid, field.values
+        a, b = kinds
+        ab = self._direct(a, self._direct(b, f, g), g)
+        comm = (ab - self._direct(b, self._direct(a, f, g), g)
+                - coeff * self._direct("laplacian_t", f, g))
+        want = norm(FieldGrid(g, comm)) / norm(field)
+        got = commutator_residual(*(Operator(k, params=self.P) for k in kinds), field)
+        # [N0, Lz] = 0, so both sides are rounding at the scale of A B f; [lap, PH] + 2i lap
+        # is the FD truncation of a rough field, an O(1) number
+        scale = norm(FieldGrid(g, ab)) / norm(field) if coeff == 0 else want
+        assert abs(got - want) <= 1e-10 * scale
+
+    def test_fortran_ordered_field(self):
+        field = _n0_field()
+        fortran = FieldGrid(field.grid, np.asfortranarray(field.values))
+        ops = [Operator("laplacian_t"), Operator("PH")]
+        want = commutator_residual(*ops, field)
+        assert abs(commutator_residual(*ops, fortran) - want) <= 1e-14 * want
+        got, want = (apply_to_field(ops[1], f).values for f in (fortran, field))
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_n0_lz_is_exact_on_a_pure_mode(self):
+        p = LGParams(2, 2, K, W0)
+        f = sample(p, uniform_polar_grid(p, 0.0, n_max=4, l_max=4, nr=768, nphi=16))
+        assert commutator_residual(Operator("N0", params=p), Operator("Lz"), f) < 1e-24
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("kind,n,l", [("N0", 3, -2), ("Nz", 3, 2)])
+    def test_fd_eigen_residual_peak(self, kind, n, l):
+        # half the 2308 KiB that an FD eigen_residual at this size peaked at with a
+        # field-sized temporary per term
+        p, z = LGParams(n, l, K, W0), 0.0 if kind == "N0" else 0.7 * ZR
+        g = uniform_polar_grid(p, z, n_max=4, l_max=3, nr=1152, nphi=16)
+        op = Operator(kind, params=p, z=None if kind == "N0" else z)
+        eigen_residual(p, op, g, method="fd")
+        tracemalloc.start()
+        try:
+            eigen_residual(p, op, g, method="fd")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1154 * 1024
