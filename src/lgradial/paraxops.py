@@ -15,8 +15,10 @@ forward FFT and takes A at the FFT wavenumbers: 7-point banded stencils in r
 (N x 7 closed barycentric weights, built once per public call; a c2 + b c1 is
 one weight set) plus c s.  FD norms and inner products are taken on the
 spectrum, where Parseval holds exactly for the uniform phi rule; only
-apply_to_field transforms back.  N0 and Lz are both diagonal in m, so the FD
-[N0, Lz] of a pure mode is zero but for FFT roundoff at m != l (about 1e-28).
+apply_to_field transforms back.  A pure mode's spectrum is one radial column, so
+the FD eigen_residual takes A on that column alone, with no sampled grid and no FFT.
+N0 and Lz are both diagonal in m, so the FD [N0, Lz] of a sampled pure mode is
+zero but for FFT roundoff at m != l (about 1e-28).
 
 Sign policy for negative azimuthal index: the operators as written act on
 exp(i l phi) through -Lz/2 and return eigenvalue n + (|l|-l)/2, i.e. n only
@@ -35,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DiagnosticError, GridError
 from .lgmode import (FieldGrid, LGParams, PolarGrid, _mode_derivatives,
-                     _require_weights, beam_geometry, sample)
+                     _require_weights, beam_geometry, lg_field)
 from .specfun import make_rule
 
 __all__ = [
@@ -169,10 +171,10 @@ def _wavenumbers(nphi):
     return m, np.where(m == -nphi / 2, 0.0, m)
 
 
-def _spectrum(field: FieldGrid):
-    """The field's phi spectrum, by one forward FFT; its phi nodes must cover a period uniformly."""
-    if len(field.grid.phi_nodes) < 8 or not field.grid.phi_uniform_period:
-        raise GridError("phi derivatives need >= 8 phi nodes uniformly covering a period")
+def _spectrum(field: FieldGrid, needs):
+    """The field's phi spectrum, by one forward FFT; a non-finite field raises first."""
+    if not np.isfinite(field.values).all():
+        raise DiagnosticError(f"{needs}, got a non-finite value")
     return np.fft.fft(field.values, axis=1)
 
 
@@ -182,10 +184,13 @@ def _spectral_sq(s, w):
     return float(np.einsum("ij,ij->i", v, v) @ w) / s.shape[1]
 
 
-def _fd_terms(grid: PolarGrid, *ops):
-    """(w, c_r, c_m) per op at the FFT wavenumbers: w = a c2 + b c1, from one stencil build."""
+def _fd_terms(grid: PolarGrid, *ops, cols=slice(None)):
+    """(w, c_r, c_m) per op at the FFT's wavenumbers cols: w = a c2 + b c1, one stencil build."""
+    if len(grid.phi_nodes) < 8 or not grid.phi_uniform_period:
+        raise GridError("phi derivatives need >= 8 phi nodes uniformly covering a period")
     st = None if all(op.kind == "Lz" for op in ops) else _stencils(grid.r_nodes, 2)[1]
-    r, (m, lz), terms = grid.r_nodes[:, None], _wavenumbers(len(grid.phi_nodes)), []
+    r, terms = grid.r_nodes[:, None], []
+    m, lz = (k[cols] for k in _wavenumbers(len(grid.phi_nodes)))
     for op in ops:
         a, b, c_r, c_m = _coefficients(op, grid.z, r, m, lz)
         w = None if op.kind == "Lz" else b * st[1]
@@ -217,7 +222,8 @@ def _fd_apply(w, c_r, c_m, s):
 
 def apply_to_field(op: Operator, field: FieldGrid) -> FieldGrid:
     """Apply an operator to a sampled field: 7-point stencils in r on its phi spectrum."""
-    out = _fd_apply(*_fd_terms(field.grid, op)[0], _spectrum(field))
+    s = _spectrum(field, "apply_to_field needs a finite field")
+    out = _fd_apply(*_fd_terms(field.grid, op)[0], s)
     return FieldGrid(field.grid, np.fft.ifft(out, axis=1))
 
 
@@ -247,15 +253,18 @@ def eigen_residual(params: LGParams, op: Operator, grid: PolarGrid, method="anal
     """|| A f - a f || / || f || for the expected eigenvalue a.
 
     The analytic path integrates the radial factor with the grid's weights (the phi
-    integral cancels); the fd path applies A - a to the sampled mode's phi spectrum.
+    integral cancels); the fd path applies A - a to the mode's radial profile as the one
+    column l mod nphi of its phi spectrum (an |l| >= nphi/2 aliases as on a sampled grid).
     """
+    if method not in ("analytic", "fd"):
+        raise DiagnosticError(f'unknown method {method!r}; use "analytic" or "fd"')
     a, w_r = expected_eigenvalue(op, params), _require_weights(grid) * grid.r_nodes
     if method == "analytic":
         f, out = _mode_apply(op, params, grid.z, grid.r_nodes)
         return math.sqrt(np.sum(w_r * np.abs(out - a * f) ** 2) / np.sum(w_r * np.abs(f) ** 2))
-    s = _spectrum(sample(params, grid))
-    (w, c_r, c_m), = _fd_terms(grid, op)
-    return math.sqrt(_spectral_sq(_fd_apply(w, c_r - a, c_m, s), w_r) / _spectral_sq(s, w_r))
+    (w, c_r, c_m), = _fd_terms(grid, op, cols=[params.l % len(grid.phi_nodes)])
+    f = lg_field(params, grid.r_nodes[:, None], 0.0, grid.z)
+    return math.sqrt(_spectral_sq(_fd_apply(w, c_r - a, c_m, f), w_r) / _spectral_sq(f, w_r))
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +330,12 @@ _EXPECTED_COMMUTATORS = {("laplacian_t", "PH"): -2j, ("PH", "laplacian_t"): 2j}
 
 def commutator_residual(op_a: Operator, op_b: Operator, field: FieldGrid) -> float:
     """|| (AB - BA) f - C f || / || f || against the expected commutator C, on f's phi spectrum."""
-    grid, s = field.grid, _spectrum(field)
+    needs = "commutator_residual needs a nonzero, finite field"
+    grid, s = field.grid, _spectrum(field, needs)
     w_r = _require_weights(grid) * grid.r_nodes * grid.dphi
     nf = math.sqrt(_spectral_sq(s, w_r))
     if not 0.0 < nf < math.inf:
-        raise DiagnosticError(f"commutator_residual needs a nonzero, finite field, got norm {nf}")
+        raise DiagnosticError(f"{needs}, got norm {nf}")
     coeff = _EXPECTED_COMMUTATORS.get((op_a.kind, op_b.kind))
     ta, tb, *lap = _fd_terms(grid, op_a, op_b, *([Operator("laplacian_t")] if coeff else []))
     comm = _fd_apply(*ta, _fd_apply(*tb, s))

@@ -455,6 +455,14 @@ class TestFDContraction:
             want = fd_matrix_vandermonde(x, s) @ f
             assert np.max(np.abs(real[0][s - 1] - want)) <= 1e-10 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)],
+                             ids=["nan", "inf", "imag-minus-inf"])
+    def test_rejects_non_finite_field(self, bad):
+        field = self._random_field()
+        field.values[10, 3] = bad
+        with pytest.raises(DiagnosticError, match="apply_to_field needs a finite field"):
+            apply_to_field(Operator("PH"), field)
+
     def test_one_forward_fft_per_apply(self, monkeypatch):
         field = self._random_field()
         calls = []
@@ -496,7 +504,7 @@ class TestSpectralCounts:
         g = uniform_polar_grid(self.P, 0.0, n_max=4, l_max=3, nr=256, nphi=16)
         calls = count_calls(monkeypatch, paraxops)
         eigen_residual(self.P, Operator("N0", params=self.P), g, method="fd")
-        assert calls == {"fft": 1, "ifft": 0, "_stencils": 1}
+        assert calls == {"fft": 0, "ifft": 0, "_stencils": 1}  # the mode's column, no FFT
 
     @pytest.mark.parametrize("kinds", [("N0", "Lz"), ("laplacian_t", "PH")])
     def test_commutator_residual(self, monkeypatch, kinds):
@@ -551,8 +559,7 @@ class TestSpectralOracles:
 class TestWorkingSet:
     @pytest.mark.parametrize("kind,n,l", [("N0", 3, -2), ("Nz", 3, 2)])
     def test_fd_eigen_residual_peak(self, kind, n, l):
-        # half the 2308 KiB that an FD eigen_residual at this size peaked at with a
-        # field-sized temporary per term
+        # the mode's N x 1 column, its weights and one stencil build, with no sampled field
         p, z = LGParams(n, l, K, W0), 0.0 if kind == "N0" else 0.7 * ZR
         g = uniform_polar_grid(p, z, n_max=4, l_max=3, nr=1152, nphi=16)
         op = Operator(kind, params=p, z=None if kind == "N0" else z)
@@ -563,4 +570,46 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1154 * 1024
+        assert peak <= 700 * 1024
+
+
+class TestEigenColumn:
+    """FD eigen_residual on the mode's column against a full sampled grid, FFT and dense stencils."""
+
+    @pytest.mark.parametrize("policy", ["symmetrized", "verbatim"])
+    @pytest.mark.parametrize("kind", ["N0", "Nz"])
+    @pytest.mark.parametrize("l", [-2, 3, 8, -8, 9])  # 8 and -8 the Nyquist column, 9 aliased
+    def test_matches_full_grid_oracle(self, l, kind, policy):
+        p = LGParams(2, l, K, W0)
+        z = 0.0 if kind == "N0" else 0.7 * ZR
+        g = uniform_polar_grid(p, z, n_max=4, l_max=3, nr=192, nphi=16)
+        op = Operator(kind, params=p, z=None if kind == "N0" else z, sign_policy=policy)
+        f = sample(p, g)
+        af = TestFDContraction._oracle(kind, policy, f, p)
+        want = norm(FieldGrid(g, af - expected_eigenvalue(op, p) * f.values)) / norm(f)
+        got = eigen_residual(p, op, g, method="fd")
+        assert abs(got - want) <= 1e-10 * norm(FieldGrid(g, af)) / norm(f)
+
+    @pytest.mark.parametrize("phi", [np.arange(4) * (math.pi / 2), np.arange(16) * (math.pi / 16)],
+                             ids=["four-nodes", "half-period"])
+    def test_rejects_phi_grid(self, phi):
+        p = LGParams(1, 2, K, W0)
+        g = uniform_polar_grid(p, 0.0, n_max=4, l_max=3, nr=64, nphi=16)
+        bad = PolarGrid(g.r_nodes, phi, r_weights=g.r_weights)
+        with pytest.raises(GridError, match="8 phi nodes"):
+            eigen_residual(p, Operator("N0", params=p), bad, method="fd")
+
+    @pytest.mark.parametrize("kind", ["N0", "Nz"])
+    def test_rejects_plane_mismatch(self, kind):
+        p = LGParams(1, 2, K, W0)
+        g = uniform_polar_grid(p, 0.5 * ZR, n_max=4, l_max=3, nr=64, nphi=16)
+        op = Operator(kind, params=p, z=None if kind == "N0" else ZR)
+        with pytest.raises(GridError, match="operator built for z="):
+            eigen_residual(p, op, g, method="fd")
+
+    @pytest.mark.parametrize("method", ["FD", "spectral", None])
+    def test_rejects_unknown_method(self, method):
+        p = LGParams(1, 2, K, W0)
+        g = uniform_polar_grid(p, 0.0, n_max=4, l_max=3, nr=64, nphi=16)
+        with pytest.raises(DiagnosticError, match='"analytic" or "fd"'):
+            eigen_residual(p, Operator("N0", params=p), g, method=method)
