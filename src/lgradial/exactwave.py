@@ -237,14 +237,23 @@ def wave_residual(sampler, p: SpacetimePoint, *, wavenumber) -> float:
 # closed form and synthesis
 
 def chi_closed_form(params: ExactMomentumParams, p: SpacetimePoint):
-    """Exact LG-type scalar field with complex beam parameter a(t_plus)."""
+    """Exact LG-type scalar field with complex beam parameter a(t_plus); DiagnosticError
+    where it is not a finite double, as where a^(n+|m|+1) under- or overflows."""
     s = params.sigma
     am = abs(params.m)
     a = params.w**2 + 1j * s * C_LIGHT**2 * p.t_plus / params.Omega
     x = p.r**2 / a
-    return (p.r**am / a ** (params.n + am + 1)
-            * np.exp(-1j * s * (params.Omega * p.t_minus - params.m * p.phi))
-            * np.exp(-x) * laguerre(params.n, am, x))
+    try:
+        with np.errstate(all="ignore"):
+            chi = (p.r**am / a ** (params.n + am + 1)
+                   * np.exp(-1j * s * (params.Omega * p.t_minus - params.m * p.phi))
+                   * np.exp(-x) * laguerre(params.n, am, x))
+    except (OverflowError, ZeroDivisionError):  # Python complex arithmetic at a single point
+        chi = math.nan
+    if not np.isfinite(chi).all():
+        raise DiagnosticError(f"chi_closed_form is not a finite double at n = {params.n}, "
+                              f"|m| = {am}, w = {params.w} m")
+    return chi
 
 
 def _synthesis_radial(params: ExactMomentumParams, p: SpacetimePoint, order):

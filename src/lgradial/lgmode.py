@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticError, GridError, _check_int, _check_order
+from .specfun import QuadratureRule
 
 __all__ = [
     "LGParams",
@@ -111,10 +112,11 @@ def beam_geometry(params: LGParams, z: float) -> BeamGeometry:
 class PolarGrid:
     """Polar sampling of a transverse plane at fixed z.
 
-    r_nodes must be finite, positive and strictly increasing; phi_nodes uniformly
-    spaced on [0, 2pi).  r_weights, when present, are finite quadrature weights for
-    integrals in dr (the r of the area measure r dr dphi is applied by the
-    norm/inner routines, not folded into the weights).
+    r_nodes must be finite, positive and strictly increasing; phi_nodes one uniform
+    period phi0 + 2 pi j / nphi, j < nphi, to 1e-12 (1 + |phi0|), as the full-turn
+    integrals of norms, inner products and phi derivatives need (GridError otherwise).
+    r_weights, when present, are finite quadrature weights for integrals in dr (the r of
+    the area measure r dr dphi is applied by the norm/inner routines, not folded in).
     """
 
     r_nodes: np.ndarray
@@ -133,9 +135,9 @@ class PolarGrid:
             raise GridError("grid node arrays must be 1-D and nonempty")
         if not (np.isfinite(r).all() and (r > 0).all() and (np.diff(r) > 0).all()):
             raise GridError("r_nodes must be finite, positive and strictly increasing")
-        dp = np.diff(p)
-        if len(p) > 1 and not np.max(np.abs(dp - dp[0])) <= 1e-15 + 1e-12 * abs(dp[0]):
-            raise GridError("phi_nodes must be uniformly spaced")
+        period = p[0] + np.arange(len(p)) * (2.0 * math.pi / len(p))
+        if not np.max(np.abs(p - period)) <= 1e-12 * (1.0 + abs(p[0])):  # false for a NaN node
+            raise GridError("phi_nodes must be one uniform period phi0 + 2 pi j / nphi")
         if w is not None and (w.shape != r.shape or not np.isfinite(w).all()):
             raise GridError("r_weights must be finite, one per r_node")
 
@@ -146,13 +148,6 @@ class PolarGrid:
     @property
     def dphi(self):
         return 2.0 * math.pi / len(self.phi_nodes)
-
-    @property
-    def phi_uniform_period(self):
-        """True when phi_nodes are j*dphi for j = 0..N-1 (full circle)."""
-        n = len(self.phi_nodes)
-        expect = np.arange(n) * (2.0 * math.pi / n) + self.phi_nodes[0]
-        return bool(np.max(np.abs(self.phi_nodes - expect), initial=0.0) <= 1e-12)
 
     def mesh(self):
         return np.meshgrid(self.r_nodes, self.phi_nodes, indexing="ij")
@@ -229,7 +224,7 @@ def _radial_profiles(n_max, l, k, w0, z, r):
 
 @functools.lru_cache(maxsize=64)
 def _gauss_u(m, a):
-    """The m-node Gauss rule in u on (0, inf) for the weight u^a e^(-u), as (u, lam).
+    """The m-node Gauss rule in u on (0, inf) for the weight u^a e^(-u), as the rule (u, lam).
 
     sum_j lam_j F(u_j) = int F du exactly when F is u^a e^(-u) times a polynomial of
     degree <= 2m-1 (Golub & Welsch): the nodes are the eigenvalues of the Jacobi
@@ -250,7 +245,7 @@ def _gauss_u(m, a):
     lam = 1.0 / (math.pi * np.sum(table**2, axis=0))
     u.setflags(write=False)
     lam.setflags(write=False)
-    return u, lam
+    return QuadratureRule(u, lam)
 
 
 def lg_field(params: LGParams, r, phi, z):

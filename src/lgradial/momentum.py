@@ -26,8 +26,8 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .errors import DiagnosticError, _check_helicity, _check_int
-from .paraxops import (_angular_number, _fd_apply, _radial_eigenvalue, _spectral_sq, _stencils,
-                       _wavenumbers)
+from .paraxops import (_angular_number, _fd_apply, _radial_eigenvalue, _spectral_sq, _spectrum,
+                       _stencils, _wavenumbers)
 from .specfun import _converge, make_rule
 
 __all__ = [
@@ -199,10 +199,18 @@ def apply_nk_paraxial(params: ExactMomentumParams, k_t, k_phi, sign_policy="symm
 
 
 def paraxial_norm_sq(params: ExactMomentumParams) -> float:
-    """Squared L2 norm of psi_paraxial under k_t dk_t dk_phi (closed form)."""
+    """Squared L2 norm of psi_paraxial under k_t dk_t dk_phi (closed form); DiagnosticError
+    where it is not a finite, nonzero double (large 2n+|m| at a small or a large w)."""
     # integral of k_t^(2(2n+|m|)) e^{-w^2 k_t^2} k_t dk_t = Gamma(2n+|m|+1) / (2 w^(2(2n+|m|+1)))
     p = 2 * params.n + abs(params.m)
-    return 2.0 * math.pi * math.exp(math.lgamma(p + 1)) / (2.0 * params.w ** (2 * (p + 1)))
+    try:
+        value = 2.0 * math.pi * math.exp(math.lgamma(p + 1)) / (2.0 * params.w ** (2 * (p + 1)))
+    except (OverflowError, ZeroDivisionError):  # Gamma, w^(2(p+1)) or the quotient overflows
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise DiagnosticError(f"||psi_paraxial||^2 is not a finite, nonzero double at "
+                              f"2n+|m| = {p}, w = {params.w} m")
+    return value
 
 
 @dataclass(frozen=True)
@@ -236,10 +244,11 @@ def hermiticity_defect(psi, operator="Nk_paraxial", *, w, sigma=1, kt_max) -> He
     def evaluate(n_rad):
         rule = make_rule("legendre", n_rad, interval=(0.0, kt_max))
         kt = rule.nodes[:, None]  # psi takes a k_t column and the k_phi row, and broadcasts them
-        s = np.fft.fft(np.broadcast_to(psi(kt, kphi), (n_rad, 64)), axis=1)
+        s = _spectrum(np.broadcast_to(psi(kt, kphi), (n_rad, 64)),
+                      "hermiticity_defect needs a finite psi")
         b, c_r, c_m = ((0.5 * kt, 0.5 * w**2 * kt**2, -0.5 / sigma * _wavenumbers(64)[1])
                        if operator == "Nk_paraxial" else (kt, 0.0, 0.0))
-        a_s = _fd_apply(b * _stencils(rule.nodes, 1)[1][1], c_r, c_m, s)
+        a_s = _fd_apply(b * _stencils(rule.nodes, 1)[0], c_r, c_m, s)
         mu = rule.weights * rule.nodes * (2.0 * math.pi / 64)
         a_s *= mu[:, None] / 64  # Parseval: sum over k_phi = (1/64) sum over the spectrum
         inner, nrm = complex(np.vdot(s, a_s)), _spectral_sq(s, mu)  # <psi, A psi>, ||psi||^2

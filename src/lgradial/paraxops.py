@@ -128,16 +128,16 @@ def _coefficients(op: Operator, z, r, m, lz):
 # finite-difference machinery
 
 def _stencils(nodes, m):
-    """Banded 7-point finite-difference weights of derivative orders 0..m <= 2 on sorted nodes.
+    """Banded 7-point finite-difference weights of derivative orders 1..m <= 2 on sorted nodes.
 
-    Returns (idx, c): N x 7 stencil indices and (m+1) x N x 7 weights with
-    f^(s)(nodes[i]) ~= sum_j c[s, i, j] f(nodes[idx[i, j]]).  Each row is centred on its
-    node, and the rows near either end are one-sided.  The weights are the derivatives at
-    the row's node x_p of the Lagrange interpolant through its stencil nodes x_j, in closed
-    barycentric form (Berrut & Trefethen, SIAM Rev. 46, 501, 2004): with P_j = prod_(k!=j)
-    (x_j - x_k), c[1, j] = (P_p/P_j)/(x_p - x_j) and c[2, j] = 2 c[1, j] (c[1, p] -
-    1/(x_p - x_j)) for j != p; the own-node entries make each row sum to 0.  All rows at
-    once, on any nodes, with 7 x N temporaries only.
+    Returns the m x N x 7 weights c with f^(s)(nodes[i]) ~= sum_j c[s-1, i, j]
+    f(nodes[clip(i - 3, 0, N - 7) + j]).  Each row is centred on its node, and the rows
+    near either end are one-sided.  The weights are the derivatives at the row's node x_p
+    of the Lagrange interpolant through its stencil nodes x_j, in closed barycentric form
+    (Berrut & Trefethen, SIAM Rev. 46, 501, 2004): with P_j = prod_(k!=j) (x_j - x_k),
+    c1_j = (P_p/P_j)/(x_p - x_j) and c2_j = 2 c1_j (c1_p - 1/(x_p - x_j)) for j != p; the
+    own-node entries make each row sum to 0.  All rows at once, on any nodes, with 7 x N
+    temporaries only.
     """
     x = np.asarray(nodes, dtype=float)
     n = len(x)
@@ -154,15 +154,14 @@ def _stencils(nodes, m):
     inv = np.subtract(x, xs, out=xs)
     inv[p, rows] = np.inf
     np.divide(1.0, inv, out=inv)  # 1/(x_p - x_j), 0 at j = p
-    c = np.zeros((m + 1, 7, n))
-    np.divide(prod[p, rows], prod, out=c[1])
-    c[1] *= inv  # 0 at j = p, as inv is
-    if m == 2:  # minus the row sum is c[1, p]
-        np.subtract(-c[1].sum(axis=0), inv, out=c[2])
-        c[2] *= 2.0 * c[1]
-    c[0, p, rows] = 1.0
-    c[1:, p, rows] = -c[1:].sum(axis=1)  # each derivative row sums to 0
-    return lo[:, None] + np.arange(7), c.transpose(0, 2, 1)
+    c = np.zeros((m, 7, n))
+    np.divide(prod[p, rows], prod, out=c[0])
+    c[0] *= inv  # 0 at j = p, as inv is
+    if m == 2:  # minus the row sum is c[0, p]
+        np.subtract(-c[0].sum(axis=0), inv, out=c[1])
+        c[1] *= 2.0 * c[0]
+    c[:, p, rows] = -c.sum(axis=1)  # each derivative row sums to 0
+    return c.transpose(0, 2, 1)
 
 
 def _wavenumbers(nphi):
@@ -171,11 +170,11 @@ def _wavenumbers(nphi):
     return m, np.where(m == -nphi / 2, 0.0, m)
 
 
-def _spectrum(field: FieldGrid, needs):
-    """The field's phi spectrum, by one forward FFT; a non-finite field raises first."""
-    if not np.isfinite(field.values).all():
+def _spectrum(values, needs):
+    """The phi spectrum of values [r, phi], by one forward FFT; a non-finite value raises first."""
+    if not np.isfinite(values).all():
         raise DiagnosticError(f"{needs}, got a non-finite value")
-    return np.fft.fft(field.values, axis=1)
+    return np.fft.fft(values, axis=1)
 
 
 def _spectral_sq(s, w):
@@ -186,16 +185,16 @@ def _spectral_sq(s, w):
 
 def _fd_terms(grid: PolarGrid, *ops, cols=slice(None)):
     """(w, c_r, c_m) per op at the FFT's wavenumbers cols: w = a c2 + b c1, one stencil build."""
-    if len(grid.phi_nodes) < 8 or not grid.phi_uniform_period:
-        raise GridError("phi derivatives need >= 8 phi nodes uniformly covering a period")
-    st = None if all(op.kind == "Lz" for op in ops) else _stencils(grid.r_nodes, 2)[1]
+    if len(grid.phi_nodes) < 8:
+        raise GridError("phi derivatives need >= 8 phi nodes")
+    st = None if all(op.kind == "Lz" for op in ops) else _stencils(grid.r_nodes, 2)
     r, terms = grid.r_nodes[:, None], []
     m, lz = (k[cols] for k in _wavenumbers(len(grid.phi_nodes)))
     for op in ops:
         a, b, c_r, c_m = _coefficients(op, grid.z, r, m, lz)
-        w = None if op.kind == "Lz" else b * st[1]
+        w = None if op.kind == "Lz" else b * st[0]
         if a:
-            w += a * st[2]
+            w += a * st[1]
         terms.append((w, c_r, c_m))
     return terms
 
@@ -222,7 +221,7 @@ def _fd_apply(w, c_r, c_m, s):
 
 def apply_to_field(op: Operator, field: FieldGrid) -> FieldGrid:
     """Apply an operator to a sampled field: 7-point stencils in r on its phi spectrum."""
-    s = _spectrum(field, "apply_to_field needs a finite field")
+    s = _spectrum(field.values, "apply_to_field needs a finite field")
     out = _fd_apply(*_fd_terms(field.grid, op)[0], s)
     return FieldGrid(field.grid, np.fft.ifft(out, axis=1))
 
@@ -276,13 +275,12 @@ class DilationCheck:
 
     gamma: float
     unitarity_ratio: float
-    identity_defect: float
     generator_defect: float
 
 
 def _norm_ratio(rule, values, ref):
     """||values|| / ||ref|| under r dr; a non-finite norm or a zero ||ref|| raises."""
-    num, den = (math.sqrt(float(rule.integrate(np.abs(v) ** 2 * rule.nodes)))
+    num, den = (math.sqrt(float(np.sum(rule.weights * (np.abs(v) ** 2 * rule.nodes))))
                 for v in (values, ref))
     if not (math.isfinite(num) and 0.0 < den < math.inf):
         raise DiagnosticError(f"dilation_check needs finite norms and a nonzero reference norm, "
@@ -293,11 +291,10 @@ def _norm_ratio(rule, values, ref):
 def dilation_check(f, gamma) -> DilationCheck:
     """Check the dilation family (D_g f)(r) = e^g f(e^g r) on a radial function.
 
-    Verifies on a 384-node Gauss-Legendre rule over (0, 32) that D_g is unitary
-    under r dr, that D_0 is the identity, and that the central difference
-    (D_d f - D_{-d} f) / (2 d), d = 1e-4, matches the generator (r d/dr + 1) f,
-    i.e. i PH f with hbar = 1.  A gamma that is not finite or beyond +-700, a
-    non-finite norm or a zero denominator norm raises DiagnosticError.
+    Verifies on a 384-node Gauss-Legendre rule over (0, 32) that D_g is unitary under
+    r dr, and that the central difference (D_d f - D_{-d} f) / (2 d), d = 1e-4, matches
+    the generator (r d/dr + 1) f, i.e. i PH f with hbar = 1.  A gamma that is not finite
+    or beyond +-700, a non-finite norm or a zero denominator norm raises DiagnosticError.
     """
     if not abs(gamma) <= 700.0:  # e^gamma stays a finite float
         raise DiagnosticError(f"dilation_check needs a finite gamma, |gamma| <= 700, got {gamma}")
@@ -306,18 +303,15 @@ def dilation_check(f, gamma) -> DilationCheck:
     base = np.asarray(f(r), dtype=complex)
     dilated = math.exp(gamma) * np.asarray(f(math.exp(gamma) * r), dtype=complex)
     unitarity = _norm_ratio(rule, dilated, base)
-    identity_defect = _norm_ratio(rule, dilated - base, base)
-
     cd = (math.exp(delta) * np.asarray(f(math.exp(delta) * r), dtype=complex)
           - math.exp(-delta) * np.asarray(f(math.exp(-delta) * r), dtype=complex)) / (2.0 * delta)
-    h = 1e-4 * float(rule.interval[1])
+    h = 1e-4 * 32.0  # 1e-4 of the rule's interval
     offsets = np.arange(-3, 4)
-    w = _stencils(offsets * h, 1)[1][1, 3]
+    w = _stencils(offsets * h, 1)[0, 3]
     fprime = sum(wj * np.asarray(f(r + oj * h), dtype=complex)
                  for wj, oj in zip(w, offsets))
     gen = r * fprime + base
     return DilationCheck(gamma=gamma, unitarity_ratio=unitarity,
-                         identity_defect=identity_defect,
                          generator_defect=_norm_ratio(rule, cd - gen, gen))
 
 
@@ -331,7 +325,7 @@ _EXPECTED_COMMUTATORS = {("laplacian_t", "PH"): -2j, ("PH", "laplacian_t"): 2j}
 def commutator_residual(op_a: Operator, op_b: Operator, field: FieldGrid) -> float:
     """|| (AB - BA) f - C f || / || f || against the expected commutator C, on f's phi spectrum."""
     needs = "commutator_residual needs a nonzero, finite field"
-    grid, s = field.grid, _spectrum(field, needs)
+    grid, s = field.grid, _spectrum(field.values, needs)
     w_r = _require_weights(grid) * grid.r_nodes * grid.dphi
     nf = math.sqrt(_spectral_sq(s, w_r))
     if not 0.0 < nf < math.inf:

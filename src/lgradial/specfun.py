@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -280,30 +280,11 @@ def bessel_j_derivative(m, x):
     return _bessel_j_and_derivative(m, x)[1]
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """An immutable Gauss-Legendre rule: integrates f over the finite interval `interval`."""
+class QuadratureRule(NamedTuple):
+    """A Gauss rule as read-only arrays: sum_j weights_j f(nodes_j) approximates its integral."""
 
-    kind: str
-    order: int
     nodes: np.ndarray
     weights: np.ndarray
-    interval: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
-        if np.any(np.diff(self.nodes) <= 0):
-            raise DiagnosticError("quadrature nodes must be strictly increasing")
-        if np.any(self.weights <= 0):
-            raise DiagnosticError("quadrature weights must be positive")
-
-    def integrate(self, f):
-        """Integrate a callable or an array of node values."""
-        values = f(self.nodes) if callable(f) else np.asarray(f)
-        return np.sum(self.weights * values, axis=-1)
 
 
 # Newton steps allowed per Gauss-Legendre rule; Tricomi's guesses need 3 or 4
@@ -348,20 +329,24 @@ def _roots(order):
     return x, w
 
 
-def make_rule(kind, order, *, interval=None):
-    """Construct a Gauss-Legendre rule of `order` >= 1 nodes on `interval` = (a, b).
+def make_rule(kind, order, *, interval):
+    """The Gauss-Legendre rule of `order` >= 1 nodes on `interval` = (a, b), as read-only arrays.
 
-    `kind` must be "legendre", the one kind.
+    "legendre" is the one `kind`; it stays a positional argument so that callers written
+    as make_rule("legendre", order, interval=...) keep working.  A finite, nonempty
+    interval too narrow for `order` distinct nodes raises DiagnosticError.
     """
     order = _check_order(order)
     if kind != "legendre":
         raise DiagnosticError(f"unknown quadrature kind {kind!r}")
-    if interval is None:
-        raise DiagnosticError("legendre rule requires an interval")
     a, b = float(interval[0]), float(interval[1])
     if not 0.0 < b - a < math.inf:  # also false for a NaN or infinite end
         raise DiagnosticError(f"interval must be finite and nonempty, got ({a}, {b})")
     x, w = _roots(order)
     nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
+    if np.any(np.diff(nodes) <= 0):
+        raise DiagnosticError(f"interval ({a}, {b}) is too narrow for {order} distinct nodes")
     weights = 0.5 * (b - a) * w
-    return QuadratureRule("legendre", order, nodes, weights, interval=(a, b))
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureRule(nodes, weights)

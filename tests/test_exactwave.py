@@ -13,7 +13,7 @@ from lgradial.exactwave import (BesselModeParams, RSField, SpacetimePoint,
                                 synthesize_lg, wave_residual)
 from lgradial.lgmode import LGParams, lg_field
 from lgradial.momentum import ExactMomentumParams
-from lgradial.specfun import bessel_j
+from lgradial.specfun import bessel_j, laguerre
 
 from conftest import K, OMEGA, W0
 
@@ -180,6 +180,29 @@ class TestChiClosedForm:
         x = (0.6 * W0) ** 2 / W0**2
         want = (0.6 * W0) ** 1 / W0 ** (2 * (2 + 1 + 1)) * math.exp(-x) * laguerre(2, 1, x)
         assert profile.real == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n,w,t", [(40, 5e-6, 0.0), (100, W0, 0.0), (100, W0, 1e3)],
+                             ids=["n40-5um", "n100-1mm", "n100-late"])
+    def test_non_finite_value_raises(self, n, w, t):
+        # a^(n+|m|+1) underflows (t = 0) or overflows (t = 1000 s): once a bare
+        # ZeroDivisionError or OverflowError at a point, and numpy's RuntimeWarning on a batch
+        p = ExactMomentumParams(n, 1, 1, OMEGA, w)
+        for r in (w, np.array([w, 2 * w])):
+            with pytest.raises(DiagnosticError, match="not a finite double"):
+                chi_closed_form(p, SpacetimePoint(r=r, phi=0.1, z=0.0, t=t))
+
+    def test_finite_values_unchanged(self):
+        # the guarded closed form is the same arithmetic, bit for bit, at a point and a batch
+        p = ExactMomentumParams(20, 3, -1, OMEGA, W0)
+        batch = (np.array([0.3, 1.1, 2.5]) * W0, np.array([0.0, T_RAY, -T_RAY]))
+        for r, t in ((0.7 * W0, 2.0 * T_RAY), batch):
+            q = SpacetimePoint(r=r, phi=0.4, z=3 * LAM, t=t)
+            a = p.w**2 + 1j * p.sigma * C_LIGHT**2 * q.t_plus / p.Omega
+            x = q.r**2 / a
+            want = (q.r**3 / a ** (p.n + 3 + 1)
+                    * np.exp(-1j * p.sigma * (p.Omega * q.t_minus - p.m * q.phi))
+                    * np.exp(-x) * laguerre(p.n, 3, x))
+            assert np.array_equal(chi_closed_form(p, q), want)
 
     @pytest.mark.parametrize("sigma", [1, -1])
     def test_satisfies_wave_equation(self, sigma):

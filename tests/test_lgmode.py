@@ -386,11 +386,22 @@ class TestGridValidation:
     def test_phi_uniform_period(self):
         r = np.array([1.0, 2.0])
         full = np.arange(16) * (2 * math.pi / 16)
-        assert PolarGrid(r, full).phi_uniform_period
-        assert PolarGrid(r, full + 0.3).phi_uniform_period
-        assert not PolarGrid(r, full / 2).phi_uniform_period
-        # uniform, but the last node is 6e-11 rad off the period
-        assert not PolarGrid(r, full * (1 + 1e-11)).phi_uniform_period
+        PolarGrid(r, full)
+        PolarGrid(r, full + 0.3)
+        PolarGrid(r, np.linspace(1e5, 1e5 + 2 * math.pi, 16, endpoint=False))  # 1e-11 roundoff
+        # half a period, and uniform but with the last node 6e-11 rad off the period
+        for phi in (full / 2, full * (1 + 1e-11)):
+            with pytest.raises(GridError, match="one uniform period"):
+                PolarGrid(r, phi)
+
+    def test_half_period_is_rejected_not_misintegrated(self):
+        # on 16 nodes over half a turn, LG(0,0) + LG(0,1) once had norm^2 2.1117 instead of 2
+        p0, p1 = LGParams(0, 0, K, W0), LGParams(0, 1, K, W0)
+        g = quadrature_polar_grid(p0, 0.0, n_max=0, l_max=1, nphi=16)
+        both = FieldGrid(g, sample(p0, g).values + sample(p1, g).values)
+        assert norm(both) ** 2 == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(GridError, match="one uniform period"):
+            PolarGrid(g.r_nodes, np.arange(16) * (math.pi / 16), r_weights=g.r_weights)
 
     def test_rejects_empty_node_arrays(self):
         with pytest.raises(GridError, match="nonempty"):

@@ -187,6 +187,15 @@ class TestParaxialOperator:
             assert abs(num.imag) < 1e-8 * paraxial_norm_sq(p)
             assert num.real / paraxial_norm_sq(p) == pytest.approx(n, abs=1e-8)
 
+    def test_norm_is_a_finite_double_or_raises(self):
+        # at w = 1 mm, n = 24-29 once gave a silent inf, n >= 30 a bare ZeroDivisionError
+        # and n = 200 a bare OverflowError; a finite value is unchanged, bit for bit
+        assert paraxial_norm_sq(_params(20, 0)) == 2.563273459803178e294
+        wide = ExactMomentumParams(100, 0, 1, OMEGA, 1e3)  # w^402 overflows
+        for p in [_params(n, 0) for n in (24, 29, 30, 200)] + [wide]:
+            with pytest.raises(DiagnosticError, match="not a finite, nonzero double"):
+                paraxial_norm_sq(p)
+
     def test_exact_paraxial_taylor_bridge(self):
         # on the constraint surface, k_minus = k_t^2 / (4 k_z) to leading
         # order; deep in the paraxial cone the exact wavefunction matches the
@@ -276,10 +285,13 @@ class TestHermiticity:
         hd = hermiticity_defect(psi, operator="kt_ddkt", w=W0, sigma=1, kt_max=14.0 / W0)
         assert abs(hd.defect) > 1e-3 * hd.norm_sq
 
-    def test_nan_wavefunction_fails_the_convergence_gate(self):
-        psi = lambda kt, kphi: np.full(np.shape(kt), np.nan + 0j)
-        with pytest.raises(QuadratureConvergenceError):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_wavefunction_is_named(self, bad):
+        # once "not converged ... last change nan" (nan) and numpy's FFT RuntimeWarning (inf)
+        psi = lambda kt, kphi: np.full(np.shape(kt), bad + 0j)
+        with pytest.raises(DiagnosticError, match="needs a finite psi") as info:
             hermiticity_defect(psi, w=W0, sigma=1, kt_max=5.0 / W0)
+        assert not isinstance(info.value, QuadratureConvergenceError)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"sigma": 0}, "sigma must be +1 or -1, got 0"),  # once a bare ZeroDivisionError

@@ -13,8 +13,8 @@ from scipy.special import roots_legendre
 from lgradial import specfun
 from lgradial.errors import DiagnosticError, QuadratureConvergenceError
 from lgradial.lgmode import _gauss_u
-from lgradial.specfun import (_converge, _converged, _gauss_legendre, _roots, bessel_j,
-                              bessel_j_derivative, laguerre, make_rule)
+from lgradial.specfun import (QuadratureRule, _converge, _converged, _gauss_legendre, _roots,
+                              bessel_j, bessel_j_derivative, laguerre, make_rule)
 
 from oracles import bessel_series, laguerre_monomial
 
@@ -286,13 +286,13 @@ class TestQuadrature:
 
     def test_legendre_monomial(self):
         rule = make_rule("legendre", 16, interval=(0.0, 1.0))
-        assert rule.integrate(lambda x: x**5) == pytest.approx(1.0 / 6.0, abs=1e-14)
+        assert rule.weights @ rule.nodes**5 == pytest.approx(1.0 / 6.0, abs=1e-14)
 
     def test_legendre_polynomial_exactness(self):
         n = 12
         rule = make_rule("legendre", n, interval=(-0.5, 2.0))
         for deg in (0, 7, 2 * n - 1):
-            got = rule.integrate(lambda x: x**deg)
+            got = rule.weights @ rule.nodes**deg
             want = (2.0 ** (deg + 1) - (-0.5) ** (deg + 1)) / (deg + 1)
             assert abs(got - want) < 1e-13 * max(1.0, abs(want))
 
@@ -316,8 +316,8 @@ class TestQuadrature:
 
     def test_doubling_convergence(self):
         f = lambda x: np.exp(-x) * np.cos(3 * x)
-        a = make_rule("legendre", 48, interval=(0.0, 6.0)).integrate(f)
-        b = make_rule("legendre", 96, interval=(0.0, 6.0)).integrate(f)
+        a, b = (rule.weights @ f(rule.nodes)
+                for rule in (make_rule("legendre", m, interval=(0.0, 6.0)) for m in (48, 96)))
         assert abs(a - b) < 1e-12
         g = lambda x: x**3 / (1 + 0.1 * x)
         a, b = (np.sum(lam * np.exp(-u) * g(u)) for u, lam in (_gauss_u(48, 0), _gauss_u(96, 0)))
@@ -348,7 +348,24 @@ class TestQuadrature:
 
     def test_numpy_integer_order_accepted(self):
         rule = make_rule("legendre", np.int64(5), interval=(0, 1))
-        assert rule.order == 5 and type(rule.order) is int
+        assert len(rule.nodes) == 5
+
+    def test_rule_is_a_read_only_pair(self):
+        rule = make_rule("legendre", 8, interval=(0.0, 2.0))
+        nodes, weights = rule
+        assert type(rule) is QuadratureRule and rule._fields == ("nodes", "weights")
+        assert nodes is rule.nodes and weights is rule.weights
+        for v in rule:
+            with pytest.raises(ValueError, match="read-only"):
+                v[0] = 0.0
+        with pytest.raises(AttributeError):
+            rule.nodes = np.zeros(8)
+        assert type(_gauss_u(8, 0)) is QuadratureRule
+
+    def test_interval_too_narrow_for_distinct_nodes(self):
+        # finite and nonempty, but 4 nodes in 4 units at 1e16 round onto each other
+        with pytest.raises(DiagnosticError, match="too narrow"):
+            make_rule("legendre", 4, interval=(1e16, 1e16 + 4))
 
 
 def _mp_legendre(n, x):
