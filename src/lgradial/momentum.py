@@ -11,6 +11,12 @@ and the radial momentum operator N_k returns the radial index n pointwise.
 The paraxial limit replaces k_minus by k_t^2/(4 k_z) and yields the
 simpler N'_k = (k_t d/dk_t + (i/sigma) d/dk_phi + w^2 k_t^2) / 2.
 
+Each operator is defined once (`_coefficients`) as A = b x d/dx + c_r + c_m on each
+azimuthal number m, in its own radial variable x (k_minus for N_k, k_t for N'_k).  Its
+x d/dx comes from the closed form g = x d/dx log psi (A psi = (b g + c_r + c_m) psi
+pointwise) or from 7-point stencils on a sampled psi's k_phi spectrum (`hermiticity_defect`).
+A radial factor x^P e^(-D) is one exp(P log x - D): finite, 0 on underflow, or an error.
+
 The m < 0 sign policy mirrors the position-space module: "verbatim" keeps
 the printed angular term (eigenvalue n + (|m|-m)/2), "symmetrized" (the
 default) replaces it by its |m| counterpart so the eigenvalue is n for
@@ -98,34 +104,56 @@ def plusminus_to_polar(k_plus, k_minus):
     return k_t[()], k_z[()]
 
 
+def _coefficients(op, x, m, w, k_plus=None):
+    """(b, c_r, c_m) with A = b x d/dx + c_r + c_m on exp(i sigma m k_phi), where (i/sigma)
+    d/dk_phi is -m, in x = k_minus for "Nk" and x = k_t for "Nk_paraxial" and "kt_ddkt"."""
+    if op == "Nk":  # k_minus d/dk_minus + (i/2 sigma) d/dk_phi - k_minus/k + beta k_minus
+        return 1.0, w**2 * k_plus * x - x / (k_plus + x), -0.5 * m
+    if op == "Nk_paraxial":  # (k_t d/dk_t + (i/sigma) d/dk_phi + w^2 k_t^2) / 2
+        return 0.5, 0.5 * w**2 * x**2, -0.5 * m
+    if op == "kt_ddkt":
+        return 1.0, 0.0, 0.0
+    raise DiagnosticError(f"unknown operator {op!r}")
+
+
+def _closed_form(params, x, k_phi, paraxial):
+    """(psi, g = x d/dx log psi) of the exact (x = k_minus) or paraxial (x = k_t) wavefunction;
+    a negative or non-finite x, or a psi that is not a finite double, raises DiagnosticError."""
+    x, name = np.asarray(x, dtype=float), "k_t" if paraxial else "k_minus"
+    if not np.all((x >= 0) & (x < math.inf)):
+        raise DiagnosticError(f"{name} must be finite and >= 0")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # x^P e^(-D) in one exp
+        if paraxial:
+            power, decay, tail = 2 * params.n + abs(params.m), 0.5 * params.w**2 * x**2, 1.0
+            g = power - 2.0 * decay
+        else:
+            power, tail = params.n + abs(params.m) / 2.0, params.k_plus + x
+            decay = params.w**2 * params.k_plus * x  # beta k_minus, as in _coefficients
+            g = power - decay + x / tail
+        radial = np.exp((power * np.log(x) if power else 0.0) - decay) * tail
+        psi = np.exp(1j * params.sigma * params.m * np.asarray(k_phi, dtype=float)) * radial
+    if not np.isfinite(psi).all():
+        raise DiagnosticError(f"psi is not a finite double at these {name}")
+    return psi[()], g
+
+
+def _apply(op, params, x, k_phi, sign_policy):
+    """(psi, a, A psi) with A psi = a psi, a = b g + c_r + c_m, on the closed-form psi."""
+    psi, g = _closed_form(params, x, k_phi, paraxial=op == "Nk_paraxial")
+    m, x = _angular_number(params.m, sign_policy), np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        b, c_r, c_m = _coefficients(op, x, m, params.w, params.k_plus)
+        a = b * g + c_r + c_m
+        out = a * psi
+    if not np.isfinite(out).all():
+        raise DiagnosticError(f"{op} psi is not a finite double at these points")
+    return psi, a, out[()]
+
+
 def psi_exact(params: ExactMomentumParams, k_minus, k_phi):
-    """Exact momentum-space wavefunction on the constraint surface.
-
-    Unnormalized, as printed; the trailing factor is the total wavenumber
-    k = k_plus + k_minus.
-    """
-    k_minus = np.asarray(k_minus, dtype=float)
-    k_phi = np.asarray(k_phi, dtype=float)
-    p = params.n + abs(params.m) / 2.0
-    out = (np.exp(1j * params.sigma * params.m * k_phi)
-           * k_minus**p * np.exp(-params.beta * k_minus)
-           * (params.k_plus + k_minus))
-    return out[()] if np.ndim(out) == 0 else out
-
-
-def _dpsi_dkminus(params, k_minus, k_phi):
-    """Analytic d psi / d k_minus; requires k_minus > 0."""
-    k_minus = np.asarray(k_minus, dtype=float)
-    if np.any(k_minus <= 0):
-        raise DiagnosticError("derivative path requires k_minus > 0")
-    p = params.n + abs(params.m) / 2.0
-    psi = psi_exact(params, k_minus, k_phi)
-    return psi * (p / k_minus - params.beta + 1.0 / (params.k_plus + k_minus))
-
-
-def _angular_eigenterm(params, psi, sign_policy):
-    """(i / 2 sigma) d/dk_phi acting on exp(i sigma m k_phi), or its |m| variant."""
-    return -0.5 * _angular_number(params.m, sign_policy) * psi
+    """Exact momentum-space wavefunction on the constraint surface: unnormalized, as printed,
+    with the total wavenumber k = k_plus + k_minus as its trailing factor."""
+    return _closed_form(params, k_minus, k_phi, paraxial=False)[0]
 
 
 def apply_nk(params: ExactMomentumParams, k_minus, k_phi, sign_policy="symmetrized"):
@@ -134,23 +162,16 @@ def apply_nk(params: ExactMomentumParams, k_minus, k_phi, sign_policy="symmetriz
     N_k = k_minus d/dk_minus + (i / 2 sigma) d/dk_phi - k_minus / k
           + (w^2 Omega / c) k_minus,   with k = k_plus + k_minus.
     """
-    k_minus = np.asarray(k_minus, dtype=float)
-    psi = psi_exact(params, k_minus, k_phi)
-    k = params.k_plus + k_minus
-    out = (k_minus * _dpsi_dkminus(params, k_minus, k_phi)
-           + _angular_eigenterm(params, psi, sign_policy)
-           - (k_minus / k) * psi
-           + params.beta * k_minus * psi)
-    return out[()] if np.ndim(out) == 0 else out
+    return _apply("Nk", params, k_minus, k_phi, sign_policy)[2]
 
 
 def nk_eigen_residual(params: ExactMomentumParams, k_minus, k_phi,
                       sign_policy="symmetrized") -> float:
-    """max |N_k psi - n psi| / |psi| over the sample points."""
-    psi = psi_exact(params, k_minus, k_phi)
-    out = apply_nk(params, k_minus, k_phi, sign_policy)
-    expected = _radial_eigenvalue(params.n, params.m, sign_policy)
-    return float(np.max(np.abs(out - expected * psi) / np.abs(psi)))
+    """max |N_k psi - n psi| / |psi| over the sample points; a psi of 0 raises DiagnosticError."""
+    psi, a, _ = _apply("Nk", params, k_minus, k_phi, sign_policy)  # N_k psi = a psi
+    if np.any(psi == 0):  # k_minus = 0 with n + |m| > 0, or an underflow
+        raise DiagnosticError("nk_eigen_residual needs psi != 0 at every sample point")
+    return float(np.max(np.abs(a - _radial_eigenvalue(params.n, params.m, sign_policy))))
 
 
 def nk_polar(params: ExactMomentumParams, k_t, k_z, k_phi, sign_policy="symmetrized"):
@@ -159,43 +180,22 @@ def nk_polar(params: ExactMomentumParams, k_t, k_z, k_phi, sign_policy="symmetri
     N_k = (1/2) [ k_t d/dk_t + (i/sigma) d/dk_phi
                   - (k - k_z) (d/dk_z + 1/k - w^2 Omega / c) ]
 
-    d/dk_t and d/dk_z act through k_minus at fixed k_plus (the delta
-    constraint pins k_plus, so these are the only well-defined derivatives).
+    d/dk_t and d/dk_z act through k_minus at fixed k_plus, which the delta constraint
+    pins; so on the surface this is N_k at k_minus = (k - k_z)/2, and is evaluated as that.
     """
-    k_t = np.asarray(k_t, dtype=float)
-    k_z = np.asarray(k_z, dtype=float)
-    k = np.hypot(k_t, k_z)
-    _, k_minus = polar_to_plusminus(k_t, k_z)
-    psi = psi_exact(params, k_minus, k_phi)
-    dpsi = _dpsi_dkminus(params, k_minus, k_phi)
-    radial = k_t * (k_t / (2.0 * k)) * dpsi                    # k_t d/dk_t
-    angular = 2.0 * _angular_eigenterm(params, psi, sign_policy)  # (i/sigma) d/dk_phi
-    dkz = -(k_minus / k) * dpsi                                 # d/dk_z through k_minus
-    # k - k_z = 2 k_minus identically; the cancellation-free form matters
-    # when k_t << k_z
-    last = 2.0 * k_minus * (dkz + (1.0 / k - params.beta) * psi)
-    out = 0.5 * (radial + angular - last)
-    return out[()] if np.ndim(out) == 0 else out
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan k_minus raises in apply_nk
+        k_minus = polar_to_plusminus(k_t, k_z)[1]
+    return apply_nk(params, k_minus, k_phi, sign_policy)
 
 
 def psi_paraxial(params: ExactMomentumParams, k_t, k_phi):
     """Paraxial momentum wavefunction: separable, real radial factor."""
-    k_t = np.asarray(k_t, dtype=float)
-    k_phi = np.asarray(k_phi, dtype=float)
-    out = (np.exp(1j * params.sigma * params.m * k_phi)
-           * k_t ** (2 * params.n + abs(params.m))
-           * np.exp(-0.5 * params.w**2 * k_t**2))
-    return out[()] if np.ndim(out) == 0 else out
+    return _closed_form(params, k_t, k_phi, paraxial=True)[0]
 
 
 def apply_nk_paraxial(params: ExactMomentumParams, k_t, k_phi, sign_policy="symmetrized"):
     """Apply N'_k = (k_t d/dk_t + (i/sigma) d/dk_phi + w^2 k_t^2) / 2."""
-    k_t = np.asarray(k_t, dtype=float)
-    psi = psi_paraxial(params, k_t, k_phi)
-    kt_dpsi = psi * (2 * params.n + abs(params.m) - params.w**2 * k_t**2)
-    angular = 2.0 * _angular_eigenterm(params, psi, sign_policy)
-    out = 0.5 * (kt_dpsi + angular + params.w**2 * k_t**2 * psi)
-    return out[()] if np.ndim(out) == 0 else out
+    return _apply("Nk_paraxial", params, k_t, k_phi, sign_policy)[2]
 
 
 def paraxial_norm_sq(params: ExactMomentumParams) -> float:
@@ -246,9 +246,8 @@ def hermiticity_defect(psi, operator="Nk_paraxial", *, w, sigma=1, kt_max) -> He
         kt = rule.nodes[:, None]  # psi takes a k_t column and the k_phi row, and broadcasts them
         s = _spectrum(np.broadcast_to(psi(kt, kphi), (n_rad, 64)),
                       "hermiticity_defect needs a finite psi")
-        b, c_r, c_m = ((0.5 * kt, 0.5 * w**2 * kt**2, -0.5 / sigma * _wavenumbers(64)[1])
-                       if operator == "Nk_paraxial" else (kt, 0.0, 0.0))
-        a_s = _fd_apply(b * _stencils(rule.nodes, 1)[0], c_r, c_m, s)
+        b, c_r, c_m = _coefficients(operator, kt, _wavenumbers(64)[1] / sigma, w)
+        a_s = _fd_apply(b * kt * _stencils(rule.nodes, 1)[0], c_r, c_m, s)
         mu = rule.weights * rule.nodes * (2.0 * math.pi / 64)
         a_s *= mu[:, None] / 64  # Parseval: sum over k_phi = (1/64) sum over the spectrum
         inner, nrm = complex(np.vdot(s, a_s)), _spectral_sq(s, mu)  # <psi, A psi>, ||psi||^2

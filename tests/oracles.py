@@ -9,11 +9,13 @@ radial table on its Gauss-Legendre rule: it shares only that table and the
 rule with the library, and test_lgmode checks the table (test_specfun the
 rule) against mpmath.  The library's own overlap matrices take no integral.
 Finite-difference weights come from one Vandermonde solve per row, not from
-the library's closed barycentric formulas.
+the library's closed barycentric formulas.  The polar form of N_k is applied
+term by term in 40-digit mpmath, with mpmath.diff for every derivative.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.special import binom, eval_genlaguerre
 
@@ -130,3 +132,27 @@ def fd_matrix_vandermonde(nodes, m, width=7):
         vander = (d / scale)[None, :] ** np.arange(width)[:, None]
         out[i, lo:lo + width] = np.linalg.solve(vander, rhs) / scale**m
     return out
+
+
+def nk_polar_mpmath(params, k_t, k_z, k_phi, dps=40):
+    """The printed polar N_k on psi_exact at (k_t, k_z, k_phi), in `dps`-digit mpmath.
+
+    N_k = (1/2) [k_t d/dk_t + (i/sigma) d/dk_phi - (k - k_z)(d/dk_z + 1/k - beta)], with
+    psi a function of (k_t, k_z, k_phi) through k_minus = (hypot(k_t, k_z) - k_z)/2 and
+    k_plus held at params.k_plus, the constraint surface's value.
+    """
+    n, m, sigma = params.n, params.m, params.sigma
+    with mpmath.workdps(dps):
+        k_plus, beta = mpmath.mpf(params.k_plus), mpmath.mpf(params.beta)
+
+        def psi(t, z, ph):
+            km = (mpmath.hypot(t, z) - z) / 2
+            return (mpmath.expj(sigma * m * ph) * km ** (n + mpmath.mpf(abs(m)) / 2)
+                    * mpmath.exp(-beta * km) * (k_plus + km))
+
+        t, z, ph = (mpmath.mpf(float(v)) for v in (k_t, k_z, k_phi))
+        k, f = mpmath.hypot(t, z), psi(t, z, ph)
+        d_t = mpmath.diff(lambda v: psi(v, z, ph), t)
+        d_z = mpmath.diff(lambda v: psi(t, v, ph), z)
+        d_phi = mpmath.diff(lambda v: psi(t, z, v), ph)
+        return complex((t * d_t + 1j / sigma * d_phi - (k - z) * (d_z + f / k - beta * f)) / 2)

@@ -1,4 +1,4 @@
-"""Smoke test: every narrative script in demos/ runs to completion."""
+"""Smoke test: every narrative script in demos/ runs to completion, with no RuntimeWarning."""
 
 import os
 import subprocess
@@ -19,6 +19,7 @@ def test_all_six_demos_are_found():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, timeout=120)
+    # a RuntimeWarning fails a demo, as it fails a test (pyproject.toml's filterwarnings)
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]

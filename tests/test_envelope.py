@@ -2,7 +2,8 @@
 
 Inside the envelope every analytic result is finite and matches its closed
 form; the derivative tables are checked against mpmath, and the algebraic
-overlap matrices against converged quadrature.
+overlap matrices against converged quadrature.  The momentum family (n, |m| <= 300,
+w in [5 um, 5 mm], any finite k >= 0) is finite or raises DiagnosticError.
 """
 
 import math
@@ -13,10 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgradial.analysis import expectation, overlap_matrix, raw_expectation
+from lgradial.errors import DiagnosticError
 from lgradial.lgmode import LGParams, beam_geometry, lg_partials
+from lgradial.momentum import (ExactMomentumParams, apply_nk, apply_nk_paraxial, nk_eigen_residual,
+                               nk_polar, psi_exact, psi_paraxial)
 from lgradial.paraxops import Operator
 
-from conftest import ENVELOPE, K, W0, ZR
+from conftest import ENVELOPE, K, OMEGA, W0, ZR
 from oracles import overlap_matrix_quadrature
 
 
@@ -58,6 +62,32 @@ def test_overlap_matrix_matches_quadrature(l, n_max, z_over_zr, zp_over_zr, rati
     got = overlap_matrix(l, range(n_max + 1), z, z_prime, W0, w0_prime, K).entries
     want = overlap_matrix_quadrature(l, n_max, z, z_prime, W0, w0_prime, K)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(ENVELOPE, max_examples=200)  # about 1 ms an example
+@given(n=st.integers(0, 300), m=st.integers(-300, 300), sigma=st.sampled_from([1, -1]),
+       w=st.floats(5e-6, 5e-3), k=st.floats(min_value=0.0, **_FINITE),
+       k_z=st.floats(min_value=0.0, **_FINITE), k_phi=st.floats(**_FINITE),
+       policy=st.sampled_from(["symmetrized", "verbatim"]))
+@example(n=50, m=3, sigma=1, w=W0, k=1e6, k_z=K, k_phi=0.3, policy="symmetrized")  # underflows
+@example(n=50, m=3, sigma=1, w=W0, k=-1.0, k_z=K, k_phi=0.3, policy="symmetrized")
+@example(n=50, m=3, sigma=1, w=W0, k=math.inf, k_z=K, k_phi=0.3, policy="symmetrized")
+@example(n=200, m=3, sigma=1, w=W0, k=1e3, k_z=K, k_phi=0.3, policy="symmetrized")  # ~1e1209
+@example(n=300, m=-300, sigma=-1, w=5e-6, k=0.0, k_z=0.0, k_phi=0.0, policy="verbatim")  # origin
+def test_momentum_values_are_finite_or_raise(n, m, sigma, w, k, k_z, k_phi, policy):
+    # the first four examples once gave nan with a numpy RuntimeWarning (an error in tier-1)
+    p = ExactMomentumParams(n, m, sigma, OMEGA, w)
+    for f, args in ((psi_exact, (k, k_phi)), (psi_paraxial, (k, k_phi)),
+                    (apply_nk, (k, k_phi, policy)), (apply_nk_paraxial, (k, k_phi, policy)),
+                    (nk_polar, (k, k_z, k_phi, policy)), (nk_eigen_residual, (k, k_phi, policy))):
+        try:
+            value = f(p, *args)
+        except DiagnosticError:
+            continue
+        assert np.isfinite(value), (f.__name__, args, value)
 
 
 def _mode_mp(n, l, z, r):

@@ -11,10 +11,11 @@ from lgradial.momentum import (ExactMomentumParams, apply_nk,
                                nk_eigen_residual, nk_polar, paraxial_norm_sq,
                                plusminus_to_polar, polar_to_plusminus,
                                psi_exact, psi_paraxial)
+from lgradial.paraxops import _fd_apply, _stencils
 from lgradial.specfun import make_rule
 
 from conftest import K, OMEGA, W0, count_calls
-from oracles import fd_matrix_vandermonde
+from oracles import fd_matrix_vandermonde, nk_polar_mpmath
 
 
 def _params(n, m, sigma=1):
@@ -92,16 +93,76 @@ class TestRadialMomentumOperator:
         assert np.max(np.abs(sym - 2 * psi) / np.abs(psi)) < 1e-10
 
 
+class TestFiniteOrRaises:
+    # each case once returned a silent nan: x^P overflowed while e^(-D) underflowed, or
+    # the domain went unchecked
+    def test_underflow_is_zero(self):
+        p = _params(50, 3)
+        assert psi_exact(p, 1e6, 0.0) == 0.0
+        assert apply_nk(p, 1e6, 0.0) == 0.0
+        # |N_k psi - n psi| / |psi| has no value where psi is 0, and b g + c_r + c_m is
+        # roundoff once beta k_minus swamps n (-0.5 for n = 2 at k_minus = 1e300)
+        for q, k_minus in ((p, 1e6), (_params(2, 1), 1e300)):
+            with pytest.raises(DiagnosticError, match="needs psi != 0"):
+                nk_eigen_residual(q, [1.0, k_minus], 0.0)
+
+    @pytest.mark.parametrize("k_minus", [-1.0, math.inf, math.nan])
+    def test_outside_the_domain_raises(self, k_minus):
+        with pytest.raises(DiagnosticError, match="k_minus must be finite and >= 0"):
+            psi_exact(_params(50, 3), k_minus, 0.0)
+
+    def test_overflow_raises(self):
+        # the true value is about 1e1209
+        with pytest.raises(DiagnosticError, match="psi is not a finite double"):
+            psi_paraxial(_params(200, 3), 1e3, 0.0)
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (2, 3)])
+    def test_origin_needs_no_division(self, n, m):
+        # k_minus = 0 once raised "derivative path requires k_minus > 0"; N_k psi = n psi there
+        p = _params(n, m)
+        assert apply_nk(p, 0.0, 0.0) == n * psi_exact(p, 0.0, 0.0) == 0.0
+        if n == m == 0:  # psi = k_plus at the origin
+            assert nk_eigen_residual(p, 0.0, 0.0) == 0.0
+        else:
+            with pytest.raises(DiagnosticError, match="needs psi != 0"):
+                nk_eigen_residual(p, 0.0, 0.0)
+
+    def test_unknown_operator_name(self):
+        with pytest.raises(DiagnosticError, match="unknown operator 'Nz'"):
+            momentum._coefficients("Nz", 1.0, 0, W0)
+
+
+class TestFiniteDifferenceNk:
+    # an independent supplier of N_k's derivative: 7-point stencils in k_minus on the
+    # closed-form psi, with the same (b, c_r, c_m) as the closed-form path
+    @staticmethod
+    def _residual(p, nodes):
+        x = np.linspace(0.02, 40.0, nodes)[:, None] / p.beta
+        f = psi_exact(p, x, 0.0)  # the mode's one k_phi column
+        b, c_r, c_m = momentum._coefficients("Nk", x, abs(p.m), p.w, p.k_plus)
+        out = _fd_apply(b * x * _stencils(x[:, 0], 1)[0], c_r - p.n, c_m, f)
+        return np.linalg.norm(out) / np.linalg.norm(f)
+
+    @pytest.mark.parametrize("n, m, sigma", [(3, 2, 1), (2, 4, -1), (0, 0, 1)])
+    def test_sixth_order_convergence(self, n, m, sigma):
+        p = _params(n, m, sigma)
+        r400, r800, r1600 = (self._residual(p, nodes) for nodes in (400, 800, 1600))
+        assert r800 < 1e-8
+        assert r400 / r800 >= 32 and r800 / r1600 >= 32, (r400, r800, r1600)
+
+
 class TestPolarForm:
     def test_agreement_with_plusminus_form(self, rng):
+        # nk_polar is N_k at k_minus(k_t, k_z); the oracle applies the printed polar
+        # formula term by term, in 40-digit mpmath
         p = _params(2, 1)
         km = rng.uniform(0.05, 20.0, 200) / p.beta
         kphi = rng.uniform(0, 2 * math.pi, 200)
         kt, kz = plusminus_to_polar(np.full_like(km, p.k_plus), km)
-        a = apply_nk(p, km, kphi)
-        b = nk_polar(p, kt, kz, kphi)
+        got = nk_polar(p, kt, kz, kphi)
+        want = np.array([nk_polar_mpmath(p, *point) for point in zip(kt, kz, kphi)])
         psi = psi_exact(p, km, kphi)
-        assert np.max(np.abs(a - b) / np.abs(psi)) < 1e-9
+        assert np.max(np.abs(got - want) / np.abs(psi)) < 1e-9
 
     def test_eigenvalue_in_polar_coordinates(self, rng):
         p = _params(2, 0)
