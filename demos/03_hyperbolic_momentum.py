@@ -4,12 +4,13 @@ The dilation generator P_H = -i (r d/dr + 1) measures how fast the beam is
 scaling.  Its expectation is zero at the focus (the beam is momentarily
 neither expanding nor contracting), grows linearly with propagation
 distance with a slope that steps up with the radial index, and dies off
-as 1/w0^2 when the beam is made more collimated.
+as 1/w0^2 when the beam is made more collimated.  P_H generates the
+dilations f(r) -> e^g f(e^g r), which preserve the norm of every mode.
 """
 
 import numpy as np
 
-from lgradial import LGParams, ph_vs_w0, ph_vs_z
+from lgradial import LGParams, dilation_check, lg_field, ph_vs_w0, ph_vs_z
 from lgradial.constants import DEFAULT_WAIST as W0, DEFAULT_WAVENUMBER as K
 
 ZR = K * W0**2 / 2
@@ -31,3 +32,11 @@ for w0, v in zip(s.abscissa, s.values):
     print(f"  w0 = {w0 * 1e3:5.2f} mm   <P_H> = {v:9.4f}")
 print(f"  log-log slope = {s.diagnostics['loglog_slope']:.4f}  "
       f"(pure 1/w0^2 would be -2)")
+
+print("\nDilations of the focal profile: unitary, generated by P_H (SI units, w0 = 1 mm)")
+for n, l in ((0, 0), (2, 1)):
+    profile = lambda r, p=LGParams(n, l, K, W0): lg_field(p, r, 0.0, 0.0)
+    for g in (0.3, -1.0):
+        dc = dilation_check(profile, g)
+        print(f"  LG({n},{l}) gamma = {g:+.1f}: |ratio - 1| = {abs(dc.unitarity_ratio - 1):.1e}, "
+              f"generator defect = {dc.generator_defect:.1e}")

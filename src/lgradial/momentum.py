@@ -80,28 +80,25 @@ class ExactMomentumParams:
 
 
 def polar_to_plusminus(k_t, k_z):
-    """(k_t, k_z) -> (k_plus, k_minus); cancellation-free for small k_t."""
-    k_t = np.asarray(k_t, dtype=float)
-    k_z = np.asarray(k_z, dtype=float)
-    k = np.hypot(k_t, k_z)
-    # the smaller of k_pm is recovered from k_t^2 to avoid k - |k_z| cancellation
-    k_plus = np.where(k_z >= 0, 0.5 * (k + k_z), 0.5 * k_t**2 / np.where(k - k_z > 0, k - k_z, 1.0))
-    k_minus = np.where(k_z >= 0, 0.5 * k_t**2 / np.where(k + k_z > 0, k + k_z, 1.0), 0.5 * (k - k_z))
-    both_zero = k == 0
-    k_plus = np.where(both_zero, 0.0, k_plus)
-    k_minus = np.where(both_zero, 0.0, k_minus)
-    return k_plus[()], k_minus[()]
+    """(k_t, k_z) -> (k_plus, k_minus), finite and free of cancellation; else DiagnosticError."""
+    k_t, k_z = np.asarray(k_t, dtype=float), np.asarray(k_z, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        larger = np.hypot(0.5 * k_t, 0.5 * k_z) + 0.5 * np.abs(k_z)  # (k + |k_z|)/2, halved first
+        # the smaller is k_t^2 / (4 larger): no k - |k_z| cancellation, and no k_t^2 to overflow
+        smaller = 0.25 * k_t * (k_t / np.where(larger > 0, larger, 1.0))
+    if not np.isfinite(larger).all():
+        raise DiagnosticError("k_t and k_z must be finite, with finite k_plus and k_minus")
+    return np.where(k_z >= 0, larger, smaller)[()], np.where(k_z >= 0, smaller, larger)[()]
 
 
 def plusminus_to_polar(k_plus, k_minus):
-    """(k_plus, k_minus) -> (k_t, k_z)."""
-    k_plus = np.asarray(k_plus, dtype=float)
-    k_minus = np.asarray(k_minus, dtype=float)
-    if np.any(k_plus < 0) or np.any(k_minus < 0):
-        raise DiagnosticError("k_plus and k_minus must be >= 0")
-    k_t = 2.0 * np.sqrt(k_plus * k_minus)
-    k_z = k_plus - k_minus
-    return k_t[()], k_z[()]
+    """(k_plus, k_minus) -> finite (k_t, k_z) for finite k_pm >= 0; else DiagnosticError."""
+    k_plus, k_minus = np.asarray(k_plus, dtype=float), np.asarray(k_minus, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf for every bad input
+        k_t = 2.0 * np.sqrt(k_plus) * np.sqrt(k_minus)
+    if not np.isfinite(k_t).all():
+        raise DiagnosticError("k_plus and k_minus must be finite and >= 0, with a finite k_t")
+    return k_t[()], (k_plus - k_minus)[()]
 
 
 def _coefficients(op, x, m, w, k_plus=None):
@@ -183,9 +180,7 @@ def nk_polar(params: ExactMomentumParams, k_t, k_z, k_phi, sign_policy="symmetri
     d/dk_t and d/dk_z act through k_minus at fixed k_plus, which the delta constraint
     pins; so on the surface this is N_k at k_minus = (k - k_z)/2, and is evaluated as that.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan k_minus raises in apply_nk
-        k_minus = polar_to_plusminus(k_t, k_z)[1]
-    return apply_nk(params, k_minus, k_phi, sign_policy)
+    return apply_nk(params, polar_to_plusminus(k_t, k_z)[1], k_phi, sign_policy)
 
 
 def psi_paraxial(params: ExactMomentumParams, k_t, k_phi):
@@ -239,6 +234,10 @@ def hermiticity_defect(psi, operator="Nk_paraxial", *, w, sigma=1, kt_max) -> He
     sigma = _check_helicity(sigma)
     if not 0 < w < math.inf:
         raise DiagnosticError(f"w must be finite and > 0, got {w}")
+    k = float(kt_max)  # Python floats: a square that overflows is inf, with no numpy warning
+    if not (0 < k < math.inf and all(math.isfinite(v * v) for v in (k, float(w) * k))):
+        raise DiagnosticError(f"kt_max must be finite and > 0, with finite kt_max^2 and "
+                              f"(w kt_max)^2, got {kt_max}")
     kphi = np.arange(64) * (2.0 * math.pi / 64)
 
     def evaluate(n_rad):

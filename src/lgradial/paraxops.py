@@ -38,7 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DiagnosticError, GridError
 from .lgmode import (FieldGrid, LGParams, PolarGrid, _mode_derivatives,
                      _require_weights, beam_geometry, lg_field)
-from .specfun import make_rule
+from .specfun import _converge
 
 __all__ = [
     "Operator",
@@ -278,41 +278,41 @@ class DilationCheck:
     generator_defect: float
 
 
-def _norm_ratio(rule, values, ref):
-    """||values|| / ||ref|| under r dr; a non-finite norm or a zero ||ref|| raises."""
-    num, den = (math.sqrt(float(np.sum(rule.weights * (np.abs(v) ** 2 * rule.nodes))))
-                for v in (values, ref))
-    if not (math.isfinite(num) and 0.0 < den < math.inf):
-        raise DiagnosticError(f"dilation_check needs finite norms and a nonzero reference norm, "
-                              f"got {num} over {den}")
-    return num / den
+def _dilate(f, s, t):
+    """D_t f at s = ln r: e^t f(e^(s + t)), the dilation by e^t as a shift by t in s."""
+    return math.exp(t) * np.asarray(f(np.exp(s + t)), dtype=complex)
 
 
 def dilation_check(f, gamma) -> DilationCheck:
     """Check the dilation family (D_g f)(r) = e^g f(e^g r) on a radial function.
 
-    Verifies on a 384-node Gauss-Legendre rule over (0, 32) that D_g is unitary under
-    r dr, and that the central difference (D_d f - D_{-d} f) / (2 d), d = 1e-4, matches
-    the generator (r d/dr + 1) f, i.e. i PH f with hbar = 1.  A gamma that is not finite
-    or beyond +-700, a non-finite norm or a zero denominator norm raises DiagnosticError.
+    In s = ln r, D_g is a shift by g, and ||f||^2 under r dr is a trapezoid sum of |f e^s|^2 on
+    a uniform grid that g does not move, refined to 1e-10 (geometric for a smooth, decaying
+    integrand: Trefethen & Weideman, SIAM Rev. 56, 385, 2014).  Checks that D_g is unitary and
+    that (D_d f - D_-d f)/(2 d), d = 1e-4, matches (r d/dr + 1) f = i PH f = d/dt D_t f at t = 0.
+    A |g| > 289.9, a norm not finite or 0, or |f r| not negligible at an end raises DiagnosticError.
     """
-    if not abs(gamma) <= 700.0:  # e^gamma stays a finite float
-        raise DiagnosticError(f"dilation_check needs a finite gamma, |gamma| <= 700, got {gamma}")
-    rule, delta = make_rule("legendre", 384, interval=(0.0, 32.0)), 1e-4
-    r = rule.nodes
-    base = np.asarray(f(r), dtype=complex)
-    dilated = math.exp(gamma) * np.asarray(f(math.exp(gamma) * r), dtype=complex)
-    unitarity = _norm_ratio(rule, dilated, base)
-    cd = (math.exp(delta) * np.asarray(f(math.exp(delta) * r), dtype=complex)
-          - math.exp(-delta) * np.asarray(f(math.exp(-delta) * r), dtype=complex)) / (2.0 * delta)
-    h = 1e-4 * 32.0  # 1e-4 of the rule's interval
-    offsets = np.arange(-3, 4)
-    w = _stencils(offsets * h, 1)[0, 3]
-    fprime = sum(wj * np.asarray(f(r + oj * h), dtype=complex)
-                 for wj, oj in zip(w, offsets))
-    gen = r * fprime + base
-    return DilationCheck(gamma=gamma, unitarity_ratio=unitarity,
-                         generator_defect=_norm_ratio(rule, cd - gen, gen))
+    span = 612 * math.pi / 32  # |s| <= 60.1; steps pi/32, pi/64, pi/128 divide no rational g
+    if not abs(gamma) <= 350.0 - span:  # every e^(s + g) and its square are finite doubles
+        raise DiagnosticError(f"dilation_check needs a finite gamma, |gamma| <= 289.9, got {gamma}")
+    d, ts = 1e-4, np.arange(-3, 4) * 1e-3
+
+    def evaluate(n):
+        s = np.arange(-n, n + 1) * (span / n)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm raises below
+            base, moved, fwd, back, *near = (_dilate(f, s, t) for t in (0, gamma, d, -d, *ts))
+            gen = _stencils(ts, 1)[0, 3] @ np.array(near)
+            g = np.abs(np.array([base, moved, (fwd - back) / (2 * d) - gen, gen]) * np.exp(s))
+            norms = np.sqrt((g * g).sum(axis=1) * (s[1] - s[0]))
+        if not (np.isfinite(norms).all() and np.all(norms[[0, 1, 3]] > 0.0)):
+            raise DiagnosticError("dilation_check needs finite norms and a nonzero reference "
+                                  f"norm, got {norms} (f, D_gamma f, defect, generator)")
+        if np.any(g[:2, [0, -1]] > 1e-8 * g[:2].max(axis=1, keepdims=True)):
+            raise DiagnosticError("dilation_check needs |f r| of f and D_gamma f negligible at "
+                                  f"both ends of ln r in [{s[0]:.1f}, {s[-1]:.1f}]")
+        return norms, norms[0], DilationCheck(gamma, *(norms[[1, 2]] / norms[[0, 3]]).tolist())
+
+    return _converge("dilation_check", evaluate, (612, 1224, 2448), 1e-10, 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Inside the envelope every analytic result is finite and matches its closed
 form; the derivative tables are checked against mpmath, and the algebraic
 overlap matrices against converged quadrature.  The momentum family (n, |m| <= 300,
-w in [5 um, 5 mm], any finite k >= 0) is finite or raises DiagnosticError.
+w in [5 um, 5 mm], any finite k >= 0) is finite or raises DiagnosticError.  Dilations
+of Gaussian and ring profiles of width 1e-3..1e3 at |gamma| <= 20 are unitary to 1e-10,
+with PH generating them to 1e-6.
 """
 
 import math
@@ -18,7 +20,7 @@ from lgradial.errors import DiagnosticError
 from lgradial.lgmode import LGParams, beam_geometry, lg_partials
 from lgradial.momentum import (ExactMomentumParams, apply_nk, apply_nk_paraxial, nk_eigen_residual,
                                nk_polar, psi_exact, psi_paraxial)
-from lgradial.paraxops import Operator
+from lgradial.paraxops import Operator, dilation_check
 
 from conftest import ENVELOPE, K, OMEGA, W0, ZR
 from oracles import overlap_matrix_quadrature
@@ -88,6 +90,26 @@ def test_momentum_values_are_finite_or_raise(n, m, sigma, w, k, k_z, k_phi, poli
         except DiagnosticError:
             continue
         assert np.isfinite(value), (f.__name__, args, value)
+
+
+_PROFILES = {"gaussian": lambda x: np.exp(-x * x), "ring": lambda x: x * x * np.exp(-x * x)}
+
+
+@settings(ENVELOPE, max_examples=60)  # about 1 ms an example
+@given(width=st.floats(-3.0, 3.0).map(lambda e: 10.0**e), gamma=st.floats(-20.0, 20.0),
+       profile=st.sampled_from(sorted(_PROFILES)))
+@example(width=1e-3, gamma=0.3, profile="gaussian")  # LG (0, 0) at 1 mm: ratio 1.21, defect 1.02
+@example(width=1.0, gamma=-5.0, profile="gaussian")  # ratio 0.298
+@example(width=1.0, gamma=8.0, profile="gaussian")  # ratio 1.25
+@example(width=1.0, gamma=12.0, profile="gaussian")  # ratio 0.0
+@example(width=20.0, gamma=1.0, profile="gaussian")  # ratio 1.003
+@example(width=1e3, gamma=-20.0, profile="ring")  # ratio 8.8e-27
+@example(width=1e-3, gamma=20.0, profile="ring")  # ratio 0.0, defect 1.22
+def test_dilations_are_unitary_and_generated_by_ph(width, gamma, profile):
+    # the examples are the wrong numbers the fixed Legendre rule on (0, 32) once returned
+    dc = dilation_check(lambda r: _PROFILES[profile](r / width), gamma)
+    assert abs(dc.unitarity_ratio - 1.0) <= 1e-10, dc
+    assert dc.generator_defect <= 1e-6, dc
 
 
 def _mode_mp(n, l, z, r):

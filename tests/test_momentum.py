@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -213,6 +214,32 @@ class TestCoordinateConversions:
         with pytest.raises(DiagnosticError):
             plusminus_to_polar(-1.0, 1.0)
 
+    @pytest.mark.parametrize("k_t, k_z", [(1e200, 1.0), (1e308, 1e308), (1.0, -1e308)])
+    def test_extreme_polar_values(self, k_t, k_z):
+        # each once overflowed with a RuntimeWarning: in k_t^2, k + k_z or k - k_z
+        with mpmath.workdps(40):
+            k = mpmath.hypot(k_t, k_z)
+            want = [float((k + k_z) / 2), float((k - k_z) / 2)]
+        got = polar_to_plusminus(k_t, k_z)
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_extreme_plusminus_values(self):
+        # 2 sqrt(k_plus k_minus) once overflowed in the product
+        assert plusminus_to_polar(1e200, 1e200) == (2e200, 0.0)
+
+    @pytest.mark.parametrize("convert, args, message", [
+        (polar_to_plusminus, (math.nan, 1.0), "k_t and k_z must be finite"),
+        (polar_to_plusminus, (1.0, math.inf), "k_t and k_z must be finite"),
+        (polar_to_plusminus, (1.7e308, 1.7e308), "with finite k_plus and k_minus"),
+        (plusminus_to_polar, (math.nan, 1.0), "k_plus and k_minus must be finite and >= 0"),
+        (plusminus_to_polar, (1.0, math.inf), "k_plus and k_minus must be finite and >= 0"),
+        (plusminus_to_polar, (1.7e308, 1.7e308), "with a finite k_t"),
+    ], ids=["polar-nan", "polar-inf", "polar-overflow", "plusminus-nan", "plusminus-inf",
+            "plusminus-overflow"])
+    def test_non_finite_raises(self, convert, args, message):
+        with pytest.raises(DiagnosticError, match=message):
+            convert(*args)
+
 
 class TestParaxialOperator:
     def test_ground_state_cancellation(self):
@@ -359,9 +386,14 @@ class TestHermiticity:
         ({"sigma": 2}, "sigma must be +1 or -1, got 2"),
         ({"sigma": 0.5}, "sigma must be an integer, got 0.5"),
         ({"sigma": True}, "sigma must be an integer, got True"),
-        ({"kt_max": math.inf}, "interval must be finite"),  # once "not converged ... nan"
+        ({"kt_max": math.inf}, "kt_max must be finite and > 0"),  # once "not converged ... nan"
         ({"w": math.nan}, "w must be finite and > 0, got nan"),
-    ], ids=["sigma-0", "sigma-2", "sigma-half", "sigma-true", "kt_max-inf", "w-nan"])
+        ({"kt_max": 1e160}, "kt_max must be finite and > 0"),  # once overflowed w^2 k_t^2
+        ({"kt_max": -1.0}, "kt_max must be finite and > 0"),  # once "interval must be finite"
+        ({"kt_max": math.nan}, "kt_max must be finite and > 0"),
+        ({"kt_max": np.float64(1e160)}, "kt_max must be finite and > 0"),
+    ], ids=["sigma-0", "sigma-2", "sigma-half", "sigma-true", "kt_max-inf", "w-nan",
+            "kt_max-1e160", "kt_max-negative", "kt_max-nan", "kt_max-numpy-1e160"])
     def test_operator_context_checked(self, kwargs, message):
         psi = lambda kt, kphi: psi_paraxial(_params(1, 2), kt, kphi)
         args = {"w": W0, "sigma": 1, "kt_max": 14.0 / W0, **kwargs}

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lgradial.errors import DiagnosticError, GridError
-from lgradial.lgmode import (FieldGrid, LGParams, PolarGrid, beam_geometry,
+from lgradial.errors import DiagnosticError, GridError, QuadratureConvergenceError
+from lgradial.lgmode import (FieldGrid, LGParams, PolarGrid, beam_geometry, lg_field,
                              quadrature_polar_grid, inner, norm, sample,
                              uniform_polar_grid)
 from lgradial import paraxops
@@ -254,12 +254,35 @@ class TestDilation:
         (lambda r: np.exp(-r**2), math.nan, "finite gamma"),
         (lambda r: np.exp(-r**2), -math.inf, "finite gamma"),
         (lambda r: np.exp(-r**2), 800.0, "finite gamma"),  # e^800 overflows a float
+        (lambda r: np.exp(-r**2), 290.0, "finite gamma"),  # e^(s + gamma) would pass e^350
+        (lambda r: 1.0 / (1.0 + r), 0.3, "negligible at both ends"),  # once ratio 1.055
+        (lambda r: np.exp(-(r / 1e30) ** 2), 0.3, "negligible at both ends"),
+        (lambda r: np.exp(-r**2), 62.0, "negligible at both ends"),
+        (lambda r: np.exp(-r**2), 65.0, "nonzero reference norm"),  # D_gamma f is all 0
     ], ids=["nan", "nan-beyond-dilated-edge", "zero", "gamma-nan", "gamma-minus-inf",
-            "gamma-800"])
+            "gamma-800", "gamma-290", "not-square-integrable", "wider-than-the-grid",
+            "dilated-across-the-end", "dilated-off-the-grid"])
     def test_no_silent_nan(self, f, gamma, message):
-        # an all-NaN f once returned unitarity_ratio=nan and generator_defect=0.0
+        # an all-NaN f once returned unitarity_ratio=nan and generator_defect=0.0; every
+        # other case once returned a number
         with pytest.raises(DiagnosticError, match=message):
             dilation_check(f, gamma)
+
+    @pytest.mark.parametrize("n, l", [(0, 0), (2, 1), (5, 3)])
+    def test_lg_modes_at_the_default_waist(self, n, l):
+        # at gamma = 0.3 the fixed Legendre rule on (0, 32) once gave ratios 1.21, 2.15 and
+        # 0.91, and generator defects 1.02, 3.3 and 7.1, for these modes
+        f = lambda r: lg_field(LGParams(n, l, K, W0), r, 0.0, 0.0)
+        for gamma in (0.3, -1.0, 8.0):
+            dc = dilation_check(f, gamma)
+            assert abs(dc.unitarity_ratio - 1.0) <= 1e-10, dc
+            assert dc.generator_defect <= 1e-6, dc
+
+    def test_unresolved_mode_raises(self):
+        # LG (30, 10) at 1 mm needs a finer step than pi/128 in ln r
+        f = lambda r: lg_field(LGParams(30, 10, K, W0), r, 0.0, 0.0)
+        with pytest.raises(QuadratureConvergenceError, match="dilation_check: not converged"):
+            dilation_check(f, 0.3)
 
 
 class TestCommutators:
