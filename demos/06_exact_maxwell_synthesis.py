@@ -6,8 +6,9 @@ Three checks at full-Maxwell (non-paraxial) rigor:
      dF/dt = -i c curl F and div F = 0 to finite-difference accuracy;
   2. the closed-form LG-type scalar chi (complex beam parameter a(t+))
      satisfies the scalar wave equation;
-  3. integrating the momentum-space weight against the Bessel kernel with a
-     Gauss-Laguerre rule reproduces chi up to one global constant.
+  3. integrating the momentum-space wavefunction psi_exact against the Bessel
+     kernel with a Gauss-Laguerre rule reproduces chi up to one global constant,
+     and stays finite at a high radial index.
 
 Every exact-wave function evaluates a batch of points in one call: the 60
 sample points below are one `SpacetimePoint` of arrays.
@@ -46,3 +47,7 @@ for (n, m, sigma) in [(0, 0, 1), (1, 2, 1), (3, 3, -1)]:
     p = ExactMomentumParams(n, m, sigma, OMEGA, W0)
     scale, resid = fit_global_scale(chi_closed_form(p, pts), synthesize_lg(p, pts, 128))
     print(f"  n={n} m={m} sigma={sigma:+d}: relative L2 residual {resid:.2e}")
+
+p = ExactMomentumParams(200, 0, 1, OMEGA, W0)
+value = synthesize_lg(p, SpacetimePoint(r=0.5 * W0, phi=0.0, z=0.0, t=0.0), 96)
+print(f"\nsynthesis at n=200 m=0, r = 0.5 w, z = t = 0: {value.real:.6e} (real there)")

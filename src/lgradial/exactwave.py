@@ -4,8 +4,8 @@ Contains the scalar Bessel modes chi (exact solutions of the full wave
 equation), the Riemann-Silberstein vector field of a single Bessel mode,
 finite-difference Maxwell/wave-equation residual checks, the closed-form
 exact Laguerre-Gauss-type scalar field with complex beam parameter
-a(t_plus) = w^2 + i sigma c^2 t_plus / Omega, and Gauss-rule synthesis
-of that field from its momentum-space weight.
+a(t_plus) = w^2 + i sigma c^2 t_plus / Omega, and Gauss-rule synthesis of that
+field from `momentum.psi_exact` (its radial factor is defined there only).
 
 Every function takes a `SpacetimePoint` whose fields are floats or arrays of
 one broadcastable shape, and evaluates a single point and a batch by the same
@@ -32,7 +32,7 @@ import numpy as np
 from .constants import C_LIGHT
 from .errors import DiagnosticError, _check_helicity, _check_int, _check_order
 from .lgmode import _gauss_u
-from .momentum import ExactMomentumParams
+from .momentum import ExactMomentumParams, psi_exact
 from .specfun import _bessel_j_and_derivative, _converge, bessel_j, laguerre
 
 __all__ = [
@@ -257,33 +257,33 @@ def chi_closed_form(params: ExactMomentumParams, p: SpacetimePoint):
 
 
 def _synthesis_radial(params: ExactMomentumParams, p: SpacetimePoint, order):
-    # one (points x nodes) evaluation, nodes on a new last axis; the weight
-    # e^(-beta k_minus) becomes the rule's e^(-u), u = beta k_minus, and shares one
-    # complex exponential with the phase of t_plus
+    # points x nodes: psi_exact at k_minus = u/beta (its e^(-u) is the rule's weight), phase, J_m
     u, lam = _gauss_u(order, 0)
-    beta, k_plus = params.beta, params.k_plus
-    km = u / beta
+    km = u / params.beta
     t_plus, r = (np.asarray(x)[..., None] for x in (p.t_plus, p.r))
-    weighted = (lam / beta * km ** (params.n + abs(params.m) / 2.0) * (k_plus + km)
-                * np.exp(-(1.0 + 1j * params.sigma * C_LIGHT * t_plus / beta) * u)
-                * bessel_j(params.m, 2.0 * r * math.sqrt(k_plus / beta) * np.sqrt(u)))
-    value = weighted.sum(axis=-1)
-    return value, np.abs(weighted).sum(axis=-1), value  # value, integrand mass, result
+    with np.errstate(over="ignore", invalid="ignore"):  # a mass that is not finite raises below
+        weighted = (lam / params.beta * psi_exact(params, km, 0.0)
+                    * np.exp(-1j * params.sigma * C_LIGHT * t_plus * km)
+                    * bessel_j(params.m, 2.0 * r * np.sqrt(params.k_plus * km)))
+        value, mass = weighted.sum(axis=-1), np.abs(weighted).sum(axis=-1)
+    if not np.isfinite(mass).all():
+        raise DiagnosticError(f"synthesis sum is not a finite double at n = {params.n}")
+    return value, mass, value  # value, integrand mass, result
 
 
 def synthesize_lg(params: ExactMomentumParams, p: SpacetimePoint,
                   quad_order=128, *, check_convergence=True):
-    """Position-space field synthesized from the momentum-space weight.
+    """Position-space field synthesized from the momentum-space wavefunction psi_exact.
 
     Evaluates int_0^inf dk_minus psi(k_minus) exp(-i sigma c (k_plus t_minus
     + k_minus t_plus)) J_m(2 r sqrt(k_plus k_minus)) on the constraint
-    surface by the Gauss rule in u = beta k_minus for the weight e^(-u)
-    (`lgmode._gauss_u`), which absorbs the physical exponent, so no truncation
-    radius is ever chosen.  The azimuthal integral is resolved analytically to
-    the exp(i sigma m phi) term.  `quad_order` is an integer >= 8.
+    surface, psi = `momentum.psi_exact`, by the Gauss rule in u = beta k_minus for
+    the weight e^(-u) (`lgmode._gauss_u`), which psi's e^(-beta k_minus) supplies,
+    so no truncation radius is ever chosen.  The azimuthal integral is resolved
+    analytically to the exp(i sigma m phi) term.  `quad_order` is an integer >= 8.
     With `check_convergence`, orders q and 2q must agree at every point of p
     to 1e-8 relative or 1e-11 of that point's integrand mass (in oscillatory
-    tails far above the value).
+    tails far above the value).  A psi or a sum beyond the largest double raises DiagnosticError.
     """
     if _check_order(quad_order) < 8:
         raise DiagnosticError("quad_order must be >= 8")

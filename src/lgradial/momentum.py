@@ -15,7 +15,8 @@ Each operator is defined once (`_coefficients`) as A = b x d/dx + c_r + c_m on e
 azimuthal number m, in its own radial variable x (k_minus for N_k, k_t for N'_k).  Its
 x d/dx comes from the closed form g = x d/dx log psi (A psi = (b g + c_r + c_m) psi
 pointwise) or from 7-point stencils on a sampled psi's k_phi spectrum (`hermiticity_defect`).
-A radial factor x^P e^(-D) is one exp(P log x - D): finite, 0 on underflow, or an error.
+`_closed_form` is the one definition of psi_exact's and psi_paraxial's radial factors x^P e^(-D):
+one exp(P log x - D), finite, 0 on underflow, or an error; `exactwave.synthesize_lg` uses it.
 
 The m < 0 sign policy mirrors the position-space module: "verbatim" keeps
 the printed angular term (eigenvalue n + (|m|-m)/2), "symmetrized" (the
@@ -103,13 +104,11 @@ def plusminus_to_polar(k_plus, k_minus):
 
 def _coefficients(op, x, m, w, k_plus=None):
     """(b, c_r, c_m) with A = b x d/dx + c_r + c_m on exp(i sigma m k_phi), where (i/sigma)
-    d/dk_phi is -m, in x = k_minus for "Nk" and x = k_t for "Nk_paraxial" and "kt_ddkt"."""
+    d/dk_phi is -m, in x = k_minus for "Nk" and x = k_t for "Nk_paraxial"."""
     if op == "Nk":  # k_minus d/dk_minus + (i/2 sigma) d/dk_phi - k_minus/k + beta k_minus
         return 1.0, w**2 * k_plus * x - x / (k_plus + x), -0.5 * m
     if op == "Nk_paraxial":  # (k_t d/dk_t + (i/sigma) d/dk_phi + w^2 k_t^2) / 2
         return 0.5, 0.5 * w**2 * x**2, -0.5 * m
-    if op == "kt_ddkt":
-        return 1.0, 0.0, 0.0
     raise DiagnosticError(f"unknown operator {op!r}")
 
 
@@ -117,7 +116,7 @@ def _closed_form(params, x, k_phi, paraxial):
     """(psi, g = x d/dx log psi) of the exact (x = k_minus) or paraxial (x = k_t) wavefunction;
     a negative or non-finite x, or a psi that is not a finite double, raises DiagnosticError."""
     x, name = np.asarray(x, dtype=float), "k_t" if paraxial else "k_minus"
-    if not np.all((x >= 0) & (x < math.inf)):
+    if not (x.min(initial=math.inf) >= 0 and x.max(initial=0.0) < math.inf):  # NaN fails both
         raise DiagnosticError(f"{name} must be finite and >= 0")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # x^P e^(-D) in one exp
         if paraxial:
@@ -214,30 +213,28 @@ class HermiticityDefect:
     norm_sq: float       # ||psi||^2 under the same measure
 
 
-def hermiticity_defect(psi, operator="Nk_paraxial", *, w, sigma=1, kt_max) -> HermiticityDefect:
-    """Hermiticity defect of a momentum operator on a sampled wavefunction.
+def hermiticity_defect(psi, *, w, sigma=1, kt_max) -> HermiticityDefect:
+    """Hermiticity defect of the paraxial radial-momentum operator N'_k on a sampled psi.
 
     Gauss-Legendre in k_t on (0, kt_max) times 64 k_phi nodes; the defects at
     192 and 384 k_t nodes must agree to 1e-6 relative or 1e-6 ||psi||^2, each taken
     on psi's k_phi spectrum (Parseval) by one FFT and 7-point stencils in k_t.
+    N'_k is hermitian exactly when psi's radial factor is real.  A zero psi, or a defect or
+    a norm that is not a finite double, raises DiagnosticError.
 
     Parameters
     ----------
     psi : callable (k_t, k_phi) -> complex, broadcasting a k_t column and a k_phi row
-    operator : "Nk_paraxial" for the full paraxial radial-momentum operator,
-        "kt_ddkt" for its isolated (non-hermitian) first term k_t d/dk_t.
     w, sigma : operator context (w > 0 enters N'_k; sigma = +-1 scales the angular term)
-    kt_max : radial cutoff of the quadrature, finite and > 0
+    kt_max : radial cutoff of the quadrature, finite, > 0, with normal kt_max^2, finite (w kt_max)^2
     """
-    if operator not in ("Nk_paraxial", "kt_ddkt"):
-        raise DiagnosticError(f"unknown operator {operator!r}")
     sigma = _check_helicity(sigma)
     if not 0 < w < math.inf:
         raise DiagnosticError(f"w must be finite and > 0, got {w}")
-    k = float(kt_max)  # Python floats: a square that overflows is inf, with no numpy warning
-    if not (0 < k < math.inf and all(math.isfinite(v * v) for v in (k, float(w) * k))):
-        raise DiagnosticError(f"kt_max must be finite and > 0, with finite kt_max^2 and "
-                              f"(w kt_max)^2, got {kt_max}")
+    k, wk = float(kt_max), float(w) * float(kt_max)  # Python floats: an overflow is inf, silently
+    if not (0 < k and np.finfo(float).tiny <= k * k < math.inf and wk * wk < math.inf):
+        raise DiagnosticError(f"kt_max must be finite and > 0, with kt_max^2 a normal double "
+                              f"and finite (w kt_max)^2, got {kt_max}")
     kphi = np.arange(64) * (2.0 * math.pi / 64)
 
     def evaluate(n_rad):
@@ -245,14 +242,16 @@ def hermiticity_defect(psi, operator="Nk_paraxial", *, w, sigma=1, kt_max) -> He
         kt = rule.nodes[:, None]  # psi takes a k_t column and the k_phi row, and broadcasts them
         s = _spectrum(np.broadcast_to(psi(kt, kphi), (n_rad, 64)),
                       "hermiticity_defect needs a finite psi")
-        b, c_r, c_m = _coefficients(operator, kt, _wavenumbers(64)[1] / sigma, w)
-        a_s = _fd_apply(b * kt * _stencils(rule.nodes, 1)[0], c_r, c_m, s)
+        b, c_r, c_m = _coefficients("Nk_paraxial", kt, _wavenumbers(64)[1] / sigma, w)
         mu = rule.weights * rule.nodes * (2.0 * math.pi / 64)
-        a_s *= mu[:, None] / 64  # Parseval: sum over k_phi = (1/64) sum over the spectrum
-        inner, nrm = complex(np.vdot(s, a_s)), _spectral_sq(s, mu)  # <psi, A psi>, ||psi||^2
-        defect = inner.conjugate() - inner
-        if nrm == 0.0:
-            raise DiagnosticError("hermiticity_defect needs a psi that is not identically zero")
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            a_s = _fd_apply(b * kt * _stencils(rule.nodes, 1)[0], c_r, c_m, s)
+            a_s *= mu[:, None] / 64  # Parseval: sum over k_phi = (1/64) sum over the spectrum
+            inner, nrm = complex(np.vdot(s, a_s)), _spectral_sq(s, mu)  # <psi, A psi>, ||psi||^2
+            defect = inner.conjugate() - inner
+        if not (0.0 < nrm < math.inf and np.isfinite(defect)):  # psi = 0, or an overflow
+            raise DiagnosticError(f"hermiticity_defect needs a psi that is not identically zero, "
+                                  f"and a finite defect and norm, got {defect}, {nrm}")
         return defect, nrm, HermiticityDefect(defect=defect, norm_sq=nrm)
 
     return _converge("hermiticity defect", evaluate, (192, 384), 1e-6, 1e-6)

@@ -136,8 +136,8 @@ def _stencils(nodes, m):
     of the Lagrange interpolant through its stencil nodes x_j, in closed barycentric form
     (Berrut & Trefethen, SIAM Rev. 46, 501, 2004): with P_j = prod_(k!=j) (x_j - x_k),
     c1_j = (P_p/P_j)/(x_p - x_j) and c2_j = 2 c1_j (c1_p - 1/(x_p - x_j)) for j != p; the
-    own-node entries make each row sum to 0.  All rows at once, on any nodes, with 7 x N
-    temporaries only.
+    own-node entries make each row sum to 0.  P_p/P_j is scale-free, so it is taken on each
+    stencil rescaled to [0, 1], where no spacing underflows; all rows at once, 7 x N temporaries.
     """
     x = np.asarray(nodes, dtype=float)
     n = len(x)
@@ -146,9 +146,10 @@ def _stencils(nodes, m):
     rows, lo = np.arange(n), np.clip(np.arange(n) - 3, 0, n - 7)
     p = rows - lo  # each row's own node within its stencil
     xs = x[lo + np.arange(7)[:, None]]  # [j, row], rows contiguous
+    t = (xs - xs[0]) / (xs[6] - xs[0])
     prod, d = np.ones_like(xs), np.empty_like(xs)
     for k in range(7):
-        np.subtract(xs, xs[k], out=d)
+        np.subtract(t, t[k], out=d)
         d[k] = 1.0  # the product runs over j != k
         prod *= d
     inv = np.subtract(x, xs, out=xs)
@@ -301,7 +302,7 @@ def dilation_check(f, gamma) -> DilationCheck:
         s = np.arange(-n, n + 1) * (span / n)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm raises below
             base, moved, fwd, back, *near = (_dilate(f, s, t) for t in (0, gamma, d, -d, *ts))
-            gen = _stencils(ts, 1)[0, 3] @ np.array(near)
+            gen = np.einsum("i,ij->j", _stencils(ts, 1)[0, 3], np.array(near))
             g = np.abs(np.array([base, moved, (fwd - back) / (2 * d) - gen, gen]) * np.exp(s))
             norms = np.sqrt((g * g).sum(axis=1) * (s[1] - s[0]))
         if not (np.isfinite(norms).all() and np.all(norms[[0, 1, 3]] > 0.0)):

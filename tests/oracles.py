@@ -10,7 +10,9 @@ rule with the library, and test_lgmode checks the table (test_specfun the
 rule) against mpmath.  The library's own overlap matrices take no integral.
 Finite-difference weights come from one Vandermonde solve per row, not from
 the library's closed barycentric formulas.  The polar form of N_k is applied
-term by term in 40-digit mpmath, with mpmath.diff for every derivative.
+term by term in 40-digit mpmath, with mpmath.diff for every derivative.  The
+exact-wave synthesis integral is a 60-digit mpmath quadrature of psi_exact as
+printed, with no Gauss rule.
 """
 
 import math
@@ -19,6 +21,7 @@ import mpmath
 import numpy as np
 from scipy.special import binom, eval_genlaguerre
 
+from lgradial.constants import C_LIGHT
 from lgradial.lgmode import LGParams, _radial_profiles, beam_geometry
 from lgradial.specfun import make_rule
 
@@ -156,3 +159,26 @@ def nk_polar_mpmath(params, k_t, k_z, k_phi, dps=40):
         d_z = mpmath.diff(lambda v: psi(t, v, ph), z)
         d_phi = mpmath.diff(lambda v: psi(t, z, v), ph)
         return complex((t * d_t + 1j / sigma * d_phi - (k - z) * (d_z + f / k - beta * f)) / 2)
+
+
+def synthesis_mpmath(params, r, phi=0.0, t_plus=0.0, t_minus=0.0, dps=60):
+    """synthesize_lg's integral at one point, by `dps`-digit tanh-sinh quadrature.
+
+    exp(-i sigma (Omega t_minus - m phi)) int_0^inf dk_minus psi(k_minus)
+    exp(-i sigma c k_minus t_plus) J_m(2 r sqrt(k_plus k_minus)), with psi =
+    k_minus^(n+|m|/2) e^(-beta k_minus) (k_plus + k_minus), split at multiples of its peak.
+    """
+    n, m, sigma = params.n, params.m, params.sigma
+    with mpmath.workdps(dps):
+        k_plus, beta, c = (mpmath.mpf(v) for v in (params.k_plus, params.beta, C_LIGHT))
+        r, t_plus = mpmath.mpf(r), mpmath.mpf(t_plus)
+
+        def integrand(km):
+            psi = km ** (n + mpmath.mpf(abs(m)) / 2) * mpmath.exp(-beta * km) * (k_plus + km)
+            return (psi * mpmath.expj(-sigma * c * t_plus * km)
+                    * mpmath.besselj(m, 2 * r * mpmath.sqrt(k_plus * km)))
+
+        peak = (n + mpmath.mpf(abs(m)) / 2 + 1) / beta
+        value = mpmath.quad(integrand, [0, peak / 2, peak, 2 * peak, 4 * peak, mpmath.inf])
+        omega_t = mpmath.mpf(params.Omega) * mpmath.mpf(t_minus)
+        return complex(mpmath.expj(-sigma * (omega_t - m * mpmath.mpf(phi))) * value)

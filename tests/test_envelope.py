@@ -3,20 +3,24 @@
 Inside the envelope every analytic result is finite and matches its closed
 form; the derivative tables are checked against mpmath, and the algebraic
 overlap matrices against converged quadrature.  The momentum family (n, |m| <= 300,
-w in [5 um, 5 mm], any finite k >= 0) is finite or raises DiagnosticError.  Dilations
-of Gaussian and ring profiles of width 1e-3..1e3 at |gamma| <= 20 are unitary to 1e-10,
-with PH generating them to 1e-6.
+w in [5 um, 5 mm], any finite k >= 0) is finite or raises DiagnosticError, and so is
+synthesize_lg over the same modes and waists at r <= 3 w, |z| <= 2 w and |t| <= 0.4 w^2
+Omega/c^2.  Dilations of Gaussian and ring profiles of width 1e-3..1e3 at |gamma| <= 20
+are unitary to 1e-10, with PH generating them to 1e-6.
 """
 
 import math
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgradial.analysis import expectation, overlap_matrix, raw_expectation
+from lgradial.constants import C_LIGHT
 from lgradial.errors import DiagnosticError
+from lgradial.exactwave import SpacetimePoint, synthesize_lg
 from lgradial.lgmode import LGParams, beam_geometry, lg_partials
 from lgradial.momentum import (ExactMomentumParams, apply_nk, apply_nk_paraxial, nk_eigen_residual,
                                nk_polar, psi_exact, psi_paraxial)
@@ -90,6 +94,32 @@ def test_momentum_values_are_finite_or_raise(n, m, sigma, w, k, k_z, k_phi, poli
         except DiagnosticError:
             continue
         assert np.isfinite(value), (f.__name__, args, value)
+
+
+_POINT = st.tuples(st.floats(0.05, 3.0), st.floats(-2.0, 2.0), st.floats(-0.4, 0.4))
+
+
+@settings(ENVELOPE, max_examples=100)  # about 10 ms an example; |m| near 300 is the slowest
+@given(n=st.integers(0, 300), m=st.integers(-300, 300), sigma=st.sampled_from([1, -1]),
+       w=st.floats(5e-6, 5e-3), points=st.lists(_POINT, min_size=1, max_size=6))
+@example(n=200, m=0, sigma=1, w=W0, points=[(0.5, 0.0, 0.0)])  # 4.54e180
+@example(n=201, m=183, sigma=1, w=1.758e-4, points=[(0.5, 0.0, 0.0)])  # psi overflows
+def test_synthesis_is_finite_or_raises(n, m, sigma, w, points):
+    # both examples once raised numpy's "overflow encountered in power" from k_minus^(n+|m|/2)
+    r, z, t = np.array(points).T
+    p = ExactMomentumParams(n, m, sigma, OMEGA, w)
+    q = SpacetimePoint(r * w, 0.3, z * w, t * w**2 * OMEGA / C_LIGHT**2)
+    try:
+        value = synthesize_lg(p, q, 96)
+    except DiagnosticError:
+        return
+    assert np.isfinite(value).all(), (n, m, sigma, w, points, value)
+
+
+def test_synthesis_raises_where_psi_overflows():
+    p = ExactMomentumParams(201, 183, 1, OMEGA, 1.758e-4)
+    with pytest.raises(DiagnosticError, match="psi is not a finite double"):
+        synthesize_lg(p, SpacetimePoint(0.5 * p.w, 0.0, 0.0, 0.0), 96)
 
 
 _PROFILES = {"gaussian": lambda x: np.exp(-x * x), "ring": lambda x: x * x * np.exp(-x * x)}

@@ -16,6 +16,7 @@ from lgradial.momentum import ExactMomentumParams
 from lgradial.specfun import bessel_j, laguerre
 
 from conftest import K, OMEGA, W0
+from oracles import synthesis_mpmath
 
 LAM = 2 * math.pi / K
 T_RAY = W0**2 * OMEGA / C_LIGHT**2  # envelope (Rayleigh) time scale
@@ -266,6 +267,19 @@ class TestSynthesis:
         peak = abs(synthesize_lg(p, peak_pt, 128))
         assert abs(synthesize_lg(p, far_pt, 128)) < 1e-8 * peak
         assert abs(chi_closed_form(p, far_pt)) < 1e-8 * abs(chi_closed_form(p, peak_pt))
+
+    @pytest.mark.parametrize("n, m, sigma, r, phi, t_plus", [
+        (200, 0, 1, 0.5 * W0, 0.0, 0.0),  # psi's k_minus^200 once overflowed with a warning
+        (2, 1, -1, 0.7 * W0, 0.3, 0.2 * T_RAY),
+    ], ids=["n200", "n2m1"])
+    def test_matches_mpmath_quadrature(self, n, m, sigma, r, phi, t_plus):
+        # t_minus ~ 0: at t_minus ~ T_RAY, Omega t_minus is 1e7 rad, a 1e-9 phase in doubles
+        p = ExactMomentumParams(n, m, sigma, OMEGA, W0)
+        pt = SpacetimePoint(r=r, phi=phi, z=0.5 * C_LIGHT * t_plus, t=0.5 * t_plus)
+        want = synthesis_mpmath(p, r, phi, pt.t_plus, pt.t_minus)
+        assert abs(synthesize_lg(p, pt, 96) - want) <= 1e-12 * abs(want)
+        if n == 200:
+            assert want.real == pytest.approx(4.5436186692662e180, rel=1e-12)
 
     def test_convergence_check_runs(self):
         p = ExactMomentumParams(1, 1, 1, OMEGA, W0)

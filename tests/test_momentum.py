@@ -365,13 +365,21 @@ class TestHermiticity:
         with pytest.raises(DiagnosticError, match="identically zero"):
             hermiticity_defect(psi, w=W0, sigma=1, kt_max=5.0 / W0)
 
-    def test_isolated_first_term_not_hermitian(self):
-        # k_t d/dk_t without the i is not hermitian on generic wavefunctions
-        p = _params(1, 1)
-        nrm = math.sqrt(paraxial_norm_sq(p))
-        psi = lambda kt, kphi: psi_paraxial(p, kt, kphi) / nrm * np.exp(0.5j * kt * W0)
-        hd = hermiticity_defect(psi, operator="kt_ddkt", w=W0, sigma=1, kt_max=14.0 / W0)
-        assert abs(hd.defect) > 1e-3 * hd.norm_sq
+    @pytest.mark.parametrize("w", [1e100, 1e150])
+    def test_defect_is_scale_free(self, w):
+        # psi(k_t) = f(w k_t) at every w: the node spacing near 1e-152 once gave 0/0 in the stencils
+        bad = _verify_wavefunctions()["bad"]
+        want = hermiticity_defect(bad, w=W0, sigma=1, kt_max=14.0 / W0)
+        got = hermiticity_defect(lambda kt, kphi: bad(kt * (w / W0), kphi), w=w, sigma=1,
+                                 kt_max=14.0 / w)
+        ratio = want.defect / want.norm_sq
+        assert abs(got.defect / got.norm_sq - ratio) <= 1e-9 * abs(ratio)
+
+    def test_overflow_raises(self):
+        # a psi that does not decay once overflowed the measure-weighted inner products
+        psi = lambda kt, kphi: np.ones(np.broadcast_shapes(np.shape(kt), np.shape(kphi)), complex)
+        with pytest.raises(DiagnosticError, match="finite defect and norm, got"):
+            hermiticity_defect(psi, w=W0, sigma=1, kt_max=1e150)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_wavefunction_is_named(self, bad):
@@ -392,17 +400,16 @@ class TestHermiticity:
         ({"kt_max": -1.0}, "kt_max must be finite and > 0"),  # once "interval must be finite"
         ({"kt_max": math.nan}, "kt_max must be finite and > 0"),
         ({"kt_max": np.float64(1e160)}, "kt_max must be finite and > 0"),
+        ({"kt_max": 1e-300}, "kt_max must be finite and > 0"),  # once 0/0 in the stencils
+        ({"kt_max": 1e-160}, "kt_max must be finite and > 0"),  # a subnormal kt_max^2
     ], ids=["sigma-0", "sigma-2", "sigma-half", "sigma-true", "kt_max-inf", "w-nan",
-            "kt_max-1e160", "kt_max-negative", "kt_max-nan", "kt_max-numpy-1e160"])
+            "kt_max-1e160", "kt_max-negative", "kt_max-nan", "kt_max-numpy-1e160",
+            "kt_max-1e-300", "kt_max-1e-160"])
     def test_operator_context_checked(self, kwargs, message):
         psi = lambda kt, kphi: psi_paraxial(_params(1, 2), kt, kphi)
         args = {"w": W0, "sigma": 1, "kt_max": 14.0 / W0, **kwargs}
         with pytest.raises(DiagnosticError, match=re.escape(message)):
             hermiticity_defect(psi, **args)
-
-    def test_unknown_operator_rejected(self):
-        with pytest.raises(DiagnosticError):
-            hermiticity_defect(lambda a, b: a, operator="nope", w=W0, sigma=1, kt_max=1.0)
 
 
 class TestParams:

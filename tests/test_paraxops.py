@@ -412,6 +412,42 @@ class TestDiffMatrix:
             _stencils(np.linspace(0.1, 1.0, 6), 1)
 
 
+class TestScaleFree:
+    """FD results do not depend on the unit of length: no node spacing underflows a stencil."""
+
+    @pytest.mark.parametrize("scale", [1e-60, 1e-100, 1e60])
+    def test_stencils_scale_as_inverse_powers(self, scale):
+        # at these scales the products of six node differences once under- or overflowed
+        nodes = np.cumsum(np.random.default_rng(7).uniform(0.05, 0.3, 40))
+        want, got = _stencils(nodes, 2), _stencils(nodes * scale, 2)
+        for s in (1, 2):
+            err = np.max(np.abs(got[s - 1] * scale**s - want[s - 1]))
+            assert err <= 1e-12 * np.max(np.abs(want[s - 1])), s
+
+    @pytest.mark.parametrize("w0", [1e-30, 1e-60, 1e-100])
+    def test_fd_eigen_residual_at_tiny_waists(self, w0):
+        # the 1 mm mode in other units (k w0 fixed); 1e-60 and 1e-100 once gave 0/0
+        def residual(w):
+            p = LGParams(2, 1, K * W0 / w, w)
+            return eigen_residual(p, Operator("N0", params=p), uniform_polar_grid(p, nr=384),
+                                  method="fd")
+        assert residual(w0) == pytest.approx(residual(W0), rel=1e-3)
+
+    def test_apply_and_commutator_at_tiny_spacing(self):
+        # a radial spacing of 1e-60 against 1/32: PH is scale-free, [lap, PH] + 2i lap ~ 1/s^2
+        s = 3.2e-59
+        fields = []
+        for rmax in (8.0, 8.0 * s):
+            g = _plain_grid(rmax=rmax, nr=256)
+            r, phi = g.mesh()
+            fields.append(FieldGrid(g, np.exp(-(r * 8.0 / rmax) ** 2 + 1j * phi)))
+        unit, tiny = (apply_to_field(Operator("PH"), f).values for f in fields)
+        assert np.max(np.abs(tiny - unit)) <= 1e-12 * np.max(np.abs(unit))
+        unit, tiny = (commutator_residual(Operator("laplacian_t"), Operator("PH"), f)
+                      for f in fields)
+        assert tiny * s**2 == pytest.approx(unit, rel=1e-9)
+
+
 class TestFDContraction:
     """apply_to_field against dense Vandermonde-solve stencils and a plain FFT in phi."""
 
