@@ -223,13 +223,16 @@ def overlap_matrix(l, n_set, z, z_prime, w0, w0_prime, k) -> OverlapMatrix:
     gamma, gamma_p = (complex(1.0 / g.w_z**2, -0.5 * k * g.inv_R_z) for g in (geo, geo_p))
     G, d = gamma.conjugate() + gamma_p, gamma - gamma_p
     theta, delta, rho = cmath.phase(G), cmath.phase(d), abs(d) / abs(G)
-    rows = _su11_magnitudes(n_max, abs(l), rho) * np.exp(
-        1j * (abs(l) + 1 + 2 * m[:, None]) * (geo.phi_g - geo_p.phi_g - theta))
-    b = np.zeros((2, 2 * n_max + 1), complex)  # b^d for d >= 0 above and below
-    b[:, n_max:] = rho ** m * np.exp(1j * np.outer(
-        (-delta - theta - 2 * geo_p.phi_g, math.pi + delta - theta + 2 * geo.phi_g), m))
-    above, below = sliding_window_view(b, n_max + 1, axis=1)[:, ::-1]  # Toeplitz views
-    entries = rows * above + np.triu(rows * below, 1).T
+    # far outside the envelope sqrt(C(n_max+|l|, n_max)) or a magnitude times sech^(|l|+1)
+    # overflows: every element of the magnitudes reaches an entry, so an inf or NaN raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _su11_magnitudes(n_max, abs(l), rho) * np.exp(
+            1j * (abs(l) + 1 + 2 * m[:, None]) * (geo.phi_g - geo_p.phi_g - theta))
+        b = np.zeros((2, 2 * n_max + 1), complex)  # b^d for d >= 0 above and below
+        b[:, n_max:] = rho ** m * np.exp(1j * np.outer(
+            (-delta - theta - 2 * geo_p.phi_g, math.pi + delta - theta + 2 * geo.phi_g), m))
+        above, below = sliding_window_view(b, n_max + 1, axis=1)[:, ::-1]  # Toeplitz views
+        entries = rows * above + np.triu(rows * below, 1).T
     if not np.all(np.isfinite(entries)):
         raise DiagnosticError(f"overlap matrix not finite at l={l}, n_max={n_max}")
     return OverlapMatrix(l=l, n_set=n_set, z=z, z_prime=z_prime, w0=w0,

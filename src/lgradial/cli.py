@@ -35,18 +35,11 @@ import sys
 
 import numpy as np
 
-from .analysis import overlap_matrix, ph_vs_w0, ph_vs_z
-from .constants import C_LIGHT
+# the position-space core only: each command imports the families it uses
+from .constants import C_LIGHT, SIGN_POLICIES
 from .errors import DiagnosticError, QuadratureConvergenceError
-from .exactwave import (BesselModeParams, SpacetimePoint, chi_closed_form,
-                        fit_global_scale, maxwell_residual, rs_bessel_field,
-                        synthesize_lg)
-from .lgmode import (FieldGrid, LGParams, PolarGrid, lg_field,
+from .lgmode import (FieldGrid, LGParams, PolarGrid, _radial_profiles,
                      quadrature_polar_grid, sample, uniform_polar_grid)
-from .momentum import (ExactMomentumParams, hermiticity_defect,
-                       nk_eigen_residual, paraxial_norm_sq, psi_paraxial)
-from .paraxops import (SIGN_POLICIES, Operator, commutator_residual,
-                       dilation_check, eigen_residual)
 
 # Every config key once: a section is a dict, a leaf a (default, type) pair; a type
 # names an entry of _LEAF_TYPES, "[]" marks a list of them and "?" allows null.
@@ -237,11 +230,14 @@ def cmd_render(cfg):
 
     n_list = cfg["render"]["n_list"] or [int(cfg["mode"]["n"])]
     l_list = cfg["render"]["l_list"] or [int(cfg["mode"]["l"])]
-    files = []
-    for n in n_list:
-        for l in l_list:
-            params = _mode_params(cfg, n=n, l=l)
-            field = lg_field(params, R, PHI, z)
+    files = {}
+    for l in l_list:
+        # one radial pass per l: a table row does not depend on the table's length
+        params = _mode_params(cfg, l=l)
+        table, curvature, gouy = _radial_profiles(max(n_list), l, params.k, params.w0, z, R)
+        azimuthal = np.exp(1j * l * PHI)
+        for n in n_list:
+            field = table[n] * curvature * gouy[n] * azimuthal  # lg_field's order of products
             intensity = np.abs(field) ** 2
             peak = intensity.max()
             img_i = np.rint(255.0 * intensity / peak).astype(np.uint8) if peak > 0 \
@@ -253,11 +249,13 @@ def cmd_render(cfg):
             fp = _out_path(cfg, f"n{n}_l{l}_phase.pgm")
             write_pgm(fi, img_i)
             write_pgm(fp, img_p)
-            files.extend([fi, fp])
-    return files
+            files[n, l] = [fi, fp]
+    return [f for n in n_list for l in l_list for f in files[n, l]]
 
 
 def cmd_phexp(cfg):
+    from .analysis import ph_vs_w0, ph_vs_z
+
     sweep = cfg["sweep"]
     if sweep["z_list_m"] and sweep["w0_list_m"]:
         raise ConfigError("phexp takes sweep.z_list_m or sweep.w0_list_m, not both")
@@ -282,6 +280,8 @@ def cmd_phexp(cfg):
 
 
 def cmd_overlap(cfg):
+    from .analysis import overlap_matrix
+
     sweep = cfg["sweep"]
     dz_list = sweep["dz_list_m"]
     if not dz_list:
@@ -319,11 +319,21 @@ def _check(name, measured, tolerance, mode="max"):
 
 def _exact_eigen_residual(p, policy, kind="N0", z=0.0):
     """Analytic eigen residual of mode p on its own exact default Gauss grid at plane z."""
+    from .paraxops import Operator, eigen_residual
+
     op = Operator(kind, params=p, z=z, sign_policy=policy)
     return eigen_residual(p, op, quadrature_polar_grid(p, z))
 
 
 def _verify_checks(cfg):
+    from .analysis import overlap_matrix
+    from .exactwave import (BesselModeParams, SpacetimePoint, chi_closed_form,
+                            fit_global_scale, maxwell_residual, rs_bessel_field,
+                            synthesize_lg)
+    from .momentum import (ExactMomentumParams, hermiticity_defect,
+                           nk_eigen_residual, paraxial_norm_sq, psi_paraxial)
+    from .paraxops import Operator, commutator_residual, dilation_check, eigen_residual
+
     checks = []
     policy = cfg["policy"]
     params0 = _mode_params(cfg)

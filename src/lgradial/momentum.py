@@ -15,8 +15,9 @@ Each operator is defined once (`_coefficients`) as A = b x d/dx + c_r + c_m on e
 azimuthal number m, in its own radial variable x (k_minus for N_k, k_t for N'_k).  Its
 x d/dx comes from the closed form g = x d/dx log psi (A psi = (b g + c_r + c_m) psi
 pointwise) or from 7-point stencils on a sampled psi's k_phi spectrum (`hermiticity_defect`).
-`_closed_form` is the one definition of psi_exact's and psi_paraxial's radial factors x^P e^(-D):
-one exp(P log x - D), finite, 0 on underflow, or an error; `exactwave.synthesize_lg` uses it.
+`_exponents` is the one definition of psi_exact's and psi_paraxial's radial factors x^P e^(-D) T:
+`_closed_form` evaluates them as one exp(P log x - D) times T, finite, 0 on underflow, or an
+error (`exactwave.synthesize_lg` uses it), and `_apply` reads g off the same P, D and T.
 
 The m < 0 sign policy mirrors the position-space module: "verbatim" keeps
 the printed angular term (eigenvalue n + (|m|-m)/2), "symmetrized" (the
@@ -113,31 +114,37 @@ def _coefficients(op, x, m, w, k_plus=None):
 
 
 def _closed_form(params, x, k_phi, paraxial):
-    """(psi, g = x d/dx log psi) of the exact (x = k_minus) or paraxial (x = k_t) wavefunction;
-    a negative or non-finite x, or a psi that is not a finite double, raises DiagnosticError."""
+    """psi of the exact (x = k_minus) or paraxial (x = k_t) wavefunction; a negative or
+    non-finite x, or a psi that is not a finite double, raises DiagnosticError."""
     x, name = np.asarray(x, dtype=float), "k_t" if paraxial else "k_minus"
     if not (x.min(initial=math.inf) >= 0 and x.max(initial=0.0) < math.inf):  # NaN fails both
         raise DiagnosticError(f"{name} must be finite and >= 0")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # x^P e^(-D) in one exp
-        if paraxial:
-            power, decay, tail = 2 * params.n + abs(params.m), 0.5 * params.w**2 * x**2, 1.0
-            g = power - 2.0 * decay
-        else:
-            power, tail = params.n + abs(params.m) / 2.0, params.k_plus + x
-            decay = params.w**2 * params.k_plus * x  # beta k_minus, as in _coefficients
-            g = power - decay + x / tail
+        power, decay, tail = _exponents(params, x, paraxial)
         radial = np.exp((power * np.log(x) if power else 0.0) - decay) * tail
         psi = np.exp(1j * params.sigma * params.m * np.asarray(k_phi, dtype=float)) * radial
     if not np.isfinite(psi).all():
         raise DiagnosticError(f"psi is not a finite double at these {name}")
-    return psi[()], g
+    return psi[()]
+
+
+def _exponents(params, x, paraxial):
+    """(P, D, T) with psi's radial factor x^P e^(-D) T."""
+    if paraxial:
+        return 2 * params.n + abs(params.m), 0.5 * params.w**2 * x**2, 1.0
+    # D = beta k_minus, as in _coefficients
+    return params.n + abs(params.m) / 2.0, params.w**2 * params.k_plus * x, params.k_plus + x
 
 
 def _apply(op, params, x, k_phi, sign_policy):
-    """(psi, a, A psi) with A psi = a psi, a = b g + c_r + c_m, on the closed-form psi."""
-    psi, g = _closed_form(params, x, k_phi, paraxial=op == "Nk_paraxial")
+    """(psi, a, A psi) with A psi = a psi, a = b g + c_r + c_m, g = x d/dx log psi, on the
+    closed-form psi."""
+    paraxial = op == "Nk_paraxial"
+    psi = _closed_form(params, x, k_phi, paraxial)
     m, x = _angular_number(params.m, sign_policy), np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        power, decay, tail = _exponents(params, x, paraxial)
+        g = power - 2.0 * decay if paraxial else power - decay + x / tail
         b, c_r, c_m = _coefficients(op, x, m, params.w, params.k_plus)
         a = b * g + c_r + c_m
         out = a * psi
@@ -149,7 +156,7 @@ def _apply(op, params, x, k_phi, sign_policy):
 def psi_exact(params: ExactMomentumParams, k_minus, k_phi):
     """Exact momentum-space wavefunction on the constraint surface: unnormalized, as printed,
     with the total wavenumber k = k_plus + k_minus as its trailing factor."""
-    return _closed_form(params, k_minus, k_phi, paraxial=False)[0]
+    return _closed_form(params, k_minus, k_phi, paraxial=False)
 
 
 def apply_nk(params: ExactMomentumParams, k_minus, k_phi, sign_policy="symmetrized"):
@@ -184,7 +191,7 @@ def nk_polar(params: ExactMomentumParams, k_t, k_z, k_phi, sign_policy="symmetri
 
 def psi_paraxial(params: ExactMomentumParams, k_t, k_phi):
     """Paraxial momentum wavefunction: separable, real radial factor."""
-    return _closed_form(params, k_t, k_phi, paraxial=True)[0]
+    return _closed_form(params, k_t, k_phi, paraxial=True)
 
 
 def apply_nk_paraxial(params: ExactMomentumParams, k_t, k_phi, sign_policy="symmetrized"):

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .constants import SIGN_POLICIES
 from .errors import DiagnosticError, GridError
 from .lgmode import (FieldGrid, LGParams, PolarGrid, _mode_derivatives,
                      _require_weights, beam_geometry, lg_field)
@@ -52,7 +53,6 @@ __all__ = [
 ]
 
 OPERATOR_KINDS = ("Lz", "laplacian_t", "PH", "N0", "Nz", "curvature_term")
-SIGN_POLICIES = ("symmetrized", "verbatim")
 
 
 @dataclass(frozen=True)

@@ -308,11 +308,13 @@ class TestOverlapMatrix:
             got = overlap_matrix(l, range(n + 1), z, zp, W0, wp, K).entries
             assert np.max(np.abs(got - ref)) <= 1e-15
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_result_raises(self):
-        # far outside the envelope sqrt(C(m + |l|, m)) overflows
-        with pytest.raises(DiagnosticError):
-            overlap_matrix(20000, range(301), 0.0, ZR, W0, W0, K)
+        # far outside the envelope sqrt(C(m + |l|, m)) overflows (the first two), or a
+        # magnitude times sech^(|l|+1) does (the last): each raises with no RuntimeWarning,
+        # which the test configuration makes an error
+        for l, n_max, dz in ((20000, 300, ZR), (1400, 800, ZR), (1400, 700, 0.0)):
+            with pytest.raises(DiagnosticError, match="not finite"):
+                overlap_matrix(l, range(n_max + 1), 0.0, dz, W0, W0, K)
 
 
 def _overlap_mp(l, n_max, z, z_prime, w0_prime, dps=50):

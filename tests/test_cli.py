@@ -11,6 +11,8 @@ import pytest
 
 from lgradial.cli import main
 
+from lgradial.lgmode import LGParams, lg_field
+
 from conftest import ZR
 
 
@@ -176,6 +178,33 @@ class TestRender:
         radial_phase = np.unwrap(phase[c, c + 1:c + 120] / 255.0 * 2 * math.pi)
         flips = np.abs(np.diff(radial_phase))
         assert int(np.sum(flips > 2.0)) == 2
+
+    def test_batch_matches_per_mode_lg_field(self, tmp_path, monkeypatch):
+        # a 10 cm window takes u to ~1e4, so the radial table of l rescales mid-table: rows
+        # 0, 5, 40 and 73 are scaled there, row 80 at the end, as each short table is
+        import lgradial.lgmode as lgmode
+
+        scalings = []
+        scale_rows = lgmode._scale_rows
+        monkeypatch.setattr(lgmode, "_scale_rows",
+                            lambda rows, s: scalings.append(len(rows)) or scale_rows(rows, s))
+        n_list, l_list, pixels, half, z = [5, 0, 80, 40, 73], [2, -3], 32, 0.05, 0.6 * ZR
+        assert run(tmp_path, "render", "--grid.pixels", str(pixels), "--grid.z_m", str(z),
+                   "--grid.window_diameter_m", str(2 * half),
+                   "--render.n_list", json.dumps(n_list), "--render.l_list", json.dumps(l_list)) == 0
+        assert len(scalings) > len(l_list)  # a rescale before the end of a table
+        axis = (np.arange(pixels) + 0.5) / pixels * 2 * half - half
+        x, y = np.meshgrid(axis, -axis, indexing="xy")
+        for n in n_list:
+            for l in l_list:
+                params = LGParams(n, l, 2.0 * math.pi / (633.0 * 1e-9), 1e-3)  # the cli defaults
+                field = lg_field(params, np.hypot(x, y), np.arctan2(y, x), z)
+                intensity = np.abs(field) ** 2
+                want_i = np.rint(255.0 * intensity / intensity.max()).astype(np.uint8)
+                want_p = np.rint((np.angle(field) + math.pi) / (2 * math.pi) * 255.0)
+                want_p = np.clip(want_p, 0, 255).astype(np.uint8)
+                assert np.array_equal(read_pgm(tmp_path / f"lg_n{n}_l{l}_intensity.pgm"), want_i)
+                assert np.array_equal(read_pgm(tmp_path / f"lg_n{n}_l{l}_phase.pgm"), want_p)
 
     def test_batch_matches_panel_layout(self, tmp_path):
         assert run(tmp_path, "render", "--grid.pixels", "32",
@@ -355,12 +384,107 @@ assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith
 """
 
 
-def test_scipy_stays_off_the_import_path(tmp_path):
+def _fresh(script, *args):
+    """stdout of `script` run in a fresh interpreter, with this tree's src/ first on the path."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path)], env=env,
+    result = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]
+    return result.stdout
+
+
+def test_scipy_stays_off_the_import_path(tmp_path):
+    _fresh(IMPORT_GUARD, tmp_path)
     written = {p.name for p in tmp_path.iterdir()}
     assert {"lg_phexp.csv", "lg_overlap.csv", "lg_verify.json"} <= written
+
+
+# `import lgradial` loads the position-space core; each command loads only its own families
+FAMILIES = ("paraxops", "analysis", "momentum", "exactwave")
+LOADED = """
+import json, sys
+import lgradial
+core = sorted(m for m in sys.modules if m.startswith("lgradial"))
+if len(sys.argv) > 2:
+    import lgradial.cli
+    assert lgradial.cli.main(sys.argv[2:] + ["--output.dir", sys.argv[1]]) == 0
+print(json.dumps({"numpy": "numpy" in sys.modules, "core": core,
+                  "families": [f for f in %r if "lgradial." + f in sys.modules]}))
+""" % (FAMILIES,)
+
+
+def test_import_loads_only_the_core(tmp_path):
+    report = json.loads(_fresh(LOADED, tmp_path))
+    assert report["numpy"]
+    assert report["core"] == sorted(f"lgradial{m}" for m in
+                                    ("", ".constants", ".errors", ".lgmode", ".specfun"))
+    assert report["families"] == []
+
+
+@pytest.mark.parametrize("argv, families", [
+    (["render", "--grid.pixels", "16"], []),
+    (["phexp", "--sweep.z_list_m", "[0.0,1.0]"], ["paraxops", "analysis"]),
+    (["phexp", "--sweep.w0_list_m", "[0.0005,0.001]", "--grid.z_m", "1.0"],
+     ["paraxops", "analysis"]),
+    (["overlap", "--sweep.dz_list_m", "[0.0,1.0]", "--sweep.n_max", "3"],
+     ["paraxops", "analysis"]),
+    (["verify"], list(FAMILIES)),
+], ids=["render", "phexp_z", "phexp_w0", "overlap", "verify"])
+def test_each_command_loads_only_its_families(tmp_path, argv, families):
+    report = json.loads(_fresh(LOADED, tmp_path, *argv).splitlines()[-1])
+    assert report["families"] == families
+
+
+# every name the package exported when it imported all its families eagerly
+EXPORTS = {
+    "constants": ("C_LIGHT", "DEFAULT_WAIST", "DEFAULT_WAVELENGTH", "DEFAULT_WAVENUMBER"),
+    "errors": ("DiagnosticError", "GridError", "QuadratureConvergenceError"),
+    "lgmode": ("BeamGeometry", "FieldGrid", "LGParams", "PolarGrid", "beam_geometry",
+               "lg_field", "lg_partials", "norm", "quadrature_polar_grid", "sample",
+               "uniform_polar_grid"),
+    "paraxops": ("Operator", "apply_to_field", "apply_to_mode", "commutator_residual",
+                 "dilation_check", "eigen_residual"),
+    "analysis": ("Decomposition", "ExpectationSeries", "OverlapMatrix", "decompose",
+                 "expectation", "overlap", "overlap_matrix", "ph_vs_w0", "ph_vs_z"),
+    "momentum": ("ExactMomentumParams", "apply_nk", "apply_nk_paraxial", "hermiticity_defect",
+                 "nk_polar", "plusminus_to_polar", "polar_to_plusminus", "psi_exact",
+                 "psi_paraxial"),
+    "exactwave": ("BesselModeParams", "RSField", "SpacetimePoint", "chi_bessel",
+                  "chi_closed_form", "fit_global_scale", "maxwell_residual",
+                  "rs_bessel_field", "synthesize_lg", "wave_residual"),
+}
+RESOLVE = """
+import importlib, json, sys
+import lgradial
+exports = json.loads(sys.argv[1])
+for module, names in exports.items():
+    for name in names:
+        value = getattr(lgradial, name)
+        assert value is getattr(importlib.import_module("lgradial." + module), name), name
+        assert vars(lgradial)[name] is value, name  # bound: the next lookup is a plain read
+    assert getattr(lgradial, module) is sys.modules["lgradial." + module], module
+public = sorted([*exports, "specfun", *(n for names in exports.values() for n in names)])
+assert lgradial.__all__ == public, sorted(set(lgradial.__all__) ^ set(public))
+assert set(public) <= set(dir(lgradial))
+try:
+    lgradial.no_such_name
+except AttributeError as e:
+    assert "no_such_name" in str(e)
+else:
+    raise AssertionError("an unknown name resolved")
+"""
+
+
+def test_every_export_resolves_to_its_module():
+    _fresh(RESOLVE, json.dumps(EXPORTS))
+
+
+def test_exactwave_after_a_bare_import():
+    _fresh("""
+import math, lgradial
+pp = lgradial.exactwave.ExactMomentumParams(1, 1, -1, 2.9e15, 1e-3)
+value = lgradial.exactwave.synthesize_lg(pp, lgradial.exactwave.SpacetimePoint(1e-3, 0.3, 0.0), 96)
+assert math.isfinite(abs(value)) and value != 0
+""")
