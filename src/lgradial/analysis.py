@@ -5,7 +5,7 @@ which the closed-form modes are exactly normalized.  An expectation on mode n
 is one (n+1)-node Gauss rule in u = 2 r^2/w_z^2, exact for every transverse
 operator; the hyperbolic-momentum curves made of them carry fit diagnostics
 so figure-level claims can be asserted directly.  Overlap matrices take no integral: they are
-su(1,1) representation matrices, one real three-term recurrence in O(n_max^2).
+su(1,1) representation matrices, one bounded recurrence per diagonal in O(n_max^2).
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DiagnosticError, _check_int
-from .lgmode import (_RESCALE, FieldGrid, LGParams, _gauss_u, _radial_profiles,
-                     _require_weights, beam_geometry, norm)
+from .lgmode import (FieldGrid, LGParams, _gauss_u, _radial_profiles, _require_weights,
+                     beam_geometry, norm)
 from .paraxops import Operator, _mode_apply
 from .specfun import _inaccurate
 
@@ -170,27 +169,30 @@ class OverlapMatrix:
         return int(idx[0]) + 1 if idx.size else None
 
 
-def _su11_magnitudes(n_max, a, rho):
-    """sech^(a+1)(tau) r[n, m] for n <= m, 0 below, rho = tanh(tau) < 1: r[0, m] =
-    sqrt(C(m+a, m)), sqrt((n+1)(n+a+1)) r[n+1, m] = ((m-n) - (a+1+m+n) rho^2) r[n, m]
-    - rho^2 sqrt(n(n+a)) r[n-1, m], each column run only up to the diagonal, inside
-    its growing region.  A per-column exponent takes over powers of two past _RESCALE.
+def _su11_magnitudes(n_max, a, rho, sech2):
+    """t[n, n+d] = sqrt(n! (n+d+a)! / ((n+d)! (n+a)!)) rho^d sech^(a+1)(tau) P_n^(d,a)(1 - 2 rho^2)
+    for rho = tanh(tau), 0 below the diagonal: unitary matrix elements, so none exceeds 1.  One
+    Jacobi recurrence in n runs on every diagonal d at once, exact at rho = 0: with s = 2n+d+a
+    and y = 2 rho^2, E_(n+1) = b_n g_(n-1) E_n - y k_n v_n and v_(n+1) = g_n (v_n + E_(n+1))
+    from v_0 = sqrt(C(d+a, d)) rho^d sech^(a+1)(tau), a sum of logs in extended precision where
+    numpy has it.  sech2 = sech^2(tau) comes apart from 1 - rho^2, which loses it near rho = 1.
     """
-    m, rho2 = np.arange(n_max + 1), rho * rho
-    t, e = np.zeros((n_max + 1, n_max + 1)), np.zeros(n_max + 1, dtype=int)
-    t[0] = np.cumprod(np.sqrt(np.r_[1.0, (m[1:] + a) / m[1:]]))
-    s = np.sqrt((m + 1.0) * (m + 1 + a))
-    step = ((m - m[:, None]) - (a + 1 + m + m[:, None]) * rho2) / s[:, None]
-    back = rho2 * np.sqrt(m * (m + a + 0.0)) / s
-    for n in range(n_max):
-        row = np.multiply(step[n, n + 1:], t[n, n + 1:], out=t[n + 1, n + 1:])
-        row -= back[n] * t[n - 1, n + 1:]  # back[0] = 0
-        if np.abs(row).max() > _RESCALE:
-            _, x = np.frexp(np.maximum(np.abs(row), np.abs(t[n, n + 1:])))
-            t[:n + 2, n + 1:] *= 2.0 ** -x
-            e[n + 1:] += x
-    half = math.exp(0.25 * (a + 1) * math.log1p(-rho2))  # sech^((a+1)/2)(tau)
-    return t * np.ldexp(half, e // 2) * np.ldexp(half, e - e // 2)  # halves stay normal
+    m = np.arange(n_max + 1)
+    p = (m + 1.0) * (m + a + 1.0)  # (n+d+1)(n+d+a+1) on column M = n+d, (n+1)(n+a+1) at M = n
+    sp, spm, s = np.sqrt(p), np.r_[0.0, np.sqrt(p[:-1])], np.arange(a, 2 * n_max + a + 1.0)
+    hankel = np.add.outer(m, m)  # s = 2n+d+a = n+M+a is s[n+M]
+    g = sp / sp[:, None]  # g_n on row n, column M: exactly 1 on the diagonal
+    yk = (rho * rho * (s + 1) * (s + 2))[hankel] / p  # y k_n
+    bg = np.outer(spm, spm / p) * ((s + 2) / np.maximum(s, 1))[hankel]  # b_n g_(n-1), b_0 = 0
+    rho_x, t, e = np.longdouble(rho), np.zeros((n_max + 1, n_max + 1)), np.zeros(n_max + 1)
+    with np.errstate(divide="ignore"):  # log 0 = -inf: rho = 0 or an underflowed sech2 gives zeros
+        log_sech2 = np.log1p(-rho_x**2) if rho < 0.5 else np.log(np.longdouble(sech2))
+        steps = 0.5 * np.log1p(np.longdouble(a) / m[1:]) + np.log(rho_x)  # rho sqrt((d+a)/d)
+        t[0] = np.exp(np.cumsum(np.r_[0.5 * (a + 1) * log_sech2, steps]))
+    for n in range(n_max):  # row n+1 from row n on the columns n..n_max-1
+        e = bg[n, n:-1] * e[:-1] - yk[n, n:-1] * t[n, n:-1]
+        t[n + 1, n + 1:] = g[n, n:-1] * (t[n, n:-1] + e)
+    return t
 
 
 def _radial_indices(n_set):
@@ -210,33 +212,30 @@ def overlap_matrix(l, n_set, z, z_prime, w0, w0_prime, k) -> OverlapMatrix:
     group element apart, so no integral.  With gamma = 1/w_z^2 - i k inv_R_z/2
     and Gouy angle phi per side, G = conj(gamma) + gamma', d = gamma - gamma',
     tanh(tau) = |d|/|G| and j = min(n, m), O[n, m] = t[j, max(n, m)] b^|n-m|
-    exp(i (|l|+1+2j) (phi - phi' - arg G)), t = `_su11_magnitudes`, b = tanh(tau)
-    exp(-i (arg d + arg G + 2 phi')) above the diagonal, -tanh(tau) exp(i (arg d
-    - arg G + 2 phi)) below.  O(n_max^2); a non-finite entry raises DiagnosticError.
+    exp(i (|l|+1+2j) (phi - phi' - arg G)), t = `_su11_magnitudes`, which carries
+    tanh(tau)^|n-m|, so b is a pure phase: exp(-i (arg d + arg G + 2 phi')) above the
+    diagonal, -exp(i (arg d - arg G + 2 phi)) below.  Each triangle's phase is a row
+    vector times a column vector.  O(n_max^2); every entry is finite and at most 1.
     """
     n_set = _radial_indices(n_set)
     if not n_set or n_set != tuple(range(len(n_set))):
         raise DiagnosticError("n_set must be contiguous from 0")
-    n_max, m = max(n_set), np.arange(len(n_set))
+    a, m = abs(l), np.arange(len(n_set))
     geo = beam_geometry(LGParams(0, l, k, w0), z)
     geo_p = beam_geometry(LGParams(0, l, k, w0_prime), z_prime)
     gamma, gamma_p = (complex(1.0 / g.w_z**2, -0.5 * k * g.inv_R_z) for g in (geo, geo_p))
     G, d = gamma.conjugate() + gamma_p, gamma - gamma_p
     theta, delta, rho = cmath.phase(G), cmath.phase(d), abs(d) / abs(G)
-    # far outside the envelope sqrt(C(n_max+|l|, n_max)) or a magnitude times sech^(|l|+1)
-    # overflows: every element of the magnitudes reaches an entry, so an inf or NaN raises below
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = _su11_magnitudes(n_max, abs(l), rho) * np.exp(
-            1j * (abs(l) + 1 + 2 * m[:, None]) * (geo.phi_g - geo_p.phi_g - theta))
-        b = np.zeros((2, 2 * n_max + 1), complex)  # b^d for d >= 0 above and below
-        b[:, n_max:] = rho ** m * np.exp(1j * np.outer(
-            (-delta - theta - 2 * geo_p.phi_g, math.pi + delta - theta + 2 * geo.phi_g), m))
-        above, below = sliding_window_view(b, n_max + 1, axis=1)[:, ::-1]  # Toeplitz views
-        entries = rows * above + np.triu(rows * below, 1).T
-    if not np.all(np.isfinite(entries)):
-        raise DiagnosticError(f"overlap matrix not finite at l={l}, n_max={n_max}")
-    return OverlapMatrix(l=l, n_set=n_set, z=z, z_prime=z_prime, w0=w0,
-                         w0_prime=w0_prime, k=k, entries=entries)
+    t = _su11_magnitudes(m[-1], a, rho, 4 * (gamma.real / abs(G)) * (gamma_p.real / abs(G)))
+    row = np.exp(1j * (a + 1 + 2 * m) * (geo.phi_g - geo_p.phi_g - theta))
+    # b^(M-j) = conj(b^j) b^M: on the diagonal the two halves cancel exactly
+    entries, below = (np.outer(row * np.conj(b), b) * t for b in (
+        np.exp(1j * m * (-delta - theta - 2 * geo_p.phi_g)),
+        np.exp(1j * m * (math.pi + delta - theta + 2 * geo.phi_g))))
+    np.fill_diagonal(below, 0.0)  # t is 0 below the diagonal, so below.T is the lower triangle
+    entries += below.T
+    return OverlapMatrix(l=l, n_set=n_set, z=z, z_prime=z_prime, w0=w0, w0_prime=w0_prime,
+                         k=k, entries=entries)
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def parse_config(argv):
 
 
 def _validate(cfg, tree=_CONFIG, prefix=""):
-    """Raise ConfigError for an unknown key, a wrong type or an out-of-range size."""
+    """Raise ConfigError for an unknown key, a wrong type, an out-of-range size or an empty list."""
     for key, value in cfg.items():
         path = prefix + key
         if key not in tree:
@@ -157,8 +157,8 @@ def _validate(cfg, tree=_CONFIG, prefix=""):
         leaf = want.rstrip("?")
         if leaf.endswith("[]"):
             what, check = _LEAF_TYPES[leaf[:-2]]
-            what = f"a list with each item {what}"
-            ok = isinstance(value, list) and all(check(v) for v in value)
+            what = f"a nonempty list with each item {what}"
+            ok = isinstance(value, list) and bool(value) and all(check(v) for v in value)
         else:
             what, check = _LEAF_TYPES[leaf]
             ok = check(value)

@@ -4,6 +4,8 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import lgradial.analysis as analysis
 from lgradial.analysis import (decompose, expectation, overlap, overlap_matrix,
@@ -13,7 +15,7 @@ from lgradial.lgmode import (FieldGrid, LGParams, beam_geometry, lg_field, norm,
                              quadrature_polar_grid, sample)
 from lgradial.paraxops import Operator
 
-from conftest import K, W0, ZR
+from conftest import ENVELOPE, K, W0, ZR
 from oracles import overlap_riemann
 
 
@@ -296,25 +298,45 @@ class TestOverlapMatrix:
         got = overlap_matrix(l, range(n_max + 1), z, z_prime, W0, w0_prime, K).entries
         assert np.max(np.abs(got - _overlap_mp(l, n_max, z, z_prime, w0_prime))) <= 1e-13
 
-    def test_rescaling_changes_no_entry(self, monkeypatch):
-        # the per-column power-of-two exponents only take over when a mantissa
-        # passes 2^600, which no envelope point reaches: force them at 2^5
-        cases = [(300, 300, -2 * ZR, 2 * ZR, 0.8 * W0), (0, 300, 0.0, ZR, W0),
-                 (20, 200, 0.1 * ZR, 0.1 * ZR, 1.1 * W0)]
-        want = [overlap_matrix(l, range(n + 1), z, zp, W0, wp, K).entries
-                for l, n, z, zp, wp in cases]
-        monkeypatch.setattr(analysis, "_RESCALE", 2.0**5)
-        for (l, n, z, zp, wp), ref in zip(cases, want):
-            got = overlap_matrix(l, range(n + 1), z, zp, W0, wp, K).entries
-            assert np.max(np.abs(got - ref)) <= 1e-15
+    def test_finite_and_bounded_far_outside_the_envelope(self):
+        # unitary matrix elements: every entry is finite and at most 1, with no
+        # RuntimeWarning (which the test configuration makes an error)
+        for l, n_max, dz in ((20000, 300, ZR), (1400, 800, ZR), (1400, 700, 0.3 * ZR)):
+            M = overlap_matrix(l, range(n_max + 1), 0.0, dz, W0, W0, K)
+            assert np.all(np.isfinite(M.entries)) and np.max(np.abs(M.entries)) <= 1 + 1e-12
+        M = overlap_matrix(1400, range(701), 0.0, 0.0, W0, W0, K)
+        assert np.max(np.abs(M.entries - np.eye(701))) <= 1e-15
 
-    def test_non_finite_result_raises(self):
-        # far outside the envelope sqrt(C(m + |l|, m)) overflows (the first two), or a
-        # magnitude times sech^(|l|+1) does (the last): each raises with no RuntimeWarning,
-        # which the test configuration makes an error
-        for l, n_max, dz in ((20000, 300, ZR), (1400, 800, ZR), (1400, 700, 0.0)):
-            with pytest.raises(DiagnosticError, match="not finite"):
-                overlap_matrix(l, range(n_max + 1), 0.0, dz, W0, W0, K)
+    @pytest.mark.parametrize("z_prime, w0_prime, want", [
+        (0.0, 1e9 * W0, 2e9 / (1 + 1e18)),       # 2 w0 w0' / (w0^2 + w0'^2)
+        (1e12 * ZR, W0, 1 / math.hypot(1, 5e11)),  # 1 / sqrt(1 + (dz / 2 zR)^2)
+    ])
+    def test_tanh_tau_rounding_to_one_is_finite(self, z_prime, w0_prime, want):
+        # tanh(tau) rounds to 1 and 1 - tanh^2(tau) to 0 there: |<LG00|LG00'>| = sech(tau)
+        # is right only if sech^2(tau) comes from 4 Re(gamma) Re(gamma') / |G|^2
+        M = overlap_matrix(0, range(4), 0.0, z_prime, W0, w0_prime, K)
+        assert np.all(np.isfinite(M.entries)) and np.max(np.abs(M.entries)) <= 1.0
+        assert abs(M.entries[0, 0]) == pytest.approx(want, rel=1e-12)
+
+    @ENVELOPE
+    @given(l=st.integers(-2000, 2000), n_max=st.integers(0, 400), z_over_zr=st.floats(-5.0, 5.0),
+           zp_over_zr=st.floats(-5.0, 5.0), ratio=st.floats(0.2, 5.0), coincide=st.booleans())
+    @example(l=20000, n_max=300, z_over_zr=0.0, zp_over_zr=1.0, ratio=1.0, coincide=False)
+    @example(l=1400, n_max=800, z_over_zr=0.0, zp_over_zr=1.0, ratio=1.0, coincide=False)
+    @example(l=1400, n_max=700, z_over_zr=0.0, zp_over_zr=0.3, ratio=1.0, coincide=False)
+    @example(l=1400, n_max=700, z_over_zr=0.0, zp_over_zr=0.0, ratio=1.0, coincide=True)
+    @example(l=-300, n_max=300, z_over_zr=0.4, zp_over_zr=0.4, ratio=1.0, coincide=True)
+    @example(l=2000, n_max=400, z_over_zr=-5.0, zp_over_zr=5.0, ratio=0.2, coincide=False)
+    def test_entries_are_unitary_matrix_elements(self, l, n_max, z_over_zr, zp_over_zr, ratio,
+                                                 coincide):
+        if coincide:
+            zp_over_zr, ratio = z_over_zr, 1.0
+        M = overlap_matrix(l, range(n_max + 1), z_over_zr * ZR, zp_over_zr * ZR, W0, ratio * W0, K)
+        assert np.all(np.isfinite(M.entries))
+        assert np.max(np.abs(M.entries)) <= 1 + 1e-12
+        assert np.max(M.completeness()) <= 1 + 1e-12
+        if coincide:
+            assert np.max(np.abs(M.entries - np.eye(n_max + 1))) <= 1e-15
 
 
 def _overlap_mp(l, n_max, z, z_prime, w0_prime, dps=50):

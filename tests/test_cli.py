@@ -105,6 +105,11 @@ class TestConfigParsing:
         ["render", "--mode", "5", "--mode.n", "1"],   # a section replaced by a scalar
         ["phexp", "--sweep.z_list_m", "[0.0]",
          "--sweep.w0_list_m", "[0.001]"],             # two sweeps at once
+        ["render", "--render.n_list", "[]"],          # an explicit empty list...
+        ["render", "--render.l_list", "[]"],
+        ["phexp", "--sweep.z_list_m", "[]", "--sweep.w0_list_m", "[0.001]"],
+        ["phexp", "--sweep.z_list_m", "[0]", "--sweep.n_list", "[]"],
+        ["overlap", "--sweep.dz_list_m", "[]"],       # ...is never read as "use the default"
     ])
     def test_bad_config_exits_2_in_one_line(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 2
