@@ -3,7 +3,7 @@
 Subpackages by capability:
 
   specfun   - Laguerre polynomials (real/complex argument), Bessel J,
-              Gauss-Legendre rules (for hermiticity_defect only)
+              Gauss-Legendre rules (for the tests and the benchmark)
   lgmode    - closed-form paraxial LG fields, beam geometry, grids, norms,
               analytic partial derivatives, the Gauss rule in u = 2 r^2/w_z^2
               that makes quadrature grids and expectations exact

@@ -14,7 +14,7 @@ simpler N'_k = (k_t d/dk_t + (i/sigma) d/dk_phi + w^2 k_t^2) / 2.
 Each operator is defined once (`_coefficients`) as A = b x d/dx + c_r + c_m on each
 azimuthal number m, in its own radial variable x (k_minus for N_k, k_t for N'_k).  Its
 x d/dx comes from the closed form g = x d/dx log psi (A psi = (b g + c_r + c_m) psi
-pointwise) or from 7-point stencils on a sampled psi's k_phi spectrum (`hermiticity_defect`).
+pointwise) or, on a sampled psi, is d/ds in s = ln x, taken by FFT (`hermiticity_defect`).
 `_exponents` is the one definition of psi_exact's and psi_paraxial's radial factors x^P e^(-D) T:
 `_closed_form` evaluates them as one exp(P log x - D) times T, finite, 0 on underflow, or an
 error (`exactwave.synthesize_lg` uses it), and `_apply` reads g off the same P, D and T.
@@ -34,9 +34,9 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .errors import DiagnosticError, _check_helicity, _check_int
-from .paraxops import (_angular_number, _fd_apply, _radial_eigenvalue, _spectral_sq, _spectrum,
-                       _stencils, _wavenumbers)
-from .specfun import _converge, make_rule
+from .paraxops import (_angular_number, _broadcast, _radial_eigenvalue, _require_decay, _spectrum,
+                       _wavenumbers)
+from .specfun import _converge
 
 __all__ = [
     "ExactMomentumParams",
@@ -223,17 +223,18 @@ class HermiticityDefect:
 def hermiticity_defect(psi, *, w, sigma=1, kt_max) -> HermiticityDefect:
     """Hermiticity defect of the paraxial radial-momentum operator N'_k on a sampled psi.
 
-    Gauss-Legendre in k_t on (0, kt_max) times 64 k_phi nodes; the defects at
-    192 and 384 k_t nodes must agree to 1e-6 relative or 1e-6 ||psi||^2, each taken
-    on psi's k_phi spectrum (Parseval) by one FFT and 7-point stencils in k_t.
-    N'_k is hermitian exactly when psi's radial factor is real.  A zero psi, or a defect or
-    a norm that is not a finite double, raises DiagnosticError.
+    In s = ln k_t, with F = psi k_t, <psi, A psi> = h sum conj(F) [b (F' - F) + (c_r + c_m) F]
+    on n nodes uniform in s on (ln kt_max - 24, ln kt_max] and 64 k_phi nodes, taken on F's
+    k_phi spectrum (Parseval), with sum conj(F) F' = (i/n) sum kappa |F^(kappa)|^2 by one FFT in s.
+    The defects at n = 192 and 384 must agree to 1e-6 relative or 1e-6 ||psi||^2.  N'_k is
+    hermitian exactly when psi's radial factor is real.  A psi that is zero, not finite or above
+    1e-8 of its peak |F| at an end, or a defect or norm not a finite double, raises DiagnosticError.
 
     Parameters
     ----------
     psi : callable (k_t, k_phi) -> complex, broadcasting a k_t column and a k_phi row
     w, sigma : operator context (w > 0 enters N'_k; sigma = +-1 scales the angular term)
-    kt_max : radial cutoff of the quadrature, finite, > 0, with normal kt_max^2, finite (w kt_max)^2
+    kt_max : top of the k_t window, finite, > 0, with normal kt_max^2 and finite (w kt_max)^2
     """
     sigma = _check_helicity(sigma)
     if not 0 < w < math.inf:
@@ -244,21 +245,24 @@ def hermiticity_defect(psi, *, w, sigma=1, kt_max) -> HermiticityDefect:
                               f"and finite (w kt_max)^2, got {kt_max}")
     kphi = np.arange(64) * (2.0 * math.pi / 64)
 
-    def evaluate(n_rad):
-        rule = make_rule("legendre", n_rad, interval=(0.0, kt_max))
-        kt = rule.nodes[:, None]  # psi takes a k_t column and the k_phi row, and broadcasts them
-        s = _spectrum(np.broadcast_to(psi(kt, kphi), (n_rad, 64)),
-                      "hermiticity_defect needs a finite psi")
+    def evaluate(n):
+        s = math.log(k) - (24.0 / n) * np.arange(n - 1, -1, -1)
+        kt, kappa = np.exp(s), _wavenumbers(n)[1] * (2.0 * math.pi / 24.0)  # d/ds is i kappa
         b, c_r, c_m = _coefficients("Nk_paraxial", kt, _wavenumbers(64)[1] / sigma, w)
-        mu = rule.weights * rule.nodes * (2.0 * math.pi / 64)
+        f = _spectrum(_broadcast(psi(kt[:, None], kphi), (n, 64), "hermiticity_defect's psi"),
+                      "hermiticity_defect needs a finite psi")
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            a_s = _fd_apply(b * kt * _stencils(rule.nodes, 1)[0], c_r, c_m, s)
-            a_s *= mu[:, None] / 64  # Parseval: sum over k_phi = (1/64) sum over the spectrum
-            inner, nrm = complex(np.vdot(s, a_s)), _spectral_sq(s, mu)  # <psi, A psi>, ||psi||^2
-            defect = inner.conjugate() - inner
+            f *= kt[:, None]  # F; its |F|^2 sums are taken on float views, with no temporaries
+            v, g = f.view(float), np.fft.fft(f, axis=0).view(float)  # F^ in s: F' is i kappa F^
+            rows, dot = np.einsum("ij,ij->i", v, v), 1j / n * np.einsum("i,ij,ij->", kappa, g, g)
+            scale = (24.0 / n) * (2.0 * math.pi / 64) / 64  # Parseval: 1/64 of the spectrum's sums
+            inner = scale * (b * (dot - rows.sum()) + np.einsum("i,i->", c_r, rows)  # <psi, A psi>
+                             + np.einsum("ij,ij,j->", v, v, np.repeat(c_m, 2)))
+            defect, nrm = inner.conjugate() - inner, scale * float(rows.sum())
         if not (0.0 < nrm < math.inf and np.isfinite(defect)):  # psi = 0, or an overflow
             raise DiagnosticError(f"hermiticity_defect needs a psi that is not identically zero, "
                                   f"and a finite defect and norm, got {defect}, {nrm}")
+        _require_decay(rows, s, "hermiticity_defect needs |psi k_t|", "ln k_t")
         return defect, nrm, HermiticityDefect(defect=defect, norm_sq=nrm)
 
     return _converge("hermiticity defect", evaluate, (192, 384), 1e-6, 1e-6)

@@ -127,10 +127,10 @@ def _coefficients(op: Operator, z, r, m, lz):
 # ---------------------------------------------------------------------------
 # finite-difference machinery
 
-def _stencils(nodes, m):
-    """Banded 7-point finite-difference weights of derivative orders 1..m <= 2 on sorted nodes.
+def _stencils(nodes):
+    """Banded 7-point finite-difference weights of derivative orders 1 and 2 on sorted nodes.
 
-    Returns the m x N x 7 weights c with f^(s)(nodes[i]) ~= sum_j c[s-1, i, j]
+    Returns the 2 x N x 7 weights c with f^(s)(nodes[i]) ~= sum_j c[s-1, i, j]
     f(nodes[clip(i - 3, 0, N - 7) + j]).  Each row is centred on its node, and the rows
     near either end are one-sided.  The weights are the derivatives at the row's node x_p
     of the Lagrange interpolant through its stencil nodes x_j, in closed barycentric form
@@ -155,12 +155,11 @@ def _stencils(nodes, m):
     inv = np.subtract(x, xs, out=xs)
     inv[p, rows] = np.inf
     np.divide(1.0, inv, out=inv)  # 1/(x_p - x_j), 0 at j = p
-    c = np.zeros((m, 7, n))
+    c = np.zeros((2, 7, n))
     np.divide(prod[p, rows], prod, out=c[0])
     c[0] *= inv  # 0 at j = p, as inv is
-    if m == 2:  # minus the row sum is c[0, p]
-        np.subtract(-c[0].sum(axis=0), inv, out=c[1])
-        c[1] *= 2.0 * c[0]
+    np.subtract(-c[0].sum(axis=0), inv, out=c[1])  # minus the row sum is c[0, p]
+    c[1] *= 2.0 * c[0]
     c[:, p, rows] = -c.sum(axis=1)  # each derivative row sums to 0
     return c.transpose(0, 2, 1)
 
@@ -184,11 +183,25 @@ def _spectral_sq(s, w):
     return float(np.einsum("ij,ij->i", v, v) @ w) / s.shape[1]
 
 
+def _broadcast(values, shape, name):
+    """values as a complex array of `shape`; values that do not broadcast to it raise."""
+    try:
+        return np.broadcast_to(np.asarray(values, dtype=complex), shape)
+    except ValueError:
+        raise DiagnosticError(f"{name} returned shape {np.shape(values)}, not {shape}") from None
+
+
+def _require_decay(sq, s, needs, var):
+    """Raise DiagnosticError unless |F| = sqrt(sq) is below 1e-8 of its peak at both ends of s."""
+    if np.any(sq[..., [0, -1]] > 1e-16 * sq.max(axis=-1, keepdims=True)):
+        raise DiagnosticError(f"{needs} negligible at both ends of {var} = {s[0]:.1f}..{s[-1]:.1f}")
+
+
 def _fd_terms(grid: PolarGrid, *ops, cols=slice(None)):
     """(w, c_r, c_m) per op at the FFT's wavenumbers cols: w = a c2 + b c1, one stencil build."""
     if len(grid.phi_nodes) < 8:
         raise GridError("phi derivatives need >= 8 phi nodes")
-    st = None if all(op.kind == "Lz" for op in ops) else _stencils(grid.r_nodes, 2)
+    st = None if all(op.kind == "Lz" for op in ops) else _stencils(grid.r_nodes)
     r, terms = grid.r_nodes[:, None], []
     m, lz = (k[cols] for k in _wavenumbers(len(grid.phi_nodes)))
     for op in ops:
@@ -279,38 +292,32 @@ class DilationCheck:
     generator_defect: float
 
 
-def _dilate(f, s, t):
-    """D_t f at s = ln r: e^t f(e^(s + t)), the dilation by e^t as a shift by t in s."""
-    return math.exp(t) * np.asarray(f(np.exp(s + t)), dtype=complex)
-
-
 def dilation_check(f, gamma) -> DilationCheck:
     """Check the dilation family (D_g f)(r) = e^g f(e^g r) on a radial function.
 
-    In s = ln r, D_g is a shift by g, and ||f||^2 under r dr is a trapezoid sum of |f e^s|^2 on
+    In s = ln r, D_g shifts F = f e^s by g, and ||f||^2 under r dr is a trapezoid sum of |F|^2 on
     a uniform grid that g does not move, refined to 1e-10 (geometric for a smooth, decaying
     integrand: Trefethen & Weideman, SIAM Rev. 56, 385, 2014).  Checks that D_g is unitary and
-    that (D_d f - D_-d f)/(2 d), d = 1e-4, matches (r d/dr + 1) f = i PH f = d/dt D_t f at t = 0.
+    that (D_d f - D_-d f)/(2 d), d = 1e-4, matches (r d/dr + 1) f = i PH f = F' e^-s, F' by FFT.
     A |g| > 289.9, a norm not finite or 0, or |f r| not negligible at an end raises DiagnosticError.
     """
     span = 612 * math.pi / 32  # |s| <= 60.1; steps pi/32, pi/64, pi/128 divide no rational g
     if not abs(gamma) <= 350.0 - span:  # every e^(s + g) and its square are finite doubles
         raise DiagnosticError(f"dilation_check needs a finite gamma, |gamma| <= 289.9, got {gamma}")
-    d, ts = 1e-4, np.arange(-3, 4) * 1e-3
 
     def evaluate(n):
         s = np.arange(-n, n + 1) * (span / n)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm raises below
-            base, moved, fwd, back, *near = (_dilate(f, s, t) for t in (0, gamma, d, -d, *ts))
-            gen = np.einsum("i,ij->j", _stencils(ts, 1)[0, 3], np.array(near))
-            g = np.abs(np.array([base, moved, (fwd - back) / (2 * d) - gen, gen]) * np.exp(s))
-            norms = np.sqrt((g * g).sum(axis=1) * (s[1] - s[0]))
+            base, moved, fwd, back = (  # F(s + t) = D_t f e^s for F = f e^s
+                math.exp(t) * _broadcast(f(np.exp(s + t)), s.shape, "dilation_check's f")
+                * np.exp(s) for t in (0, gamma, 1e-4, -1e-4))
+            gen = np.fft.ifft(2j * math.pi * np.fft.fftfreq(2 * n + 1, span / n) * np.fft.fft(base))
+            sq = np.abs(np.array([base, moved, (fwd - back) / 2e-4 - gen, gen])) ** 2
+            norms = np.sqrt(sq.sum(axis=1) * (s[1] - s[0]))
         if not (np.isfinite(norms).all() and np.all(norms[[0, 1, 3]] > 0.0)):
             raise DiagnosticError("dilation_check needs finite norms and a nonzero reference "
                                   f"norm, got {norms} (f, D_gamma f, defect, generator)")
-        if np.any(g[:2, [0, -1]] > 1e-8 * g[:2].max(axis=1, keepdims=True)):
-            raise DiagnosticError("dilation_check needs |f r| of f and D_gamma f negligible at "
-                                  f"both ends of ln r in [{s[0]:.1f}, {s[-1]:.1f}]")
+        _require_decay(sq[:2], s, "dilation_check needs |f r| of f and D_gamma f", "ln r")
         return norms, norms[0], DilationCheck(gamma, *(norms[[1, 2]] / norms[[0, 3]]).tolist())
 
     return _converge("dilation_check", evaluate, (612, 1224, 2448), 1e-10, 1e-10)

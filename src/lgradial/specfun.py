@@ -6,10 +6,9 @@ inside a Gaussian envelope (x of order a few times 2n+alpha+1).  The same
 recurrence is reused verbatim over complex arithmetic, which is needed for
 the complex-beam-parameter arguments of the exact wave solutions.
 
-Gauss-Legendre rules, which serve `momentum.hermiticity_defect` only, come from
-Newton's method on the Legendre three-term recurrence, from Tricomi's initial
-guesses.  (The Gauss rule in u = 2 r^2/w_z^2 for Laguerre-type integrals is
-`lgmode._gauss_u`, built on the radial table.)
+Gauss-Legendre rules (`make_rule`: Newton's method on the Legendre recurrence from
+Tricomi's guesses) serve the tests and the benchmark; the library calls none.  The
+library's Gauss rule in u = 2 r^2/w_z^2 is `lgmode._gauss_u`, built on the radial table.
 
 Bessel functions of the first kind J_0..J_M come from one numpy pass,
 `_bessel_jn`, which sorts x and gives each element one method:

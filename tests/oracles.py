@@ -11,6 +11,8 @@ rule) against mpmath.  The library's own overlap matrices take no integral.
 Finite-difference weights come from one Vandermonde solve per row, not from
 the library's closed barycentric formulas.  The polar form of N_k is applied
 term by term in 40-digit mpmath, with mpmath.diff for every derivative.  The
+hermiticity defect of N'_k on a chirped paraxial wavefunction is a closed-form
+moment, with no grid at all.  The
 exact-wave synthesis integral is a 60-digit mpmath quadrature of psi_exact as
 printed, with no Gauss rule.
 """
@@ -159,6 +161,18 @@ def nk_polar_mpmath(params, k_t, k_z, k_phi, dps=40):
         d_z = mpmath.diff(lambda v: psi(t, v, ph), z)
         d_phi = mpmath.diff(lambda v: psi(t, z, v), ph)
         return complex((t * d_t + 1j / sigma * d_phi - (k - z) * (d_z + f / k - beta * f)) / 2)
+
+
+def hermiticity_defect_closed_form(n, m, a, w):
+    """defect / ||psi||^2 of N'_k on psi = psi_paraxial(n, m) e^(i a k_t), exactly.
+
+    Only k_t d/dk_t of the phase is not hermitian: the defect is -2i Im <psi, A psi> =
+    -i a <k_t> ||psi||^2, and <k_t> under k_t^(2p+1) e^(-w^2 k_t^2) dk_t, p = 2n+|m|, is
+    Gamma(p+3/2) / (w Gamma(p+1)).
+    """
+    p = 2 * n + abs(m)
+    with mpmath.workdps(30):
+        return -1j * float(a * mpmath.gamma(p + 1.5) / (w * mpmath.gamma(p + 1)))
 
 
 def synthesis_mpmath(params, r, phi=0.0, t_plus=0.0, t_minus=0.0, dps=60):

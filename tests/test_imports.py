@@ -1,4 +1,5 @@
-"""Every module of the package uses every name it imports."""
+"""Every module of the package uses every name it imports, and the library proper calls
+neither the Gauss-Legendre rules nor, outside exactwave, the Laguerre polynomials."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,22 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _names(path):
+    """Every name a module reads, imports or takes as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names})
+
+
+@pytest.mark.parametrize("name, users", [("make_rule", set()), ("laguerre", {"exactwave.py"})],
+                         ids=["make_rule", "laguerre"])
+def test_specfun_names_kept_for_tests_and_the_benchmark(name, users):
+    # make_rule and laguerre stay in specfun while the benchmark calls them; the library
+    # itself takes its log-variable derivatives spectrally and its Laguerre values from
+    # the radial table, with exactwave's closed form the last caller of laguerre
+    found = {p.name for p in SRC.glob("*.py") if p.name != "specfun.py" and name in _names(p)}
+    assert found <= users

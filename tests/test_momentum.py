@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from lgradial import momentum
+from lgradial import momentum, paraxops
 from lgradial.errors import DiagnosticError, QuadratureConvergenceError
 from lgradial.momentum import (ExactMomentumParams, apply_nk,
                                apply_nk_paraxial, hermiticity_defect,
@@ -16,7 +16,7 @@ from lgradial.paraxops import _fd_apply, _stencils
 from lgradial.specfun import make_rule
 
 from conftest import K, OMEGA, W0, count_calls
-from oracles import fd_matrix_vandermonde, nk_polar_mpmath
+from oracles import hermiticity_defect_closed_form, nk_polar_mpmath
 
 
 def _params(n, m, sigma=1):
@@ -141,7 +141,7 @@ class TestFiniteDifferenceNk:
         x = np.linspace(0.02, 40.0, nodes)[:, None] / p.beta
         f = psi_exact(p, x, 0.0)  # the mode's one k_phi column
         b, c_r, c_m = momentum._coefficients("Nk", x, abs(p.m), p.w, p.k_plus)
-        out = _fd_apply(b * x * _stencils(x[:, 0], 1)[0], c_r - p.n, c_m, f)
+        out = _fd_apply(b * x * _stencils(x[:, 0])[0], c_r - p.n, c_m, f)
         return np.linalg.norm(out) / np.linalg.norm(f)
 
     @pytest.mark.parametrize("n, m, sigma", [(3, 2, 1), (2, 4, -1), (0, 0, 1)])
@@ -307,41 +307,23 @@ def _verify_wavefunctions():
     return {"good": good, "bad": lambda kt, kphi: good(kt, kphi) * np.exp(1j * kt * W0)}
 
 
-def _direct_space_defect(psi, w, sigma, kt_max, n_rad=384):
-    """<A psi, psi> - <psi, A psi> and ||psi||^2 of N'_k on the (k_t, k_phi) mesh, in direct space.
-
-    k_t d/dk_t by dense Vandermonde stencils, d/dk_phi by a plain FFT round trip (no
-    Nyquist mode); the library returns its finer order, 384, once the pair agrees.
-    """
-    rule = make_rule("legendre", n_rad, interval=(0.0, kt_max))
-    kt = rule.nodes[:, None]
-    vals = np.asarray(psi(*np.meshgrid(rule.nodes, np.arange(64) * (2 * math.pi / 64),
-                                       indexing="ij")), dtype=complex)
-    m = np.fft.fftfreq(64, d=1.0 / 64)
-    m[32] = 0.0
-    d_phi = np.fft.ifft(1j * m * np.fft.fft(vals, axis=1), axis=1)
-    a_vals = 0.5 * (kt * (fd_matrix_vandermonde(rule.nodes, 1) @ vals) + (1j / sigma) * d_phi
-                    + w**2 * kt**2 * vals)
-    mu = rule.weights[:, None] * kt * (2 * math.pi / 64)
-    defect = np.sum(np.conj(a_vals) * vals * mu) - np.sum(np.conj(vals) * a_vals * mu)
-    return complex(defect), float(np.sum(np.abs(vals) ** 2 * mu))
-
-
 class TestHermiticitySpectral:
-    @pytest.mark.parametrize("name", ["good", "bad"])
-    def test_matches_direct_space_formula(self, name):
-        psi = _verify_wavefunctions()[name]
-        hd = hermiticity_defect(psi, w=W0, sigma=1, kt_max=14.0 / W0)
-        defect, norm_sq = _direct_space_defect(psi, W0, 1, 14.0 / W0)
-        assert abs(hd.norm_sq - norm_sq) <= 1e-10 * norm_sq
-        assert abs(hd.defect - defect) <= 1e-10 * norm_sq
-        if name == "bad":  # there the defect is O(||psi||^2), so the check is relative
-            assert abs(defect) > 1e-3 * norm_sq
+    @pytest.mark.parametrize("a", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("n, m", [(0, 0), (1, 2), (3, 1)])
+    def test_matches_closed_form(self, n, m, a):
+        # a = 1 at (1, 2) is `verify`'s counterexample, Gamma(5.5)/Gamma(5) = 2.18094907435640
+        p = _params(n, m)
+        nrm = math.sqrt(paraxial_norm_sq(p))
+        psi = lambda kt, kphi: psi_paraxial(p, kt, kphi) / nrm * np.exp(1j * a * W0 * kt)
+        hd = hermiticity_defect(psi, w=W0, sigma=1, kt_max=(14.0 + 2 * n) / W0)
+        want = hermiticity_defect_closed_form(n, m, a * W0, W0)
+        assert abs(hd.norm_sq - 1.0) <= 1e-12
+        assert abs(hd.defect / hd.norm_sq - want) <= 1e-12 * max(abs(want), 1.0)
 
-    def test_one_fft_and_one_stencil_build_per_order(self, monkeypatch):
-        calls = count_calls(monkeypatch, momentum)
+    def test_two_forward_ffts_per_order_and_no_stencils(self, monkeypatch):
+        calls = count_calls(monkeypatch, paraxops)
         hermiticity_defect(_verify_wavefunctions()["good"], w=W0, sigma=1, kt_max=14.0 / W0)
-        assert calls == {"fft": 2, "ifft": 0, "_stencils": 2}
+        assert calls == {"fft": 4, "ifft": 0, "_stencils": 0}
 
 
 class TestHermiticity:
@@ -380,6 +362,18 @@ class TestHermiticity:
         psi = lambda kt, kphi: np.ones(np.broadcast_shapes(np.shape(kt), np.shape(kphi)), complex)
         with pytest.raises(DiagnosticError, match="finite defect and norm, got"):
             hermiticity_defect(psi, w=W0, sigma=1, kt_max=1e150)
+
+    @pytest.mark.parametrize("psi, kt_max, message", [
+        (lambda kt, kphi: 1 / (1 + kt * W0) + 0 * kphi, 14.0 / W0, "negligible at both ends"),
+        (_verify_wavefunctions()["good"], 2.0 / W0, "negligible at both ends of ln k_t"),
+        (lambda kt, kphi: np.ones(3), 14.0 / W0, "psi returned shape (3,), not (192, 64)"),
+        (lambda kt, kphi: None, 14.0 / W0, "needs a finite psi, got a non-finite value"),
+    ], ids=["not-decaying", "cut-gaussian", "wrong-shape", "none"])
+    def test_truncated_or_misshapen_psi_raises(self, psi, kt_max, message):
+        # the first two once returned a number (a norm of 1.1e7 for the first); the last two
+        # once raised numpy's bare ValueError and TypeError
+        with pytest.raises(DiagnosticError, match=re.escape(message)):
+            hermiticity_defect(psi, w=W0, sigma=1, kt_max=kt_max)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_wavefunction_is_named(self, bad):

@@ -27,7 +27,7 @@ def _plain_grid(rmax=8.0, nr=1024, nphi=16):
 
 def _radial_derivatives(nodes, values):
     """(d_r, d2_r) of the columns of `values` by the FD contraction on one stencil build."""
-    c = _stencils(nodes, 2)
+    c = _stencils(nodes)
     cols = np.asarray(values, dtype=complex).reshape(len(nodes), -1)
     return [_fd_apply(c[s - 1], 0.0, 0.0, cols).reshape(np.shape(values)) for s in (1, 2)]
 
@@ -259,12 +259,14 @@ class TestDilation:
         (lambda r: np.exp(-(r / 1e30) ** 2), 0.3, "negligible at both ends"),
         (lambda r: np.exp(-r**2), 62.0, "negligible at both ends"),
         (lambda r: np.exp(-r**2), 65.0, "nonzero reference norm"),  # D_gamma f is all 0
+        (lambda r: 1.0, 0.3, "negligible at both ends"),  # once numpy's bare ValueError
+        (lambda r: np.ones(3), 0.3, r"f returned shape \(3,\), not \(1225,\)"),
     ], ids=["nan", "nan-beyond-dilated-edge", "zero", "gamma-nan", "gamma-minus-inf",
             "gamma-800", "gamma-290", "not-square-integrable", "wider-than-the-grid",
-            "dilated-across-the-end", "dilated-off-the-grid"])
+            "dilated-across-the-end", "dilated-off-the-grid", "constant", "wrong-shape"])
     def test_no_silent_nan(self, f, gamma, message):
-        # an all-NaN f once returned unitarity_ratio=nan and generator_defect=0.0; every
-        # other case once returned a number
+        # an all-NaN f once returned unitarity_ratio=nan and generator_defect=0.0; the last
+        # two once raised numpy's bare ValueError; every other case once returned a number
         with pytest.raises(DiagnosticError, match=message):
             dilation_check(f, gamma)
 
@@ -277,6 +279,12 @@ class TestDilation:
             dc = dilation_check(f, gamma)
             assert abs(dc.unitarity_ratio - 1.0) <= 1e-10, dc
             assert dc.generator_defect <= 1e-6, dc
+
+    def test_four_calls_of_f_per_level(self):
+        sizes = []
+        f = lambda r: sizes.append(r.size) or np.exp(-r**2)
+        dilation_check(f, 0.3)  # converged at the second level
+        assert sizes == [1225] * 4 + [2449] * 4
 
     def test_unresolved_mode_raises(self):
         # LG (30, 10) at 1 mm needs a finer step than pi/128 in ln r
@@ -391,14 +399,14 @@ class TestDiffMatrix:
     def test_banded_weights_match_sympy(self, m, legendre):
         from sympy import Rational
         from sympy.calculus.finite_diff import finite_diff_weights
-        if legendre:  # hermiticity_defect's rule: spacing ~100x finer at the ends than mid-rule
+        if legendre:  # graded nodes: spacing ~100x finer at the ends than mid-rule
             nodes = make_rule("legendre", 384, interval=(0.0, 1.0)).nodes
             rows = [*range(10), *range(190, 195), *range(374, 384)]
         else:
             nodes = np.cumsum(np.random.default_rng(7).uniform(0.05, 0.3, 40))
             rows = range(len(nodes))
-        c = _stencils(nodes, m)
-        assert c.shape == (m, len(nodes), 7)
+        c = _stencils(nodes)
+        assert c.shape == (2, len(nodes), 7)
         w = c[m - 1]
         # interior rows centred on their node, three one-sided rows at each end
         lo = np.clip(np.arange(len(nodes)) - 3, 0, len(nodes) - 7)
@@ -409,7 +417,7 @@ class TestDiffMatrix:
 
     def test_needs_seven_nodes(self):
         with pytest.raises(GridError):
-            _stencils(np.linspace(0.1, 1.0, 6), 1)
+            _stencils(np.linspace(0.1, 1.0, 6))
 
 
 class TestScaleFree:
@@ -419,7 +427,7 @@ class TestScaleFree:
     def test_stencils_scale_as_inverse_powers(self, scale):
         # at these scales the products of six node differences once under- or overflowed
         nodes = np.cumsum(np.random.default_rng(7).uniform(0.05, 0.3, 40))
-        want, got = _stencils(nodes, 2), _stencils(nodes * scale, 2)
+        want, got = _stencils(nodes), _stencils(nodes * scale)
         for s in (1, 2):
             err = np.max(np.abs(got[s - 1] * scale**s - want[s - 1]))
             assert err <= 1e-12 * np.max(np.abs(want[s - 1])), s
