@@ -7,8 +7,8 @@ Three checks at full-Maxwell (non-paraxial) rigor:
   2. the closed-form LG-type scalar chi (complex beam parameter a(t+))
      satisfies the scalar wave equation;
   3. integrating the momentum-space wavefunction psi_exact against the Bessel
-     kernel with a Gauss-Laguerre rule reproduces chi up to one global constant,
-     and stays finite at a high radial index.
+     kernel with a Gauss-Laguerre rule reproduces chi point by point, with no
+     fitted constant, and stays finite at a high radial index.
 
 Every exact-wave function evaluates a batch of points in one call: the 60
 sample points below are one `SpacetimePoint` of arrays.
@@ -19,8 +19,8 @@ import math
 import numpy as np
 
 from lgradial import (BesselModeParams, ExactMomentumParams, SpacetimePoint,
-                      chi_closed_form, fit_global_scale, maxwell_residual,
-                      rs_bessel_field, synthesize_lg, wave_residual)
+                      chi_closed_form, maxwell_residual, rs_bessel_field,
+                      synthesize_lg, wave_residual)
 from lgradial.constants import C_LIGHT, DEFAULT_WAIST as W0, DEFAULT_WAVENUMBER as K
 
 OMEGA = C_LIGHT * K
@@ -42,11 +42,12 @@ print(f"\nclosed-form chi (n=2, m=1): wave-equation residual {wr:.2e}")
 rng = np.random.default_rng(2)
 pts = SpacetimePoint(r=rng.uniform(0.05, 2.5, 60) * W0, phi=rng.uniform(0, 2 * np.pi, 60),
                      z=rng.uniform(-2, 2, 60) * W0, t=rng.choice([0.0, 0.5, -0.5], 60) * T_RAY)
-print("\nGauss-Laguerre synthesis vs closed form (60 points, one fitted constant):")
+print("\nGauss-Laguerre synthesis vs closed form (60 points, no fitted constant):")
 for (n, m, sigma) in [(0, 0, 1), (1, 2, 1), (3, 3, -1)]:
     p = ExactMomentumParams(n, m, sigma, OMEGA, W0)
-    scale, resid = fit_global_scale(chi_closed_form(p, pts), synthesize_lg(p, pts, 128))
-    print(f"  n={n} m={m} sigma={sigma:+d}: relative L2 residual {resid:.2e}")
+    chi = chi_closed_form(p, pts)
+    diff = np.max(np.abs(synthesize_lg(p, pts, 128) - chi) / np.abs(chi))
+    print(f"  n={n} m={m} sigma={sigma:+d}: max pointwise |synth - chi| / |chi| {diff:.2e}")
 
 p = ExactMomentumParams(200, 0, 1, OMEGA, W0)
 value = synthesize_lg(p, SpacetimePoint(r=0.5 * W0, phi=0.0, z=0.0, t=0.0), 96)

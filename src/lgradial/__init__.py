@@ -2,19 +2,18 @@
 
 Subpackages by capability:
 
-  specfun   - Laguerre polynomials (real/complex argument), Bessel J,
-              Gauss-Legendre rules (for the tests and the benchmark)
-  lgmode    - closed-form paraxial LG fields, beam geometry, grids, norms,
-              analytic partial derivatives, the Gauss rule in u = 2 r^2/w_z^2
-              that makes quadrature grids and expectations exact
+  specfun   - Bessel J; Laguerre polynomials, Gauss-Legendre rules (tests, benchmark)
+  lgmode    - closed-form paraxial LG fields, beam geometry, grids, norms, partial
+              derivatives, the one Laguerre recurrence (real or complex argument),
+              the Gauss rule in u = 2 r^2/w_z^2 behind exact grids and expectations
   paraxops  - transverse operators (Lz, Laplacian, hyperbolic momentum,
               radial-index operators), dilations, commutators
   analysis  - expectation values, figure-level curves, overlap/crosstalk
               matrices, modal decomposition
   momentum  - exact and paraxial momentum-space wavefunctions and the
               radial momentum operators, hermiticity analysis
-  exactwave - Bessel-basis exact Maxwell solutions, Riemann-Silberstein
-              fields, residual checks, closed-form chi and its synthesis
+  exactwave - Bessel-basis exact Maxwell solutions, Riemann-Silberstein fields,
+              residual checks, closed-form chi equal to its synthesis
   cli       - `lg-radial` command line front end
 
 `import lgradial` loads the position-space core only: `constants`, `errors`

@@ -11,15 +11,29 @@ Every function takes a `SpacetimePoint` whose fields are floats or arrays of
 one broadcastable shape, and evaluates a single point and a batch by the same
 code: a batch returns values of the broadcast shape, a point a scalar.
 
-The scalar field of the closed form is
+`chi_closed_form` is the integral `synthesize_lg` computes, done in closed form.  With
+A = |m|, b = r sqrt(k_plus), p = beta + i sigma c t_plus = k_plus a(t_plus) and
+x = b^2/p = r^2/a(t_plus), the Laplace transform of a Laguerre-Bessel kernel (Re p > 0)
 
-    chi = N r^|m| / a(t_plus)^(n+|m|+1) exp(-i sigma (Omega t_minus - m phi))
-          exp(-r^2 / a) L_n^|m|(r^2 / a),   t_pm = t -+/+ z/c,
+    int_0^inf k^(j+A/2) e^(-p k) J_A(2 b sqrt k) dk = T_j = j! b^A p^-(j+A+1) e^(-x) L_j^A(x)
 
-with N fixed to 1; all synthesis cross-checks fit a single global complex
-scale instead.  The azimuthal phase multiplies m phi alone (not Omega m phi,
-which would be dimensionally inconsistent); this is the only reading under
-which the momentum-space synthesis reproduces the closed form.
+taken on psi_exact = k_minus^(n+A/2) e^(-beta k_minus) (k_plus + k_minus) times the
+kernel exp(-i sigma c k_minus t_plus) J_m(2 r sqrt(k_plus k_minus)) gives
+
+    chi = (k_plus T_n + T_(n+1)) exp(-i sigma (Omega t_minus - m phi)),   t_pm = t -+/+ z/c,
+
+negated for odd m < 0 (J_-m = (-1)^m J_m).  The closed form as printed,
+r^A / a^(n+A+1) exp(-x) L_n^A(x) times the carrier, is k_plus T_n / (n! k_plus^-(n+A/2)):
+it dropped the k_minus part of psi's trailing factor k = k_plus + k_minus, whose term T_(n+1)
+is smaller by about n/(k w)^2.  So the closed form was the wrong side, not psi: the two terms
+equal the synthesis pointwise, with no fitted scale.  The azimuthal phase multiplies m phi
+alone (not Omega m phi, which would be dimensionally inconsistent).
+
+Numerically, T_j = sqrt(j! (j+A)!) p^-(j+A/2+1) e^(-x/2) phi_j(x), with phi_j row j of the
+Laguerre table `lgmode._lg_rows` at u = x, and b^A x^(-A/2) = p^(A/2) on the principal
+branch.  So both terms are rows n and n+1 of one table: its starting log scale carries
+log k_plus + log sqrt(n! (n+A)!) (by lgamma) - (n+A/2+1) log p - x/2, applied with the
+table's own log scale in one exp, and T_(n+1) = row_(n+1) sqrt((n+1)(n+A+1)) / (k_plus p).
 """
 
 from __future__ import annotations
@@ -31,9 +45,9 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .errors import DiagnosticError, _check_helicity, _check_int, _check_order
-from .lgmode import _gauss_u
+from .lgmode import _gauss_u, _lg_rows, _top
 from .momentum import ExactMomentumParams, psi_exact
-from .specfun import _bessel_j_and_derivative, _converge, bessel_j, laguerre
+from .specfun import _bessel_j_and_derivative, _converge, bessel_j
 
 __all__ = [
     "BesselModeParams",
@@ -237,21 +251,23 @@ def wave_residual(sampler, p: SpacetimePoint, *, wavenumber) -> float:
 # closed form and synthesis
 
 def chi_closed_form(params: ExactMomentumParams, p: SpacetimePoint):
-    """Exact LG-type scalar field with complex beam parameter a(t_plus); DiagnosticError
-    where it is not a finite double, as where a^(n+|m|+1) under- or overflows."""
-    s = params.sigma
-    am = abs(params.m)
-    a = params.w**2 + 1j * s * C_LIGHT**2 * p.t_plus / params.Omega
+    """The exact field that `synthesize_lg` integrates, in closed form (module docstring):
+    finite, 0 where it underflows, or DiagnosticError where it exceeds the largest double."""
+    n, am, k_plus = params.n, abs(params.m), params.k_plus
+    # numpy complex at a point too (the table takes x's shape and dtype), with no 0-d arrays
+    a = np.complex128(params.w**2 + 1j * params.sigma * C_LIGHT**2 / params.Omega * p.t_plus)
     x = p.r**2 / a
-    try:
-        with np.errstate(all="ignore"):
-            chi = (p.r**am / a ** (params.n + am + 1)
-                   * np.exp(-1j * s * (params.Omega * p.t_minus - params.m * p.phi))
-                   * np.exp(-x) * laguerre(params.n, am, x))
-    except (OverflowError, ZeroDivisionError):  # Python complex arithmetic at a single point
-        chi = math.nan
-    if not np.isfinite(chi).all():
-        raise DiagnosticError(f"chi_closed_form is not a finite double at n = {params.n}, "
+    # the rows hold 2^-10 of each term: row n+1 can exceed chi (by up to ~20x over the
+    # envelope) and must not overflow first, and a subnormal row still keeps 11 digits
+    log_scale = (math.log(k_plus / 1024.0) + 0.5 * (math.lgamma(n + 1) + math.lgamma(n + am + 1))
+                 - (n + 0.5 * am + 1) * np.log(k_plus * a) - 0.5 * x)
+    with np.errstate(all="ignore"):  # a value that is not finite raises below
+        rows = _lg_rows(n + 1, am, x, log_scale)
+        chi = ((-1024.0 if params.m < 0 and am % 2 else 1024.0)
+               * (rows[n] + math.sqrt((n + 1) * (n + am + 1)) / (k_plus**2 * a) * rows[n + 1])
+               * np.exp(-1j * params.sigma * (params.Omega * p.t_minus - params.m * p.phi)))
+    if not _top(abs(chi)) < math.inf:  # NaN fails too
+        raise DiagnosticError(f"chi_closed_form is not a finite double at n = {n}, "
                               f"|m| = {am}, w = {params.w} m")
     return chi
 

@@ -172,51 +172,65 @@ _LOG_TINY = math.log(np.finfo(float).tiny)  # below this, exp gives a subnormal 
 _GAUSS_U_MAX_ORDER = 1024  # a dense m x m eigenproblem; twice the largest order any caller passes
 
 
+def _top(v):
+    """max of v (0 when empty); a 0-d v is its own max, which spares a ~2 us numpy reduction."""
+    return v.max(initial=0.0) if v.ndim else v
+
+
 def _scale_rows(rows, log_scale):
-    """rows *= exp(log_scale), in two halves where exp alone would underflow."""
-    split = log_scale < _LOG_TINY
-    scale = np.exp(np.where(split, 0.5 * log_scale, log_scale))
+    """rows *= exp(log_scale), in two halves where exp alone would underflow or overflow."""
+    split = abs(log_scale.real) > -_LOG_TINY
+    halves = _top(split)
+    scale = np.exp(np.where(split, 0.5 * log_scale, log_scale) if halves else log_scale)
     rows *= scale
-    if np.any(split):
+    if halves:
         rows *= np.where(split, scale, 1.0)
 
 
-def _radial_profiles(n_max, l, k, w0, z, r):
-    """Radial profiles of the modes n = 0..n_max of fixed l at plane z, in one pass.
+def _lg_rows(n_max, a, u, log_scale):
+    """Rows exp(log_scale) phi_n(u), n = 0..n_max, over a numpy u (real, or complex with Re u >= 0).
 
-    Returns (table, curvature, gouy); mode n along phi = 0 is
-    table[n] * curvature * gouy[n].  table[n] is real: sqrt(2/pi)/w_z times
-    phi_n(u) = sqrt(n!/(n+a)!) u^(a/2) e^(-u/2) L_n^a(u), a = |l|,
-    u = 2 r^2/w_z^2, by the recurrence phi_(n+1) = ((2n+1+a-u) phi_n -
-    sqrt(n(n+a)) phi_(n-1)) / sqrt((n+1)(n+1+a)) on a mantissa.  phi_0 is a
-    per-node log scale that takes over exact powers of two whenever a mantissa
-    passes _RESCALE: nothing overflows, and values underflow only below ~1e-308.
+    phi_n(u) = sqrt(n!/(n+a)!) u^(a/2) e^(-u/2) L_n^a(u), by the recurrence phi_(n+1) =
+    ((2n+1+a-u) phi_n - sqrt(n(n+a)) phi_(n-1)) / sqrt((n+1)(n+1+a)) on a mantissa.  phi_0 and
+    log_scale make a per-node log scale that takes over exact powers of two whenever a mantissa
+    passes _RESCALE in modulus, applied in one exp: only the values themselves over- or
+    underflow.  At u = 0, a > 0 it is -inf (value 0); callers silence numpy's divide warning.
     """
-    geo = beam_geometry(LGParams(0, l, k, w0), z)
-    a, r = abs(l), np.asarray(r, dtype=float)
-    u = 2.0 * r**2 / geo.w_z**2
-    with np.errstate(divide="ignore"):  # u = 0, a > 0: log 0 = -inf, value 0
-        log_scale = (0.5 * math.log(2.0 / math.pi) - math.log(geo.w_z) - 0.5 * math.lgamma(a + 1)
-                     - 0.5 * u + (0.5 * a * np.log(u) if a else 0.0))
-    table = np.empty((n_max + 1,) + u.shape)
+    log_u = np.log(u) if a else 0.0
+    log_scale = log_scale - 0.5 * math.lgamma(a + 1) - 0.5 * u + 0.5 * a * log_u.real
+    if a and u.dtype.kind == "c":  # Im apart: in a complex product, -inf * 0 at u = 0 is NaN
+        log_scale = log_scale + 0.5j * a * log_u.imag
+    table = np.empty((n_max + 1,) + u.shape, u.dtype)
     table[0] = 1.0
-    p_prev, p = np.zeros_like(u), table[0]
-    u_max = u.max(initial=0.0)
+    p_prev, p = 0.0, table[0]
+    u_abs = _top(abs(u))  # |c - u| <= hypot(c, |u|) for Re u >= 0
     done, bound = 0, 1.0  # rows done.. hold mantissas, all below bound
     for n in range(n_max):
         c, b, s = 2 * n + 1 + a, math.sqrt(n * (n + a)), math.sqrt((n + 1) * (n + 1 + a))
-        row = np.divide((c - u) * p - b * p_prev, s, out=table[n + 1])
+        table[n + 1] = row = ((c - u) * p - b * p_prev) / s
         p_prev, p = p, row
-        bound *= max(1.0, (max(c, u_max - c) + b) / s)  # |c - u| <= max(c, u_max - c)
+        bound *= max(1.0, (math.hypot(c, u_abs) + b) / s)
         if bound > _RESCALE:  # only then look at the mantissas themselves
-            bound = max(np.abs(p).max(), np.abs(p_prev).max())
+            bound = max(_top(abs(p)), _top(abs(p_prev)))
         if bound > _RESCALE:
-            _, e = np.frexp(np.maximum(np.abs(p), np.abs(p_prev)))
-            p, p_prev = np.ldexp(p, -e), np.ldexp(p_prev, -e)
+            _, e = np.frexp(np.maximum(abs(p), abs(p_prev)))
+            p, p_prev = p * np.ldexp(1.0, -e), p_prev * np.ldexp(1.0, -e)
             _scale_rows(table[done:n + 2], log_scale)
             log_scale = log_scale + e * math.log(2.0)
             done, bound = n + 2, 1.0
     _scale_rows(table[done:], log_scale)
+    return table
+
+
+def _radial_profiles(n_max, l, k, w0, z, r):
+    """(table, curvature, gouy) of the modes n = 0..n_max of fixed l at plane z, in one pass:
+    mode n along phi = 0 is table[n] * curvature * gouy[n], and the real table[n] is
+    sqrt(2/pi)/w_z times phi_n(u) of `_lg_rows`, a = |l|, u = 2 r^2/w_z^2."""
+    geo = beam_geometry(LGParams(0, l, k, w0), z)
+    a, r = abs(l), np.asarray(r, dtype=float)
+    u = 2.0 * r**2 / geo.w_z**2
+    with np.errstate(divide="ignore"):  # u = 0, a > 0: log 0 = -inf, value 0
+        table = _lg_rows(n_max, a, u, 0.5 * math.log(2.0 / math.pi) - math.log(geo.w_z))
     curvature = np.exp(0.5j * k * geo.inv_R_z * r**2)
     gouy = np.exp(-1j * (2 * np.arange(n_max + 1) + a + 1) * geo.phi_g)
     return table, curvature, gouy
@@ -230,7 +244,7 @@ def _gauss_u(m, a):
     degree <= 2m-1 (Golub & Welsch): the nodes are the eigenvalues of the Jacobi
     matrix (diagonal 2j+a+1, off-diagonal sqrt(j(j+a))), and lam_j = 1/sum_(k<m)
     phi_k(u_j)^2 are the Christoffel weights with the weight function folded in, read
-    off the overflow-safe `_radial_profiles` table at w_z = sqrt(2), where r = sqrt(u).
+    off the overflow-safe `_lg_rows` table at the nodes.
     The arrays are read-only (every caller shares them); m > _GAUSS_U_MAX_ORDER raises.
     """
     if m > _GAUSS_U_MAX_ORDER:
@@ -240,9 +254,7 @@ def _gauss_u(m, a):
     jacobi.flat[::m + 1] = 2 * j + a + 1
     jacobi.flat[m::m + 1] = np.sqrt(j[1:] * (j[1:] + a))  # the lower triangle is read
     u = np.linalg.eigvalsh(jacobi)
-    # table[k] = phi_k(u) / sqrt(pi) at w_z = sqrt(2)
-    table = _radial_profiles(m - 1, a, 1.0, math.sqrt(2.0), 0.0, np.sqrt(u))[0]
-    lam = 1.0 / (math.pi * np.sum(table**2, axis=0))
+    lam = 1.0 / np.sum(_lg_rows(m - 1, a, u, 0.0) ** 2, axis=0)
     u.setflags(write=False)
     lam.setflags(write=False)
     return QuadratureRule(u, lam)

@@ -228,7 +228,7 @@ def hermiticity_defect(psi, *, w, sigma=1, kt_max) -> HermiticityDefect:
     k_phi spectrum (Parseval), with sum conj(F) F' = (i/n) sum kappa |F^(kappa)|^2 by one FFT in s.
     The defects at n = 192 and 384 must agree to 1e-6 relative or 1e-6 ||psi||^2.  N'_k is
     hermitian exactly when psi's radial factor is real.  A psi that is zero, not finite or above
-    1e-8 of its peak |F| at an end, or a defect or norm not a finite double, raises DiagnosticError.
+    2e-9 of its peak |F| at an end, or a defect or norm not a finite double, raises DiagnosticError.
 
     Parameters
     ----------

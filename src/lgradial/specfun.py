@@ -1,10 +1,8 @@
 """Special functions and Gaussian quadrature used throughout the package.
 
-Generalized Laguerre polynomials are evaluated by the upward three-term
-recurrence, which is well conditioned for the argument ranges that occur
-inside a Gaussian envelope (x of order a few times 2n+alpha+1).  The same
-recurrence is reused verbatim over complex arithmetic, which is needed for
-the complex-beam-parameter arguments of the exact wave solutions.
+Generalized Laguerre polynomials (`laguerre`) are evaluated by the upward three-term
+recurrence; they serve the tests and the benchmark, and the library calls none: its
+Laguerre values, real or complex, come from `lgmode._lg_rows`.
 
 Gauss-Legendre rules (`make_rule`: Newton's method on the Legendre recurrence from
 Tricomi's guesses) serve the tests and the benchmark; the library calls none.  The
@@ -76,32 +74,18 @@ def _converge(stage, evaluate, orders, rtol, atol):
 
 
 def laguerre(n, alpha, x):
-    """Evaluate the generalized Laguerre polynomial L_n^alpha(x).
-
-    Parameters
-    ----------
-    n : int
-        Polynomial order, n >= 0.
-    alpha : float
-        Degree parameter, alpha >= 0.
-    x : scalar or ndarray, real or complex
-        Evaluation point(s).
-
-    Returns
-    -------
-    Value(s) of L_n^alpha(x), matching the shape and scalar-ness of `x`.
-    """
+    """L_n^alpha(x), n >= 0, alpha >= 0, by the upward recurrence, shaped like x (a scalar
+    for a scalar x).  It serves the tests and the benchmark: the library calls none."""
     if n < 0:
         raise DiagnosticError(f"laguerre order must be >= 0, got {n}")
     x = np.asarray(x)
-    scalar = x.ndim == 0
     p_prev = np.ones_like(x)
     if n == 0:
-        return p_prev[()] if scalar else p_prev
+        return p_prev[()]
     p = 1.0 + alpha - x
     for j in range(1, n):
         p, p_prev = ((2 * j + 1 + alpha - x) * p - (j + alpha) * p_prev) / (j + 1), p
-    return p[()] if scalar else p
+    return p[()]
 
 
 # Bessel J_0..J_M (see the module docstring): x is sorted, so each method works

@@ -14,7 +14,8 @@ term by term in 40-digit mpmath, with mpmath.diff for every derivative.  The
 hermiticity defect of N'_k on a chirped paraxial wavefunction is a closed-form
 moment, with no grid at all.  The
 exact-wave synthesis integral is a 60-digit mpmath quadrature of psi_exact as
-printed, with no Gauss rule.
+printed, with no Gauss rule, and its closed form is the two Laguerre terms summed in
+40-digit mpmath, with mpmath's own Laguerre function and powers.
 """
 
 import math
@@ -196,3 +197,24 @@ def synthesis_mpmath(params, r, phi=0.0, t_plus=0.0, t_minus=0.0, dps=60):
         value = mpmath.quad(integrand, [0, peak / 2, peak, 2 * peak, 4 * peak, mpmath.inf])
         omega_t = mpmath.mpf(params.Omega) * mpmath.mpf(t_minus)
         return complex(mpmath.expj(-sigma * (omega_t - m * mpmath.mpf(phi))) * value)
+
+
+def chi_two_term_mpmath(params, r, t_plus, dps=40):
+    """chi_closed_form at (r, t_plus) without its carrier exp(-i sigma (Omega t_minus - m phi)).
+
+    k_plus T_n + T_(n+1), negated for odd m < 0, in `dps`-digit mpmath: T_j = j! b^A
+    p^-(j+A+1) e^(-x) L_j^A(x), A = |m|, b = r sqrt(k_plus), p = beta + i sigma c t_plus,
+    x = b^2/p, from the double inputs (Omega, w, r, t_plus) taken as exact.  Returns an mpc,
+    so a value beyond the double range can be compared as it is.
+    """
+    n, a, sigma = params.n, abs(params.m), params.sigma
+    with mpmath.workdps(dps):
+        c = mpmath.mpf(C_LIGHT)
+        k_plus = mpmath.mpf(params.Omega) / c
+        p = mpmath.mpf(params.w) ** 2 * k_plus + 1j * sigma * c * mpmath.mpf(t_plus)
+        b = mpmath.mpf(r) * mpmath.sqrt(k_plus)
+        x = b**2 / p
+        terms = [mpmath.factorial(j) * b**a * p ** -(j + a + 1) * mpmath.exp(-x)
+                 * mpmath.laguerre(j, a, x) for j in (n, n + 1)]
+        value = k_plus * terms[0] + terms[1]
+        return -value if params.m < 0 and a % 2 else +value

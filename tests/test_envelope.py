@@ -5,11 +5,14 @@ form; the derivative tables are checked against mpmath, and the algebraic
 overlap matrices against converged quadrature.  The momentum family (n, |m| <= 300,
 w in [5 um, 5 mm], any finite k >= 0) is finite or raises DiagnosticError, and so is
 synthesize_lg over the same modes and waists at r <= 3 w, |z| <= 2 w and |t| <= 0.4 w^2
-Omega/c^2.  Dilations of Gaussian and ring profiles of width 1e-3..1e3 at |gamma| <= 20
-are unitary to 1e-10, with PH generating them to 1e-6.
+Omega/c^2.  There, at wavelengths from 100 nm to 10 um, chi_closed_form matches its
+40-digit two-term oracle wherever that is a normal double and raises where it overflows.
+Dilations of Gaussian and ring profiles of width 1e-3..1e3 at |gamma| <= 20 are unitary
+to 1e-10, with PH generating them to 1e-6.
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -20,14 +23,14 @@ from hypothesis import strategies as st
 from lgradial.analysis import expectation, overlap_matrix, raw_expectation
 from lgradial.constants import C_LIGHT
 from lgradial.errors import DiagnosticError
-from lgradial.exactwave import SpacetimePoint, synthesize_lg
+from lgradial.exactwave import SpacetimePoint, chi_closed_form, synthesize_lg
 from lgradial.lgmode import LGParams, beam_geometry, lg_partials
 from lgradial.momentum import (ExactMomentumParams, apply_nk, apply_nk_paraxial, nk_eigen_residual,
                                nk_polar, psi_exact, psi_paraxial)
 from lgradial.paraxops import Operator, dilation_check
 
 from conftest import ENVELOPE, K, OMEGA, W0, ZR
-from oracles import overlap_matrix_quadrature
+from oracles import chi_two_term_mpmath, overlap_matrix_quadrature
 
 
 @ENVELOPE
@@ -114,6 +117,29 @@ def test_synthesis_is_finite_or_raises(n, m, sigma, w, points):
     except DiagnosticError:
         return
     assert np.isfinite(value).all(), (n, m, sigma, w, points, value)
+
+
+@settings(ENVELOPE, max_examples=200)  # about 1 ms an example
+@given(n=st.integers(0, 300), m=st.integers(-300, 300), sigma=st.sampled_from([1, -1]),
+       w=st.floats(5e-6, 5e-3), wavelength=st.floats(1e-7, 1e-5), point=_POINT)
+@example(n=100, m=1, sigma=1, w=W0, wavelength=633e-9, point=(1.0, 0.0, 0.0))  # 3.1e63
+@example(n=60, m=1, sigma=1, w=5e-6, wavelength=633e-9, point=(1.0, 0.0, 0.0))  # 3.3e310
+def test_closed_form_matches_two_term_oracle(n, m, sigma, w, wavelength, point):
+    # the first example once raised: the one-term form's a^(n+|m|+1) underflowed
+    omega = 2.0 * math.pi * C_LIGHT / wavelength
+    r, z, t = point
+    p = ExactMomentumParams(n, m, sigma, omega, w)
+    q = SpacetimePoint(r * w, 0.3, z * w, t * w**2 * omega / C_LIGHT**2)
+    want = chi_two_term_mpmath(p, q.r, q.t_plus)
+    if abs(want) > sys.float_info.max:
+        with pytest.raises(DiagnosticError, match="not a finite double"):
+            chi_closed_form(p, q)
+        return
+    got = chi_closed_form(p, q) / np.exp(-1j * sigma * (omega * q.t_minus - m * 0.3))
+    if abs(want) < sys.float_info.min:  # an underflow: 0 or a subnormal
+        assert abs(got) <= 2.0 * sys.float_info.min
+    else:
+        assert abs(got - complex(want)) <= 1e-9 * abs(want), (complex(want), got)
 
 
 def test_synthesis_raises_where_psi_overflows():

@@ -13,13 +13,18 @@ from lgradial.exactwave import (BesselModeParams, RSField, SpacetimePoint,
                                 synthesize_lg, wave_residual)
 from lgradial.lgmode import LGParams, lg_field
 from lgradial.momentum import ExactMomentumParams
-from lgradial.specfun import bessel_j, laguerre
+from lgradial.specfun import bessel_j
 
 from conftest import K, OMEGA, W0
-from oracles import synthesis_mpmath
+from oracles import chi_two_term_mpmath, synthesis_mpmath
 
 LAM = 2 * math.pi / K
 T_RAY = W0**2 * OMEGA / C_LIGHT**2  # envelope (Rayleigh) time scale
+
+
+def _carrier(p, q):
+    """chi_closed_form's carrier exp(-i sigma (Omega t_minus - m phi)), formed as it forms it."""
+    return np.exp(-1j * p.sigma * (p.Omega * q.t_minus - p.m * q.phi))
 
 
 def _bessel_params(m=2, sigma=1, tilt=0.05):
@@ -168,42 +173,62 @@ class TestChiClosedForm:
         assert chi_closed_form(p, SpacetimePoint(r=0.0, phi=0.1, z=0.0, t=0.0)) == 0.0
 
     def test_focal_snapshot_is_real_profile(self):
-        # at t_plus = 0 the beam parameter is real (w^2) and the modulus is a
-        # Gaussian times a real-argument Laguerre polynomial
+        # at t_plus = 0 the beam parameter is real (w^2), so is the profile under the carrier
         p = ExactMomentumParams(2, 1, 1, OMEGA, W0)
         z = 0.3
         pt = SpacetimePoint(r=0.6 * W0, phi=0.8, z=z, t=-z / C_LIGHT)  # t_plus = 0
         assert pt.t_plus == 0.0
-        carrier = np.exp(-1j * p.sigma * (p.Omega * pt.t_minus - p.m * pt.phi))
-        profile = chi_closed_form(p, pt) / carrier
+        profile = chi_closed_form(p, pt) / _carrier(p, pt)
         assert abs(profile.imag) < 1e-12 * abs(profile)
-        from lgradial.specfun import laguerre
-        x = (0.6 * W0) ** 2 / W0**2
-        want = (0.6 * W0) ** 1 / W0 ** (2 * (2 + 1 + 1)) * math.exp(-x) * laguerre(2, 1, x)
-        assert profile.real == pytest.approx(want, rel=1e-12)
+        assert abs(profile - complex(chi_two_term_mpmath(p, pt.r, 0.0))) <= 1e-13 * abs(profile)
+
+    @pytest.mark.parametrize("kw", [50.0, 200.0, 1e4])
+    def test_matches_two_term_oracle(self, kw, rng):
+        # k_plus T_n + T_(n+1) in 40 digits, each side with the double carrier divided out
+        omega = C_LIGHT * kw / W0
+        t_ray = W0**2 * omega / C_LIGHT**2
+        for n in range(4):
+            for m in range(-3, 4):
+                p = ExactMomentumParams(n, m, 1 - 2 * (n % 2), omega, W0)
+                for r, z, t in zip(rng.uniform(0.05, 3.0, 3), rng.uniform(-2.0, 2.0, 3),
+                                   rng.uniform(-0.4, 0.4, 3)):
+                    q = SpacetimePoint(r * W0, 0.7, z * W0, t * t_ray)
+                    want = complex(chi_two_term_mpmath(p, q.r, q.t_plus))
+                    got = chi_closed_form(p, q) / _carrier(p, q)
+                    assert abs(got - want) <= 1e-13 * abs(want), (n, m, r, z, t)
 
     @pytest.mark.parametrize("n,w,t", [(40, 5e-6, 0.0), (100, W0, 0.0), (100, W0, 1e3)],
                              ids=["n40-5um", "n100-1mm", "n100-late"])
-    def test_non_finite_value_raises(self, n, w, t):
-        # a^(n+|m|+1) underflows (t = 0) or overflows (t = 1000 s): once a bare
-        # ZeroDivisionError or OverflowError at a point, and numpy's RuntimeWarning on a batch
+    def test_once_refused_values_match_oracle(self, n, w, t):
+        # the one-term form's a^(n+|m|+1) underflowed (t = 0) or overflowed (t = 1000 s) and
+        # raised; the table's one exp gives 1.5e204 and 3.1e63, and 0 where chi is 1e-1003
         p = ExactMomentumParams(n, 1, 1, OMEGA, w)
         for r in (w, np.array([w, 2 * w])):
+            q = SpacetimePoint(r=r, phi=0.1, z=0.0, t=t)
+            got = np.atleast_1d(chi_closed_form(p, q) / _carrier(p, q))
+            want = np.array([complex(chi_two_term_mpmath(p, v, q.t_plus))
+                             for v in np.atleast_1d(r)])
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("n,m,w", [(60, 1, 5e-6), (300, 0, 2e-5)], ids=["n60-5um", "n300-20um"])
+    def test_overflow_raises(self, n, m, w):
+        # |chi| is 3.3e310 and 1.1e1343 at r = w: past the largest double, at a point and a batch
+        p = ExactMomentumParams(n, m, 1, OMEGA, w)
+        for r in (w, np.array([0.5 * w, w])):
             with pytest.raises(DiagnosticError, match="not a finite double"):
-                chi_closed_form(p, SpacetimePoint(r=r, phi=0.1, z=0.0, t=t))
+                chi_closed_form(p, SpacetimePoint(r=r, phi=0.1, z=0.0, t=0.0))
 
     def test_finite_values_unchanged(self):
-        # the guarded closed form is the same arithmetic, bit for bit, at a point and a batch
-        p = ExactMomentumParams(20, 3, -1, OMEGA, W0)
-        batch = (np.array([0.3, 1.1, 2.5]) * W0, np.array([0.0, T_RAY, -T_RAY]))
-        for r, t in ((0.7 * W0, 2.0 * T_RAY), batch):
-            q = SpacetimePoint(r=r, phi=0.4, z=3 * LAM, t=t)
-            a = p.w**2 + 1j * p.sigma * C_LIGHT**2 * q.t_plus / p.Omega
-            x = q.r**2 / a
-            want = (q.r**3 / a ** (p.n + 3 + 1)
-                    * np.exp(-1j * p.sigma * (p.Omega * q.t_minus - p.m * q.phi))
-                    * np.exp(-x) * laguerre(p.n, 3, x))
-            assert np.array_equal(chi_closed_form(p, q), want)
+        # a point and a batch take the same code, and both agree with the oracle
+        p = ExactMomentumParams(20, -3, -1, OMEGA, W0)
+        q = SpacetimePoint(r=np.array([0.3, 1.1, 2.5]) * W0, phi=0.4, z=3 * LAM,
+                           t=np.array([0.0, T_RAY, -T_RAY]))
+        batch = chi_closed_form(p, q)
+        for i, r in enumerate(q.r):
+            qi = SpacetimePoint(r=float(r), phi=0.4, z=3 * LAM, t=float(q.t[i]))
+            want = complex(chi_two_term_mpmath(p, qi.r, qi.t_plus))
+            for got in (chi_closed_form(p, qi), batch[i]):
+                assert abs(got / _carrier(p, qi) - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("sigma", [1, -1])
     def test_satisfies_wave_equation(self, sigma):
@@ -242,23 +267,27 @@ class TestSynthesis:
                                           rng.uniform(-3.0, 3.0, count),
                                           rng.choice([0.0, 0.5, -0.5], count))]
 
-    def test_matches_closed_form_up_to_global_scale(self, rng):
-        pts = self._sample_points(rng)
-        for (n, m, sigma) in ((0, 0, 1), (2, 1, 1), (1, 3, -1), (3, 2, -1)):
-            p = ExactMomentumParams(n, m, sigma, OMEGA, W0)
-            synth = np.array([synthesize_lg(p, q, 128, check_convergence=False)
-                              for q in pts])
-            closed = np.array([chi_closed_form(p, q) for q in pts])
-            _, resid = fit_global_scale(closed, synth)
-            assert resid < 1e-6
+    @pytest.mark.parametrize("kw", [50.0, 200.0, 1e4])
+    def test_matches_closed_form_pointwise(self, kw, rng):
+        # no fitted scale: the one-term form left 1e-4 (k w = 50) to 1e-8 (k w = 1e4) after one
+        omega = C_LIGHT * kw / W0
+        t_ray = W0**2 * omega / C_LIGHT**2
+        q = SpacetimePoint(r=rng.uniform(0.05, 3.0, 8) * W0, phi=rng.uniform(0, 6.0, 8),
+                           z=rng.uniform(-2.0, 2.0, 8) * W0, t=rng.uniform(-0.4, 0.4, 8) * t_ray)
+        for n in range(4):
+            for m in range(-3, 4):
+                p = ExactMomentumParams(n, m, 1 - 2 * (m % 2), omega, W0)
+                closed = chi_closed_form(p, q)
+                synth = synthesize_lg(p, q, 96)
+                assert np.max(np.abs(synth - closed) / np.abs(closed)) <= 1e-10, (n, m)
 
     def test_fitted_scale_point_independent(self, rng):
+        # the scale a fit would find is 1 at every point
         p = ExactMomentumParams(2, 2, 1, OMEGA, W0)
         pts = self._sample_points(rng, count=24)
         ratios = np.array([synthesize_lg(p, q, 128, check_convergence=False)
                            / chi_closed_form(p, q) for q in pts])
-        spread = np.max(np.abs(ratios - ratios.mean())) / abs(ratios.mean())
-        assert spread < 1e-6
+        assert np.max(np.abs(ratios - 1.0)) < 1e-10
 
     def test_far_tail_is_negligible(self):
         p = ExactMomentumParams(1, 1, 1, OMEGA, W0)

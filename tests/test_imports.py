@@ -1,5 +1,5 @@
 """Every module of the package uses every name it imports, and the library proper calls
-neither the Gauss-Legendre rules nor, outside exactwave, the Laguerre polynomials."""
+neither the Gauss-Legendre rules nor `specfun.laguerre`."""
 
 import ast
 from pathlib import Path
@@ -41,11 +41,11 @@ def _names(path):
                for alias in node.names})
 
 
-@pytest.mark.parametrize("name, users", [("make_rule", set()), ("laguerre", {"exactwave.py"})],
+@pytest.mark.parametrize("name, users", [("make_rule", set()), ("laguerre", set())],
                          ids=["make_rule", "laguerre"])
 def test_specfun_names_kept_for_tests_and_the_benchmark(name, users):
     # make_rule and laguerre stay in specfun while the benchmark calls them; the library
-    # itself takes its log-variable derivatives spectrally and its Laguerre values from
-    # the radial table, with exactwave's closed form the last caller of laguerre
+    # itself takes its log-variable derivatives spectrally and every Laguerre value, the
+    # exact wave's complex-argument rows included, from lgmode's one recurrence
     found = {p.name for p in SRC.glob("*.py") if p.name != "specfun.py" and name in _names(p)}
     assert found <= users

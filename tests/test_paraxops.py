@@ -258,12 +258,16 @@ class TestDilation:
         (lambda r: 1.0 / (1.0 + r), 0.3, "negligible at both ends"),  # once ratio 1.055
         (lambda r: np.exp(-(r / 1e30) ** 2), 0.3, "negligible at both ends"),
         (lambda r: np.exp(-r**2), 62.0, "negligible at both ends"),
+        # |f r| at the lower end is 2.4e-9 and 6.3e-9 of its peak: once QuadratureConvergenceError
+        (lambda r: np.exp(-(r / 7.7e-18) ** 2), 0.3, "negligible at both ends"),
+        (lambda r: np.exp(-(r / 3e-18) ** 2), 0.3, "negligible at both ends"),
         (lambda r: np.exp(-r**2), 65.0, "nonzero reference norm"),  # D_gamma f is all 0
         (lambda r: 1.0, 0.3, "negligible at both ends"),  # once numpy's bare ValueError
         (lambda r: np.ones(3), 0.3, r"f returned shape \(3,\), not \(1225,\)"),
     ], ids=["nan", "nan-beyond-dilated-edge", "zero", "gamma-nan", "gamma-minus-inf",
             "gamma-800", "gamma-290", "not-square-integrable", "wider-than-the-grid",
-            "dilated-across-the-end", "dilated-off-the-grid", "constant", "wrong-shape"])
+            "dilated-across-the-end", "remnant-2.4e-9", "remnant-6.3e-9", "dilated-off-the-grid",
+            "constant", "wrong-shape"])
     def test_no_silent_nan(self, f, gamma, message):
         # an all-NaN f once returned unitarity_ratio=nan and generator_defect=0.0; the last
         # two once raised numpy's bare ValueError; every other case once returned a number
@@ -279,6 +283,13 @@ class TestDilation:
             dc = dilation_check(f, gamma)
             assert abs(dc.unitarity_ratio - 1.0) <= 1e-10, dc
             assert dc.generator_defect <= 1e-6, dc
+
+    @pytest.mark.parametrize("w", [1.5e-17, 3e-17])
+    def test_small_end_remnant_converges(self, w):
+        # |f r| at the lower end is 1.4e-9 and 6.9e-10 of its peak: the FFT derivative of F
+        # with its end-to-end line taken out sees no wrap, where it once did not converge
+        dc = dilation_check(lambda r: np.exp(-(r / w) ** 2), 0.3)
+        assert abs(dc.unitarity_ratio - 1.0) <= 1e-10 and dc.generator_defect <= 1e-6, dc
 
     def test_four_calls_of_f_per_level(self):
         sizes = []
@@ -470,6 +481,11 @@ class TestFDContraction:
     def _oracle(kind, policy, field, p):
         g, f = field.grid, field.values
         r = g.r_nodes[:, None]
+        if kind == "Nz":  # the fd path's C N0(w0 -> w_z) C^-1, C the curvature phase at z
+            geo = beam_geometry(p, g.z)
+            c = np.exp(0.5j * p.k * geo.inv_R_z * r**2)
+            focal = FieldGrid(PolarGrid(g.r_nodes, g.phi_nodes), f / c)
+            return c * TestFDContraction._oracle("N0", policy, focal, LGParams(p.n, p.l, p.k, geo.w_z))
         d1 = fd_matrix_vandermonde(g.r_nodes, 1) @ f
         d2 = fd_matrix_vandermonde(g.r_nodes, 2) @ f
         m = np.fft.fftfreq(f.shape[1], d=1.0 / f.shape[1])
@@ -482,10 +498,7 @@ class TestFDContraction:
         lap = d2 + d1 / r + d2_phi / r**2
         if kind == "laplacian_t":
             return lap
-        z = g.z if kind == "Nz" else 0.0
-        out = (-(beam_geometry(p, z).w_z**2 / 8) * lap - 0.5 * lz_part
-               + 0.5 * (r**2 / p.w0**2 - 1.0) * f)
-        return out + 1j * z / (p.k * p.w0**2) * (f + r * d1)
+        return (-(p.w0**2 / 8) * lap - 0.5 * lz_part + 0.5 * (r**2 / p.w0**2 - 1.0) * f)
 
     @pytest.mark.parametrize("kind,policy", [("N0", "symmetrized"), ("N0", "verbatim"),
                                              ("Nz", "symmetrized"), ("PH", None),
@@ -677,3 +690,15 @@ class TestEigenColumn:
         g = uniform_polar_grid(p, 0.0, n_max=4, l_max=3, nr=64, nphi=16)
         with pytest.raises(DiagnosticError, match='"analytic" or "fd"'):
             eigen_residual(p, Operator("N0", params=p), g, method=method)
+
+    @pytest.mark.parametrize("zeta", [0.5, 3.0, 30.0, -2.0])
+    @pytest.mark.parametrize("n,l", [(2, 1), (4, -3)])
+    def test_nz_error_is_the_focal_planes(self, n, l, zeta):
+        # the grid scales with w_z and the curvature phase is taken out, so the FD residual of
+        # Nz at any plane is N0's at the focus (without the phase: 1.2x at 0.5 zR, 5e10x at 30)
+        p = LGParams(n, l, K, W0)
+        focal = eigen_residual(p, Operator("N0", params=p), uniform_polar_grid(
+            p, 0.0, n_max=4, l_max=3, nr=512, nphi=16), method="fd")
+        g = uniform_polar_grid(p, zeta * ZR, n_max=4, l_max=3, nr=512, nphi=16)
+        got = eigen_residual(p, Operator("Nz", params=p, z=zeta * ZR), g, method="fd")
+        assert abs(got / focal - 1.0) <= 1e-5
