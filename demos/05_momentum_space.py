@@ -33,8 +33,11 @@ p = ExactMomentumParams(1, 2, 1, OMEGA, W0)
 nrm = np.sqrt(paraxial_norm_sq(p))
 good = lambda kt, kphi: psi_paraxial(p, kt, kphi) / nrm
 bad = lambda kt, kphi: good(kt, kphi) * np.exp(1j * kt * W0)
-for name, psi in (("LG momentum wavefunction", good),
-                  ("same with exp(i w k_t) radial phase", bad)):
-    hd = hermiticity_defect(psi, w=W0, sigma=1, kt_max=14.0 / W0)
+# a unit-norm Gaussian: the window's lower end follows w, so kt_max may sit far beyond its decay
+gauss = lambda kt, kphi: np.exp(-0.5 * (W0 * kt) ** 2) * W0 / np.sqrt(np.pi) + 0 * kphi
+for name, psi, top in (("LG momentum wavefunction", good, 14.0),
+                       ("same with exp(i w k_t) radial phase", bad, 14.0),
+                       ("Gaussian, window up to kt_max = 60/w", gauss, 60.0)):
+    hd = hermiticity_defect(psi, w=W0, sigma=1, kt_max=top / W0)
     print(f"  {name:40s} |<Npsi,psi>-<psi,Npsi>| / ||psi||^2 = "
           f"{abs(hd.defect) / hd.norm_sq:.2e}")

@@ -325,6 +325,21 @@ def _exact_eigen_residual(p, policy, kind="N0", z=0.0):
     return eigen_residual(p, op, quadrature_polar_grid(p, z))
 
 
+def _ph_checks(k, w0):
+    """The paper's result (arXiv:1509.06875): the radial index is the intrinsic hyperbolic
+    momentum charge, so <PH> = (2n + |l| + 1) z/zR.  `expectation` must give it to 1e-12
+    relative, for modes up to n = 50 and one with l < 0, before and after the focus."""
+    from .analysis import expectation
+
+    checks, zr = [], k * w0**2 / 2
+    for n, l in ((0, 0), (2, 1), (3, -2), (50, 7)):
+        for t in (0.3, 2.0, -1.5):
+            want = (2 * n + abs(l) + 1) * t
+            err = abs(expectation("PH", LGParams(n, l, k, w0), t * zr) - want) / abs(want)
+            checks.append(_check(f"ph/closed_form/n{n}l{l}/z{t:g}zR", err, 1e-12))
+    return checks
+
+
 def _verify_checks(cfg):
     from .analysis import overlap_matrix
     from .exactwave import (BesselModeParams, SpacetimePoint, chi_closed_form,
@@ -346,6 +361,7 @@ def _verify_checks(cfg):
     p = LGParams(2, 1, k, w0)
     r = _exact_eigen_residual(p, policy, "Nz", zr)
     checks.append(_check("eigen/Nz/analytic/n2l1/zR", r, 1e-8))
+    checks += _ph_checks(k, w0)
 
     # one FD spot check
     gu = uniform_polar_grid(p, 0.0, n_max=4, l_max=3, nr=768, nphi=16)

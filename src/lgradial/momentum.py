@@ -14,7 +14,7 @@ simpler N'_k = (k_t d/dk_t + (i/sigma) d/dk_phi + w^2 k_t^2) / 2.
 Each operator is defined once (`_coefficients`) as A = b x d/dx + c_r + c_m on each
 azimuthal number m, in its own radial variable x (k_minus for N_k, k_t for N'_k).  Its
 x d/dx comes from the closed form g = x d/dx log psi (A psi = (b g + c_r + c_m) psi
-pointwise) or, on a sampled psi, is d/ds in s = ln x, taken by FFT (`hermiticity_defect`).
+pointwise) or, on a sampled psi, is d/ds in s = ln x by FFT (`hermiticity_defect`, N'_k's k_t term).
 `_exponents` is the one definition of psi_exact's and psi_paraxial's radial factors x^P e^(-D) T:
 `_closed_form` evaluates them as one exp(P log x - D) times T, finite, 0 on underflow, or an
 error (`exactwave.synthesize_lg` uses it), and `_apply` reads g off the same P, D and T.
@@ -223,46 +223,46 @@ class HermiticityDefect:
 def hermiticity_defect(psi, *, w, sigma=1, kt_max) -> HermiticityDefect:
     """Hermiticity defect of the paraxial radial-momentum operator N'_k on a sampled psi.
 
-    In s = ln k_t, with F = psi k_t, <psi, A psi> = h sum conj(F) [b (F' - F) + (c_r + c_m) F]
-    on n nodes uniform in s on (ln kt_max - 24, ln kt_max] and 64 k_phi nodes, taken on F's
-    k_phi spectrum (Parseval), with sum conj(F) F' = (i/n) sum kappa |F^(kappa)|^2 by one FFT in s.
-    The defects at n = 192 and 384 must agree to 1e-6 relative or 1e-6 ||psi||^2.  N'_k is
-    hermitian exactly when psi's radial factor is real.  A psi that is zero, not finite or above
-    2e-9 of its peak |F| at an end, or a defect or norm not a finite double, raises DiagnosticError.
+    Only N'_k's k_t d/dk_t / 2 can be non-hermitian (w^2 k_t^2 / 2 is real, and (i/sigma) d/dk_phi
+    hermitian on a psi periodic in k_phi, so sigma, though checked, cannot change the defect): in
+    s = ln k_t, with F = psi k_t, the defect -2i Im <psi, N'_k psi> is -i (h/n) sum kappa |F^|^2,
+    F^ by one FFT in s of F's k_phi spectrum (Parseval).  s spans (ln k0, ln kt_max], at most 96,
+    k0 = e^-24 min(kt_max, 16/w) (a Gaussian of width 1/w is 1e-9 of its peak |F| there), on
+    n = 64 ceil(span/8), then 2n, nodes (192, 384 for kt_max <= 16/w) times 64 k_phi nodes; the
+    two defects must agree to 1e-6 relative or 1e-6 ||psi||^2.  N'_k is hermitian exactly when
+    psi's radial factor is real.  A psi that is zero, not finite or above 2e-9 of its peak |F| at
+    an end, or a defect or norm not a finite double, raises DiagnosticError.
 
     Parameters
     ----------
     psi : callable (k_t, k_phi) -> complex, broadcasting a k_t column and a k_phi row
-    w, sigma : operator context (w > 0 enters N'_k; sigma = +-1 scales the angular term)
-    kt_max : top of the k_t window, finite, > 0, with normal kt_max^2 and finite (w kt_max)^2
+    w, sigma : operator context (w > 0 sets the window; sigma = +-1)
+    kt_max : top of the k_t window, finite, > 0, with kt_max^2 a normal double
     """
-    sigma = _check_helicity(sigma)
+    _check_helicity(sigma)
     if not 0 < w < math.inf:
         raise DiagnosticError(f"w must be finite and > 0, got {w}")
     k, wk = float(kt_max), float(w) * float(kt_max)  # Python floats: an overflow is inf, silently
-    if not (0 < k and np.finfo(float).tiny <= k * k < math.inf and wk * wk < math.inf):
-        raise DiagnosticError(f"kt_max must be finite and > 0, with kt_max^2 a normal double "
-                              f"and finite (w kt_max)^2, got {kt_max}")
-    kphi = np.arange(64) * (2.0 * math.pi / 64)
+    if not (0 < k and np.finfo(float).tiny <= k * k < math.inf):
+        raise DiagnosticError(f"kt_max must be finite and > 0, with normal kt_max^2, got {kt_max}")
+    span = min(24.0 + math.log(wk / 16.0), 96.0) if wk > 16.0 else 24.0
+    kphi, nodes = np.arange(64) * (2.0 * math.pi / 64), 64 * math.ceil(span / 8.0)
 
     def evaluate(n):
-        s = math.log(k) - (24.0 / n) * np.arange(n - 1, -1, -1)
-        kt, kappa = np.exp(s), _wavenumbers(n)[1] * (2.0 * math.pi / 24.0)  # d/ds is i kappa
-        b, c_r, c_m = _coefficients("Nk_paraxial", kt, _wavenumbers(64)[1] / sigma, w)
+        s = math.log(k) - (span / n) * np.arange(n - 1, -1, -1)
+        kt, kappa = np.exp(s), _wavenumbers(n)[1] * (2.0 * math.pi / span)  # d/ds is i kappa
         f = _spectrum(_broadcast(psi(kt[:, None], kphi), (n, 64), "hermiticity_defect's psi"),
                       "hermiticity_defect needs a finite psi")
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             f *= kt[:, None]  # F; its |F|^2 sums are taken on float views, with no temporaries
             v, g = f.view(float), np.fft.fft(f, axis=0).view(float)  # F^ in s: F' is i kappa F^
-            rows, dot = np.einsum("ij,ij->i", v, v), 1j / n * np.einsum("i,ij,ij->", kappa, g, g)
-            scale = (24.0 / n) * (2.0 * math.pi / 64) / 64  # Parseval: 1/64 of the spectrum's sums
-            inner = scale * (b * (dot - rows.sum()) + np.einsum("i,i->", c_r, rows)  # <psi, A psi>
-                             + np.einsum("ij,ij,j->", v, v, np.repeat(c_m, 2)))
-            defect, nrm = inner.conjugate() - inner, scale * float(rows.sum())
+            rows, scale = np.einsum("ij,ij->i", v, v), (span / n) * (2.0 * math.pi / 64) / 64
+            defect = complex(0.0, -scale * ((1.0 / n) * np.einsum("i,ij,ij->", kappa, g, g)))
+            nrm = scale * float(rows.sum())  # scale is h: the step, with Parseval's 1/64
         if not (0.0 < nrm < math.inf and np.isfinite(defect)):  # psi = 0, or an overflow
             raise DiagnosticError(f"hermiticity_defect needs a psi that is not identically zero, "
                                   f"and a finite defect and norm, got {defect}, {nrm}")
         _require_decay(rows, s, "hermiticity_defect needs |psi k_t|", "ln k_t")
         return defect, nrm, HermiticityDefect(defect=defect, norm_sq=nrm)
 
-    return _converge("hermiticity defect", evaluate, (192, 384), 1e-6, 1e-6)
+    return _converge("hermiticity defect", evaluate, (nodes, 2 * nodes), 1e-6, 1e-6)

@@ -197,7 +197,7 @@ def _broadcast(values, shape, name):
 def _require_decay(sq, s, needs, var):
     """Raise DiagnosticError unless |F| = sqrt(sq) is below 2e-9 of its peak at both ends of s:
     above that dilation_check's defect stops converging to 1e-10 (from about 1.2e-8), and a
-    Gaussian psi leaves 1e-9 at hermiticity_defect's lower end at kt_max = 14/w."""
+    Gaussian psi leaves 1e-9 at hermiticity_defect's lower end, e^-24 min(kt_max, 16/w)."""
     if np.any(sq[..., [0, -1]] > 4e-18 * sq.max(axis=-1, keepdims=True)):
         raise DiagnosticError(f"{needs} negligible at both ends of {var} = {s[0]:.1f}..{s[-1]:.1f}")
 

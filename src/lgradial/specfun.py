@@ -41,7 +41,6 @@ from .errors import DiagnosticError, QuadratureConvergenceError, _check_int, _ch
 __all__ = [
     "laguerre",
     "bessel_j",
-    "bessel_j_derivative",
     "QuadratureRule",
     "make_rule",
 ]
@@ -256,11 +255,6 @@ def _bessel_j_and_derivative(m, x):
     if m < 0 and a % 2:
         jm, jp = -jm, -jp
     return jm[()], jp[()]
-
-
-def bessel_j_derivative(m, x):
-    """dJ_m/dx via the identity J_m' = (J_{m-1} - J_{m+1}) / 2."""
-    return _bessel_j_and_derivative(m, x)[1]
 
 
 class QuadratureRule(NamedTuple):

@@ -321,6 +321,17 @@ class TestVerifyCommand:
         checks = {c["name"]: c for c in json.loads((tmp_path / "lg_verify.json").read_text())["checks"]}
         assert checks["overlap/unitarity"]["pass"] and checks["overlap/unitarity"]["measured"] <= 1e-12
 
+    def test_paper_result_is_checked(self, tmp_path):
+        # <PH> = (2n + |l| + 1) z/zR for four modes, one with l < 0, at three planes each
+        assert run(tmp_path, "verify") == 0
+        checks = json.loads((tmp_path / "lg_verify.json").read_text())["checks"]
+        ph = {c["name"]: c for c in checks if c["name"].startswith("ph/closed_form/")}
+        assert sorted(ph) == sorted(f"ph/closed_form/n{n}l{l}/z{t}zR"
+                                    for n, l in ((0, 0), (2, 1), (3, -2), (50, 7))
+                                    for t in ("0.3", "2", "-1.5"))
+        assert all(c["pass"] and c["tolerance"] == 1e-12 and c["measured"] <= 1e-13
+                   for c in ph.values()), ph
+
     def test_verbatim_policy_selectable(self, tmp_path):
         assert run(tmp_path, "verify", "--policy", "verbatim") == 0
         report = json.loads((tmp_path / "lg_verify.json").read_text())
@@ -374,7 +385,7 @@ for argv in (["render", "--grid.pixels", "16"],
              ["verify"]):
     assert lgradial.cli.main(argv + ["--output.dir", sys.argv[1]]) == 0, argv
 specfun.bessel_j(0, 1.0)
-specfun.bessel_j_derivative(-3, [0.5, 7.0, 40.0])
+specfun._bessel_j_and_derivative(-3, [0.5, 7.0, 40.0])
 omega, w = 2.9e15, 1e-3
 pp = exactwave.ExactMomentumParams(1, 1, -1, omega, w)
 exactwave.synthesize_lg(pp, exactwave.SpacetimePoint(r=w, phi=0.3, z=0.0), 96)

@@ -22,15 +22,15 @@ from hypothesis import strategies as st
 
 from lgradial.analysis import expectation, overlap_matrix, raw_expectation
 from lgradial.constants import C_LIGHT
-from lgradial.errors import DiagnosticError
+from lgradial.errors import DiagnosticError, QuadratureConvergenceError
 from lgradial.exactwave import SpacetimePoint, chi_closed_form, synthesize_lg
 from lgradial.lgmode import LGParams, beam_geometry, lg_partials
-from lgradial.momentum import (ExactMomentumParams, apply_nk, apply_nk_paraxial, nk_eigen_residual,
-                               nk_polar, psi_exact, psi_paraxial)
+from lgradial.momentum import (ExactMomentumParams, apply_nk, apply_nk_paraxial, hermiticity_defect,
+                               nk_eigen_residual, nk_polar, psi_exact, psi_paraxial)
 from lgradial.paraxops import Operator, dilation_check
 
 from conftest import ENVELOPE, K, OMEGA, W0, ZR
-from oracles import chi_two_term_mpmath, overlap_matrix_quadrature
+from oracles import chi_two_term_mpmath, hermiticity_defect_closed_form, overlap_matrix_quadrature
 
 
 @ENVELOPE
@@ -97,6 +97,37 @@ def test_momentum_values_are_finite_or_raise(n, m, sigma, w, k, k_z, k_phi, poli
         except DiagnosticError:
             continue
         assert np.isfinite(value), (f.__name__, args, value)
+
+
+def unit_paraxial(n, m, w):
+    """psi_paraxial(n, m) normalized under k_t dk_t dk_phi, as one exp: it is a finite double
+    at every w, where paraxial_norm_sq overflows at small w and 2n + |m| near 30."""
+    p = 2 * n + abs(m)
+    log_c = math.log(w) - 0.5 * (math.log(math.pi) + math.lgamma(p + 1))
+    return lambda kt, kphi: np.exp(p * np.log(w * kt) - 0.5 * (w * kt) ** 2 + log_c + 1j * m * kphi)
+
+
+@settings(ENVELOPE, max_examples=100)  # about 5 ms an example
+@given(n=st.integers(0, 10), m=st.integers(-10, 10), w=st.floats(5e-6, 5e-3),
+       top=st.sampled_from(["14+2n", 30.0, 60.0, 1e3, 1e6]), a=st.sampled_from([0.0, 1.0]))
+@example(n=0, m=0, w=W0, top=30.0, a=0.0)  # the Gaussian: "negligible at both ends" from 30/w, once
+@example(n=0, m=0, w=5e-6, top=1e6, a=0.0)
+@example(n=10, m=-10, w=5e-6, top="14+2n", a=0.0)
+@example(n=10, m=10, w=5e-3, top=1e6, a=0.0)
+def test_hermiticity_defect_at_every_kt_max(n, m, w, top, a):
+    # the window's lower end follows w, not kt_max: e^-24 min(kt_max, 16/w); a real radial
+    # factor (a = 0) passes everywhere, and the chirp e^(i a w k_t) is right or not converged
+    kt_max = ((14.0 + 2 * n) if top == "14+2n" else top) / w
+    psi = unit_paraxial(n, m, w)
+    try:
+        hd = hermiticity_defect(lambda kt, kphi: psi(kt, kphi) * np.exp(1j * a * w * kt), w=w,
+                                sigma=1, kt_max=kt_max)
+    except QuadratureConvergenceError:
+        assert a, (n, m, w, kt_max)
+        return
+    want = hermiticity_defect_closed_form(n, m, a * w, w)
+    assert abs(hd.norm_sq - 1.0) <= 1e-12
+    assert abs(hd.defect / hd.norm_sq - want) <= 1e-12 * max(abs(want), 1.0), (n, m, w, kt_max)
 
 
 _POINT = st.tuples(st.floats(0.05, 3.0), st.floats(-2.0, 2.0), st.floats(-0.4, 0.4))

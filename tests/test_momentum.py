@@ -325,6 +325,41 @@ class TestHermiticitySpectral:
         hermiticity_defect(_verify_wavefunctions()["good"], w=W0, sigma=1, kt_max=14.0 / W0)
         assert calls == {"fft": 4, "ifft": 0, "_stencils": 0}
 
+    @pytest.mark.parametrize("top", [14.0, 60.0, 1e6])
+    def test_counterexample_at_any_kt_max(self, top):
+        # 60/w and 1e6/w once widened the window at the same node counts, and stopped converging
+        hd = hermiticity_defect(_verify_wavefunctions()["bad"], w=W0, sigma=1, kt_max=top / W0)
+        assert abs(hd.defect / hd.norm_sq + 2.18094907435640j) <= 1e-12 * 2.18094907435640
+
+    def test_only_the_radial_derivative_is_evaluated(self, monkeypatch):
+        # w^2 k_t^2 and (i/sigma) d/dk_phi are hermitian: no operator coefficients are formed
+        def refuse(*args, **kwargs):
+            raise AssertionError("hermiticity_defect formed N'_k's coefficients")
+        monkeypatch.setattr(momentum, "_coefficients", refuse)
+        hermiticity_defect(_verify_wavefunctions()["bad"], w=W0, sigma=1, kt_max=14.0 / W0)
+
+    @pytest.mark.parametrize("wave", ["good", "bad"])
+    def test_sigma_cannot_change_the_defect(self, wave):
+        psi = _verify_wavefunctions()[wave]
+        plus, minus = (hermiticity_defect(psi, w=W0, sigma=s, kt_max=14.0 / W0) for s in (1, -1))
+        assert plus == minus
+
+    @pytest.mark.parametrize("top, nodes", [(14.0, (192, 384)), (16.0, (192, 384)),
+                                            (60.0, (256, 512)), (1e6, (320, 640)),
+                                            (1e34, (768, 1536))])
+    def test_window_follows_w_and_kt_max(self, top, nodes):
+        # e^-24 min(kt_max, 16/w) up to kt_max, at most 96 units, 64 ceil(span/8) nodes then 2n
+        seen = []
+        gauss = lambda kt, kphi: seen.append(kt.ravel()) or np.exp(-0.5 * (W0 * kt) ** 2) + 0 * kphi
+        try:
+            hermiticity_defect(gauss, w=W0, sigma=1, kt_max=top / W0)
+        except DiagnosticError:
+            assert top == 1e34  # beyond the cap: the Gaussian's |F| is not small at e^-96 kt_max
+        assert tuple(len(kt) for kt in seen) == (nodes if top < 1e34 else nodes[:1])
+        span = min(24.0 + math.log(max(top, 16.0) / 16.0), 96.0)
+        assert seen[0][-1] == pytest.approx(top / W0, rel=1e-13)
+        assert math.log(seen[0][-1] / seen[0][0]) == pytest.approx(span * (1 - 1 / nodes[0]))
+
 
 class TestHermiticity:
     def test_lg_momentum_wavefunction_is_hermitian_domain(self):
@@ -358,20 +393,29 @@ class TestHermiticity:
         assert abs(got.defect / got.norm_sq - ratio) <= 1e-9 * abs(ratio)
 
     def test_overflow_raises(self):
-        # a psi that does not decay once overflowed the measure-weighted inner products
-        psi = lambda kt, kphi: np.ones(np.broadcast_shapes(np.shape(kt), np.shape(kphi)), complex)
-        with pytest.raises(DiagnosticError, match="finite defect and norm, got"):
-            hermiticity_defect(psi, w=W0, sigma=1, kt_max=1e150)
+        # a psi that does not decay once overflowed the measure-weighted inner products; with
+        # the window at most 96 units long a constant is caught at its ends, and a psi k_t that
+        # overflows by its norm
+        for value, message in ((1.0, "negligible at both ends of ln k_t"),
+                               (1e300, "finite defect and norm, got")):
+            psi = lambda kt, kphi: np.full(np.broadcast_shapes(np.shape(kt), np.shape(kphi)),
+                                           value, complex)
+            with pytest.raises(DiagnosticError, match=message):
+                hermiticity_defect(psi, w=W0, sigma=1, kt_max=1e150)
 
     @pytest.mark.parametrize("psi, kt_max, message", [
         (lambda kt, kphi: 1 / (1 + kt * W0) + 0 * kphi, 14.0 / W0, "negligible at both ends"),
+        (lambda kt, kphi: 1 / kt + 0 * kphi, 14.0 / W0, "negligible at both ends"),
+        (lambda kt, kphi: np.exp(-0.5 * (W0 * kt) ** 2) + 0 * kphi, 1e34 / W0,
+         "negligible at both ends"),
         (_verify_wavefunctions()["good"], 2.0 / W0, "negligible at both ends of ln k_t"),
         (lambda kt, kphi: np.ones(3), 14.0 / W0, "psi returned shape (3,), not (192, 64)"),
         (lambda kt, kphi: None, 14.0 / W0, "needs a finite psi, got a non-finite value"),
-    ], ids=["not-decaying", "cut-gaussian", "wrong-shape", "none"])
+    ], ids=["not-decaying", "inverse-k_t", "gaussian-beyond-cap", "cut-gaussian", "wrong-shape",
+            "none"])
     def test_truncated_or_misshapen_psi_raises(self, psi, kt_max, message):
-        # the first two once returned a number (a norm of 1.1e7 for the first); the last two
-        # once raised numpy's bare ValueError and TypeError
+        # not-decaying and cut-gaussian once returned a number (a norm of 1.1e7 for the first);
+        # wrong-shape and none once raised numpy's bare ValueError and TypeError
         with pytest.raises(DiagnosticError, match=re.escape(message)):
             hermiticity_defect(psi, w=W0, sigma=1, kt_max=kt_max)
 

@@ -13,8 +13,8 @@ from scipy.special import roots_legendre
 from lgradial import specfun
 from lgradial.errors import DiagnosticError, QuadratureConvergenceError
 from lgradial.lgmode import _gauss_u
-from lgradial.specfun import (QuadratureRule, _converge, _converged, _gauss_legendre, _roots,
-                              bessel_j, bessel_j_derivative, laguerre, make_rule)
+from lgradial.specfun import (QuadratureRule, _bessel_j_and_derivative, _converge, _converged,
+                              _gauss_legendre, _roots, bessel_j, laguerre, make_rule)
 
 from oracles import bessel_series, laguerre_monomial
 
@@ -113,7 +113,12 @@ class TestBesselJ:
         x = np.linspace(0.2, 20.0, 9)
         for m in (0, 1, 3):
             want = 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
-            assert np.allclose(bessel_j_derivative(m, x), want, rtol=0, atol=1e-14)
+            assert np.allclose(_bessel_j_and_derivative(m, x)[1], want, rtol=0, atol=1e-14)
+
+
+def _jprime(m, x):
+    """J_m'(x), the second of `_bessel_j_and_derivative`'s pair."""
+    return _bessel_j_and_derivative(m, x)[1]
 
 
 def _envelope_error(got, m, x):
@@ -153,7 +158,7 @@ class TestBesselCore:
     def test_derivative_matches_mpmath(self, m, x):
         with mpmath.workdps(30):
             want = float(mpmath.besselj(m, mpmath.mpf(x), derivative=1))
-        assert abs(bessel_j_derivative(m, x) - want) <= 1e-13 * max(abs(want), 1.0)
+        assert abs(_bessel_j_and_derivative(m, x)[1] - want) <= 1e-13 * max(abs(want), 1.0)
 
     @pytest.mark.parametrize("M, edge", BESSEL_BOUNDARIES)
     def test_one_ulp_either_side_of_each_method_boundary(self, M, edge):
@@ -177,11 +182,11 @@ class TestBesselCore:
         j = specfun._bessel_jn(5, 0.0)
         assert j[0] == 1.0 and not np.any(j[1:])
         assert bessel_j(-3, 0.0) == 0.0
-        assert [bessel_j_derivative(m, 0.0) for m in (-1, 0, 1, 2)] == [-0.5, 0.0, 0.5, 0.0]
+        assert [_bessel_j_and_derivative(m, 0.0)[1] for m in (-1, 0, 1, 2)] == [-0.5, 0.0, 0.5, 0.0]
 
     def test_shape_and_scalar_ness_follow_x(self):
         x = np.array([[0.5, 7.0, 40.0], [3.0, 25.0, 600.0]])
-        for f in (bessel_j, bessel_j_derivative):
+        for f in (bessel_j, _jprime):
             got = f(-3, x)
             assert got.shape == (2, 3)
             for point in (40.0, 3.0, 3, np.float64(600.0)):
@@ -194,18 +199,18 @@ class TestBesselCore:
     def test_derivative_is_the_half_difference(self, m):
         x = np.array([1e-3, 2.0, 5.0, 9.0, 24.0, 31.0, 90.0, 2000.0])
         want = 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
-        assert np.allclose(bessel_j_derivative(m, x), want, rtol=0, atol=1e-14)
+        assert np.allclose(_bessel_j_and_derivative(m, x)[1], want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("x", [-1.0, -1e-300, math.nan, math.inf, -math.inf,
                                    [1.0, math.nan], np.array([[2.0], [-3.0]])])
     def test_x_outside_the_domain_raises(self, x):
-        for f in (bessel_j, bessel_j_derivative):
+        for f in (bessel_j, _jprime):
             with pytest.raises(DiagnosticError, match="finite x >= 0"):
                 f(1, x)
 
     @pytest.mark.parametrize("m", [1.5, 2.0, True, "2", None])
     def test_order_must_be_an_integer(self, m):
-        for f in (bessel_j, bessel_j_derivative):
+        for f in (bessel_j, _jprime):
             with pytest.raises(DiagnosticError, match="Bessel order must be an integer"):
                 f(m, 1.0)
 
