@@ -344,9 +344,10 @@ def _verify_checks(cfg):
     from .analysis import overlap_matrix
     from .exactwave import (BesselModeParams, SpacetimePoint, chi_closed_form,
                             maxwell_residual, rs_bessel_field, synthesize_lg)
-    from .momentum import (ExactMomentumParams, hermiticity_defect,
-                           nk_eigen_residual, paraxial_norm_sq, psi_paraxial)
-    from .paraxops import Operator, commutator_residual, dilation_check, eigen_residual
+    from .momentum import (ExactMomentumParams, _coefficients, hermiticity_defect,
+                           nk_eigen_residual, paraxial_norm_sq, psi_exact, psi_paraxial)
+    from .paraxops import (Operator, _fd_apply, _stencils, commutator_residual, dilation_check,
+                           eigen_residual)
 
     checks = []
     policy = cfg["policy"]
@@ -399,6 +400,17 @@ def _verify_checks(cfg):
         pp = ExactMomentumParams(n, m, s, omega, w0)
         r = nk_eigen_residual(pp, kml / pp.beta, kpl, policy)
         checks.append(_check(f"eigen/Nk/n{n}m{m}s{s:+d}", r, 1e-10))
+    # the same with N_k's derivative by 7-point stencils on 800 uniform k_minus nodes over
+    # (0.02, 40)/beta, not by the closed form; each tolerance is the 800-node residual times
+    # its 400 -> 800 step-halving ratio (1.78e-9 x 69, 8.0e-11 x 64), rounded up
+    for (n, m, s), tol in (((3, 2, 1), 2e-7), ((0, 0, 1), 1e-8)):
+        pp = ExactMomentumParams(n, m, s, omega, w0)
+        x = np.linspace(0.02, 40.0, 800)[:, None] / pp.beta
+        f = psi_exact(pp, x, 0.0)
+        b, c_r, c_m = _coefficients("Nk", x, m, w0, pp.k_plus)  # m >= 0: either policy
+        out = _fd_apply(b * x * _stencils(x[:, 0])[0], c_r - n, c_m, f)
+        checks.append(_check(f"eigen/Nk/fd/n{n}m{m}s{s:+d}",
+                             np.linalg.norm(out) / np.linalg.norm(f), tol))
 
     # hermiticity restriction
     pp = ExactMomentumParams(1, 2, 1, omega, w0)

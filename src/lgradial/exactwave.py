@@ -38,6 +38,7 @@ table's own log scale in one exp, and T_(n+1) = row_(n+1) sqrt((n+1)(n+A+1)) / (
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -272,15 +273,28 @@ def chi_closed_form(params: ExactMomentumParams, p: SpacetimePoint):
     return chi
 
 
-def _synthesis_radial(params: ExactMomentumParams, p: SpacetimePoint, order):
-    # points x nodes: psi_exact at k_minus = u/beta (its e^(-u) is the rule's weight), phase, J_m
+@functools.lru_cache(maxsize=64)
+def _synthesis_rule(params: ExactMomentumParams, order):
+    """(k_minus, weight, sqrt(k_plus k_minus)) on the order-point Gauss rule in u = beta k_minus:
+    weight is (lam/beta) psi_exact, whose e^(-u) is the rule's.  They depend on (params, order)
+    alone, so every synthesis call shares them; the arrays are read-only, and a psi that raises
+    is not cached."""
     u, lam = _gauss_u(order, 0)
     km = u / params.beta
+    with np.errstate(over="ignore", invalid="ignore"):  # a mass that is not finite raises later
+        rule = km, lam / params.beta * psi_exact(params, km, 0.0), np.sqrt(params.k_plus * km)
+    for x in rule:
+        x.setflags(write=False)
+    return rule
+
+
+def _synthesis_radial(params: ExactMomentumParams, p: SpacetimePoint, order):
+    # points x nodes: the rule's weight, the t_plus phase, J_m
+    km, weight, root = _synthesis_rule(params, order)
     t_plus, r = (np.asarray(x)[..., None] for x in (p.t_plus, p.r))
     with np.errstate(over="ignore", invalid="ignore"):  # a mass that is not finite raises below
-        weighted = (lam / params.beta * psi_exact(params, km, 0.0)
-                    * np.exp(-1j * params.sigma * C_LIGHT * t_plus * km)
-                    * bessel_j(params.m, 2.0 * r * np.sqrt(params.k_plus * km)))
+        weighted = (weight * np.exp(-1j * params.sigma * C_LIGHT * t_plus * km)
+                    * bessel_j(params.m, 2.0 * r * root))
         value, mass = weighted.sum(axis=-1), np.abs(weighted).sum(axis=-1)
     if not np.isfinite(mass).all():
         raise DiagnosticError(f"synthesis sum is not a finite double at n = {params.n}")
@@ -295,8 +309,9 @@ def synthesize_lg(params: ExactMomentumParams, p: SpacetimePoint,
     + k_minus t_plus)) J_m(2 r sqrt(k_plus k_minus)) on the constraint
     surface, psi = `momentum.psi_exact`, by the Gauss rule in u = beta k_minus for
     the weight e^(-u) (`lgmode._gauss_u`), which psi's e^(-beta k_minus) supplies,
-    so no truncation radius is ever chosen.  The azimuthal integral is resolved
-    analytically to the exp(i sigma m phi) term.  `quad_order` is an integer >= 8.
+    so no truncation radius is ever chosen; the nodes and psi's weights on them depend on
+    (params, order) alone and are built once (`_synthesis_rule`).  The azimuthal integral
+    is resolved analytically to the exp(i sigma m phi) term.  `quad_order` is an integer >= 8.
     With `check_convergence`, orders q and 2q must agree at every point of p
     to 1e-8 relative or 1e-11 of that point's integrand mass (in oscillatory
     tails far above the value).  A psi or a sum beyond the largest double raises DiagnosticError.

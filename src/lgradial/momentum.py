@@ -228,10 +228,11 @@ def hermiticity_defect(psi, *, w, sigma=1, kt_max) -> HermiticityDefect:
     s = ln k_t, with F = psi k_t, the defect -2i Im <psi, N'_k psi> is -i (h/n) sum kappa |F^|^2,
     F^ by one FFT in s of F's k_phi spectrum (Parseval).  s spans (ln k0, ln kt_max], at most 96,
     k0 = e^-24 min(kt_max, 16/w) (a Gaussian of width 1/w is 1e-9 of its peak |F| there), on
-    n = 64 ceil(span/8), then 2n, nodes (192, 384 for kt_max <= 16/w) times 64 k_phi nodes; the
-    two defects must agree to 1e-6 relative or 1e-6 ||psi||^2.  N'_k is hermitian exactly when
-    psi's radial factor is real.  A psi that is zero, not finite or above 2e-9 of its peak |F| at
-    an end, or a defect or norm not a finite double, raises DiagnosticError.
+    n = 64 ceil(span/8), then 2n, nodes (192, 384 for kt_max <= 16/w) times 64 k_phi nodes, psi
+    sampled once on the 2n (the n are its odd rows); the two defects must agree to 1e-6 relative
+    or 1e-6 ||psi||^2.  N'_k is hermitian exactly when psi's radial factor is real.  A psi that is
+    zero, not finite or above 2e-9 of its peak |F| at an end, or a defect or norm not a finite
+    double, raises DiagnosticError.
 
     Parameters
     ----------
@@ -248,21 +249,26 @@ def hermiticity_defect(psi, *, w, sigma=1, kt_max) -> HermiticityDefect:
     span = min(24.0 + math.log(wk / 16.0), 96.0) if wk > 16.0 else 24.0
     kphi, nodes = np.arange(64) * (2.0 * math.pi / 64), 64 * math.ceil(span / 8.0)
 
+    # one psi call on the 2n nodes: the n nodes are its odd rows, RN(span/2n) 2j = RN(span/n) j
+    s = math.log(k) - (span / (2 * nodes)) * np.arange(2 * nodes - 1, -1, -1)
+    kt = np.exp(s)
+    fine = _spectrum(_broadcast(psi(kt[:, None], kphi), (2 * nodes, 64),
+                                "hermiticity_defect's psi"), "hermiticity_defect needs a finite psi")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        fine *= kt[:, None]  # F; its |F|^2 sums are taken on float views, with no temporaries
+
     def evaluate(n):
-        s = math.log(k) - (span / n) * np.arange(n - 1, -1, -1)
-        kt, kappa = np.exp(s), _wavenumbers(n)[1] * (2.0 * math.pi / span)  # d/ds is i kappa
-        f = _spectrum(_broadcast(psi(kt[:, None], kphi), (n, 64), "hermiticity_defect's psi"),
-                      "hermiticity_defect needs a finite psi")
+        rows = slice(1, None, 2) if n == nodes else slice(None)
+        f, kappa = fine[rows], _wavenumbers(n)[1] * (2.0 * math.pi / span)  # d/ds is i kappa
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            f *= kt[:, None]  # F; its |F|^2 sums are taken on float views, with no temporaries
             v, g = f.view(float), np.fft.fft(f, axis=0).view(float)  # F^ in s: F' is i kappa F^
-            rows, scale = np.einsum("ij,ij->i", v, v), (span / n) * (2.0 * math.pi / 64) / 64
+            sq, scale = np.einsum("ij,ij->i", v, v), (span / n) * (2.0 * math.pi / 64) / 64
             defect = complex(0.0, -scale * ((1.0 / n) * np.einsum("i,ij,ij->", kappa, g, g)))
-            nrm = scale * float(rows.sum())  # scale is h: the step, with Parseval's 1/64
+            nrm = scale * float(sq.sum())  # scale is h: the step, with Parseval's 1/64
         if not (0.0 < nrm < math.inf and np.isfinite(defect)):  # psi = 0, or an overflow
             raise DiagnosticError(f"hermiticity_defect needs a psi that is not identically zero, "
                                   f"and a finite defect and norm, got {defect}, {nrm}")
-        _require_decay(rows, s, "hermiticity_defect needs |psi k_t|", "ln k_t")
+        _require_decay(sq, s[rows], "hermiticity_defect needs |psi k_t|", "ln k_t")
         return defect, nrm, HermiticityDefect(defect=defect, norm_sq=nrm)
 
     return _converge("hermiticity defect", evaluate, (nodes, 2 * nodes), 1e-6, 1e-6)

@@ -312,18 +312,28 @@ def dilation_check(f, gamma) -> DilationCheck:
     integrand: Trefethen & Weideman, SIAM Rev. 56, 385, 2014).  Checks that D_g is unitary and
     that (D_d f - D_-d f)/(2 d), d = 1e-4, matches (r d/dr + 1) f = i PH f = F' e^-s, F' by FFT
     of F less the line through its end values (the slope added back), so the wrap has no jump.
+    f is called 4 times per sampled grid: the first two steps share one (the coarse grid is the
+    fine one's even points), and a third samples its own.
     A |g| > 289.9, a norm not finite or 0, or |f r| not negligible at an end raises DiagnosticError.
     """
     span = 612 * math.pi / 32  # |s| <= 60.1; steps pi/32, pi/64, pi/128 divide no rational g
     if not abs(gamma) <= 350.0 - span:  # every e^(s + g) and its square are finite doubles
         raise DiagnosticError(f"dilation_check needs a finite gamma, |gamma| <= 289.9, got {gamma}")
 
-    def evaluate(n):
+    def sample(n):  # s, then F(s + t) = D_t f e^s for F = f e^s at t = 0, gamma and +-1e-4
         s = np.arange(-n, n + 1) * (span / n)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm raises below
-            base, moved, fwd, back = (  # F(s + t) = D_t f e^s for F = f e^s
-                math.exp(t) * _broadcast(f(np.exp(s + t)), s.shape, "dilation_check's f")
-                * np.exp(s) for t in (0, gamma, 1e-4, -1e-4))
+            return [s, *(math.exp(t) * _broadcast(f(np.exp(s + t)), s.shape, "dilation_check's f")
+                         * np.exp(s) for t in (0, gamma, 1e-4, -1e-4))]
+
+    # 612's grid is the even points of 1224's, RN(span/1224) 2j = RN(span/612) j, so f is
+    # sampled once for both; a third level samples its own grid
+    shared = sample(1224)
+
+    def evaluate(n):
+        s, base, moved, fwd, back = ([x[::2] for x in shared] if n == 612
+                                     else shared if n == 1224 else sample(n))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm raises below
             slope = (base[-1] - base[0]) / (2.0 * span)  # F less this line wraps with no jump
             gen = slope + np.fft.ifft(2j * math.pi * np.fft.fftfreq(2 * n + 1, span / n)
                                       * np.fft.fft(base - slope * (s + span)))

@@ -332,6 +332,18 @@ class TestVerifyCommand:
         assert all(c["pass"] and c["tolerance"] == 1e-12 and c["measured"] <= 1e-13
                    for c in ph.values()), ph
 
+    def test_momentum_operator_has_an_independent_check(self, tmp_path):
+        # eigen/Nk/* takes psi's and N_k's derivative from one closed form; eigen/Nk/fd/* applies
+        # N_k by 7-point stencils, whose error falls about 64x per step halving
+        assert run(tmp_path, "verify") == 0
+        checks = json.loads((tmp_path / "lg_verify.json").read_text())["checks"]
+        fd = {c["name"]: c for c in checks if c["name"].startswith("eigen/Nk/fd/")}
+        assert sorted(fd) == ["eigen/Nk/fd/n0m0s+1", "eigen/Nk/fd/n3m2s+1"]
+        assert fd["eigen/Nk/fd/n3m2s+1"]["tolerance"] == 2e-7
+        assert fd["eigen/Nk/fd/n0m0s+1"]["tolerance"] == 1e-8
+        assert all(c["pass"] and 1e-12 < c["measured"] <= c["tolerance"] / 32
+                   for c in fd.values()), fd
+
     def test_verbatim_policy_selectable(self, tmp_path):
         assert run(tmp_path, "verify", "--policy", "verbatim") == 0
         report = json.loads((tmp_path / "lg_verify.json").read_text())

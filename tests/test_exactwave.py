@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from lgradial import exactwave
 from lgradial.constants import C_LIGHT
 from lgradial.errors import DiagnosticError, QuadratureConvergenceError
 from lgradial.exactwave import (BesselModeParams, RSField, SpacetimePoint,
@@ -315,6 +316,42 @@ class TestSynthesis:
         pt = SpacetimePoint(r=0.8 * W0, phi=1.0, z=0.2 * W0, t=0.0)
         v = synthesize_lg(p, pt, 96, check_convergence=True)
         assert np.isfinite(v.real) and np.isfinite(v.imag)
+
+
+class TestSynthesisRule:
+    """psi_exact's weights on the Gauss nodes depend on (params, order) alone: built once, shared."""
+
+    @pytest.mark.parametrize("n, m, sigma, w", [(0, 0, 1, W0), (1, 1, -1, W0),
+                                                (3, -2, 1, 0.3 * W0), (6, 5, -1, 2.5 * W0)])
+    def test_cached_rule_gives_the_fresh_value_bitwise(self, n, m, sigma, w):
+        p = ExactMomentumParams(n, m, sigma, OMEGA, w)
+        t_ray = w**2 * OMEGA / C_LIGHT**2
+        batch = SpacetimePoint(r=np.linspace(0.08, 2.6, 5) * w, phi=np.linspace(0.0, 6.0, 5),
+                               z=np.linspace(-2.0, 2.0, 5) * w, t=np.linspace(-0.4, 0.4, 5) * t_ray)
+        points = [SpacetimePoint(*map(float, q)) for q in zip(batch.r, batch.phi, batch.z, batch.t)]
+        calls = [(q, order, False) for order in (8, 16, 48, 96, 128, 256) for q in [batch, *points]]
+        for q, order, gated in calls + [(batch, 96, True), (points[2], 128, True)]:
+            exactwave._synthesis_rule.cache_clear()
+            fresh = synthesize_lg(p, q, order, check_convergence=gated)
+            cached = synthesize_lg(p, q, order, check_convergence=gated)
+            assert exactwave._synthesis_rule.cache_info().hits >= 1
+            assert np.array_equal(cached, fresh) and np.ndim(cached) == np.ndim(q.r)
+
+    def test_cached_arrays_are_read_only(self):
+        for x in exactwave._synthesis_rule(ExactMomentumParams(1, 1, -1, OMEGA, W0), 96):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 0.0
+
+    def test_a_refusal_is_not_cached(self):
+        # psi of (41, -106) at 29.73 um is not a finite double on the rule's nodes: every call
+        # must raise again, not return a cached rule
+        p = ExactMomentumParams(41, -106, 1, OMEGA, 29.73e-6)
+        exactwave._synthesis_rule.cache_clear()
+        for _ in range(3):
+            with pytest.raises(DiagnosticError, match="psi is not a finite double"):
+                synthesize_lg(p, SpacetimePoint(0.05 * p.w, 0.0, 0.0, 0.0))
+        assert exactwave._synthesis_rule.cache_info().currsize == 0
 
 
 class TestBatch:

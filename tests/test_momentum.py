@@ -321,9 +321,10 @@ class TestHermiticitySpectral:
         assert abs(hd.defect / hd.norm_sq - want) <= 1e-12 * max(abs(want), 1.0)
 
     def test_two_forward_ffts_per_order_and_no_stencils(self, monkeypatch):
+        # one k_phi spectrum of the 2n-node samples serves both orders, then one FFT in s each
         calls = count_calls(monkeypatch, paraxops)
         hermiticity_defect(_verify_wavefunctions()["good"], w=W0, sigma=1, kt_max=14.0 / W0)
-        assert calls == {"fft": 4, "ifft": 0, "_stencils": 0}
+        assert calls == {"fft": 3, "ifft": 0, "_stencils": 0}
 
     @pytest.mark.parametrize("top", [14.0, 60.0, 1e6])
     def test_counterexample_at_any_kt_max(self, top):
@@ -348,17 +349,41 @@ class TestHermiticitySpectral:
                                             (60.0, (256, 512)), (1e6, (320, 640)),
                                             (1e34, (768, 1536))])
     def test_window_follows_w_and_kt_max(self, top, nodes):
-        # e^-24 min(kt_max, 16/w) up to kt_max, at most 96 units, 64 ceil(span/8) nodes then 2n
+        # e^-24 min(kt_max, 16/w) up to kt_max, at most 96 units, 64 ceil(span/8) nodes then 2n;
+        # psi sees one call on the 2n nodes, whose odd rows are the n-node grid
         seen = []
         gauss = lambda kt, kphi: seen.append(kt.ravel()) or np.exp(-0.5 * (W0 * kt) ** 2) + 0 * kphi
         try:
             hermiticity_defect(gauss, w=W0, sigma=1, kt_max=top / W0)
         except DiagnosticError:
             assert top == 1e34  # beyond the cap: the Gaussian's |F| is not small at e^-96 kt_max
-        assert tuple(len(kt) for kt in seen) == (nodes if top < 1e34 else nodes[:1])
+        assert [len(kt) for kt in seen] == [nodes[1]]
         span = min(24.0 + math.log(max(top, 16.0) / 16.0), 96.0)
-        assert seen[0][-1] == pytest.approx(top / W0, rel=1e-13)
-        assert math.log(seen[0][-1] / seen[0][0]) == pytest.approx(span * (1 - 1 / nodes[0]))
+        fine, coarse = seen[0], seen[0][1::2]
+        assert fine[-1] == coarse[-1] == pytest.approx(top / W0, rel=1e-13)
+        assert math.log(fine[-1] / fine[0]) == pytest.approx(span * (1 - 1 / nodes[1]))
+        assert math.log(coarse[-1] / coarse[0]) == pytest.approx(span * (1 - 1 / nodes[0]))
+
+    @pytest.mark.parametrize("top", [14.0, 60.0, 1e6, 1e34])
+    def test_coarse_nodes_are_the_fine_grids_shared_nodes(self, top):
+        # both nested-grid gates read their coarse level off the fine samples, so the coarse
+        # grid each would build on its own must be those nodes, bit for bit:
+        # hermiticity_defect's n nodes are the odd rows of its 2n in ln k_t ...
+        seen = []
+        gauss = lambda kt, kphi: seen.append(kt.ravel()) or np.exp(-0.5 * (W0 * kt) ** 2) + 0 * kphi
+        try:
+            hermiticity_defect(gauss, w=W0, sigma=1, kt_max=top / W0)
+        except DiagnosticError:
+            assert top == 1e34
+        span = min(24.0 + math.log(max(top, 16.0) / 16.0), 96.0)
+        n = len(seen[0]) // 2
+        own = np.exp(math.log(top / W0) - (span / n) * np.arange(n - 1, -1, -1))
+        assert np.array_equal(seen[0][1::2], own)
+        # ... and dilation_check's 612-step grid is the even points of its 1224-step grid in ln r
+        seen.clear()
+        paraxops.dilation_check(lambda r: seen.append(r) or np.exp(-r**2), 0.3)
+        span = 612 * math.pi / 32
+        assert np.array_equal(seen[0][::2], np.exp(np.arange(-612, 613) * (span / 612)))
 
 
 class TestHermiticity:
@@ -409,7 +434,7 @@ class TestHermiticity:
         (lambda kt, kphi: np.exp(-0.5 * (W0 * kt) ** 2) + 0 * kphi, 1e34 / W0,
          "negligible at both ends"),
         (_verify_wavefunctions()["good"], 2.0 / W0, "negligible at both ends of ln k_t"),
-        (lambda kt, kphi: np.ones(3), 14.0 / W0, "psi returned shape (3,), not (192, 64)"),
+        (lambda kt, kphi: np.ones(3), 14.0 / W0, "psi returned shape (3,), not (384, 64)"),
         (lambda kt, kphi: None, 14.0 / W0, "needs a finite psi, got a non-finite value"),
     ], ids=["not-decaying", "inverse-k_t", "gaussian-beyond-cap", "cut-gaussian", "wrong-shape",
             "none"])

@@ -263,7 +263,7 @@ class TestDilation:
         (lambda r: np.exp(-(r / 3e-18) ** 2), 0.3, "negligible at both ends"),
         (lambda r: np.exp(-r**2), 65.0, "nonzero reference norm"),  # D_gamma f is all 0
         (lambda r: 1.0, 0.3, "negligible at both ends"),  # once numpy's bare ValueError
-        (lambda r: np.ones(3), 0.3, r"f returned shape \(3,\), not \(1225,\)"),
+        (lambda r: np.ones(3), 0.3, r"f returned shape \(3,\), not \(2449,\)"),
     ], ids=["nan", "nan-beyond-dilated-edge", "zero", "gamma-nan", "gamma-minus-inf",
             "gamma-800", "gamma-290", "not-square-integrable", "wider-than-the-grid",
             "dilated-across-the-end", "remnant-2.4e-9", "remnant-6.3e-9", "dilated-off-the-grid",
@@ -292,10 +292,16 @@ class TestDilation:
         assert abs(dc.unitarity_ratio - 1.0) <= 1e-10 and dc.generator_defect <= 1e-6, dc
 
     def test_four_calls_of_f_per_level(self):
+        # the first level reads every other point of the second's samples; a third samples its own
         sizes = []
         f = lambda r: sizes.append(r.size) or np.exp(-r**2)
         dilation_check(f, 0.3)  # converged at the second level
-        assert sizes == [1225] * 4 + [2449] * 4
+        assert sizes == [2449] * 4
+        sizes.clear()
+        f = lambda r: sizes.append(r.size) or lg_field(LGParams(30, 10, K, W0), r, 0.0, 0.0)
+        with pytest.raises(QuadratureConvergenceError):  # the third level is reached, and fails
+            dilation_check(f, 0.3)
+        assert sizes == [2449] * 4 + [4897] * 4
 
     def test_unresolved_mode_raises(self):
         # LG (30, 10) at 1 mm needs a finer step than pi/128 in ln r
